@@ -1,6 +1,7 @@
 """Command-line front end: one subcommand per verified statement plus the
-full censuses.  Exit code 0 means every assertion of the selected check
-passed; 1 means a check failed; 2 means a usage error."""
+full censuses.  Exit code 0 means every check of the selected command
+passed; 1 means a check failed; 2 means a usage or I/O error; 3 means a
+bounded search ran out of budget, so the result is inconclusive."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from fractions import Fraction
 from . import census, e8, gindex, kummer, reps, sgnperm
 from .cyclotomic import (CycNum, cos_angle, cyc_make, embed_str,
                          minimal_polynomial, poly_str)
+from .errors import CheckFailure
 
 
 @dataclass
@@ -23,10 +25,6 @@ class RunConfig:
     fmt: str = "text"
     out: str | None = None
     timings: bool = False
-
-
-class CheckFailure(AssertionError):
-    pass
 
 
 def _check(cond, msg):
@@ -335,11 +333,21 @@ def _render_text(payload, indent=0):
     return "%s%s" % (pad, payload)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _add_common(parser, suppress: bool):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--format", choices=("text", "json"), default=d("text"))
-    parser.add_argument("--digits", type=int, default=d(15))
-    parser.add_argument("--budget", type=int, default=d(20_000_000))
+    parser.add_argument("--digits", type=_positive_int, default=d(15))
+    parser.add_argument("--budget", type=_positive_int, default=d(20_000_000))
     parser.add_argument("--out", default=d(None))
     parser.add_argument("--timings", action="store_true",
                         default=d(False))
@@ -380,11 +388,19 @@ def main(argv=None) -> int:
             payload = {"command": "defect-table", "status": "pass", **defect_table(cfg)}
         else:
             payload = {"command": "selftest", "status": "pass", **selftest(cfg)}
-        _emit(payload, cfg, time.perf_counter() - start)
-        return 0
     except AssertionError as f:
         print("FAIL: %s" % f, file=sys.stderr)
         return 1
+    except sgnperm.SearchBudgetExceeded as e:
+        print("INCONCLUSIVE: %s; raise --budget to finish the search" % e,
+              file=sys.stderr)
+        return 3
+    try:
+        _emit(payload, cfg, time.perf_counter() - start)
+    except OSError as e:
+        print("ERROR: cannot write the report: %s" % e, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

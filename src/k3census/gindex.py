@@ -27,6 +27,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .cyclotomic import CycNum, cot_product, csc_squared, csc_cot, cyc_make
+from .errors import CheckFailure
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,8 @@ def signature_defect(p: int, q: int) -> Fraction:
     for k in range(1, p):
         total = total + cot_product(p, k, k * q)
     val = total.as_rational()
-    assert val is not None, "defect failed to be rational"
+    if val is None:
+        raise CheckFailure("defect of I_%d_%d failed to be rational" % (p, q))
     return val
 
 
@@ -116,7 +118,9 @@ def point_defect(p: int, a: int, b: int) -> Fraction:
     for k in range(1, p):
         total = total + cot_product(p, k * a, k * b)
     val = total.as_rational()
-    assert val is not None
+    if val is None:
+        raise CheckFailure("defect of the point (%d, %d) mod %d failed to be rational"
+                           % (a, b, p))
     return val
 
 
@@ -126,14 +130,16 @@ def surface_defect(p: int, selfint: int) -> Fraction:
 
 def orbifold_signature(p: int, sign_m: int, data: FixedPointData) -> Fraction:
     """Sign(M/G) from the averaged signature formula:
-    |G| Sign(M/G) = Sign(M) + sum def_m + sum def_Y.  Asserts integrality."""
+    |G| Sign(M/G) = Sign(M) + sum def_m + sum def_Y.  Raises CheckFailure
+    unless the result is an integer."""
     total = Fraction(sign_m)
     for a, b in data.isolated:
         total += point_defect(p, a, b)
     for _, selfint, c in data.surfaces:
         total += surface_defect(p, selfint)
     out = total / p
-    assert out.denominator == 1, "averaged signature is not an integer"
+    if out.denominator != 1:
+        raise CheckFailure("averaged signature %s is not an integer" % out)
     return out
 
 
@@ -196,13 +202,16 @@ def spin_number(data: FixedPointData, ind_dirac: int = 2) -> SpinVector:
     val = spin_value(data)
     if val.n == 1:
         coeffs = [val.coeffs[0]] + [Fraction(0)] * (p - 2)
-    else:
-        assert val.n == p
+    elif val.n == p:
         coeffs = list(val.coeffs)
-    assert all(c.denominator == 1 for c in coeffs)
+    else:
+        raise CheckFailure("character lies in conductor %d, not %d" % (val.n, p))
+    if any(c.denominator != 1 for c in coeffs):
+        raise CheckFailure("character has non-integral coefficients %r" % (coeffs,))
     ints = [int(c) for c in coeffs] + [0]  # coefficient of mu^{p-1} is 0 in the power basis
     shift = Fraction(ind_dirac - sum(ints), p)
-    assert shift.denominator == 1, "character does not normalize to the stated index"
+    if shift.denominator != 1:
+        raise CheckFailure("character does not normalize to the stated index")
     d = tuple(x + int(shift) for x in ints)
     return SpinVector(p, d)
 

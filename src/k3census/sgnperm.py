@@ -16,15 +16,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import lcm, prod
+from operator import getitem, neg
 
 from . import e8
 from .e8 import LatticeVec
+from .errors import CheckFailure
 
 
 class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of budget before finishing."""
+
+
+Img = tuple[int, ...]
+
+_LETTERS = frozenset(range(1, 9))
+_IDENT_IMG: Img = tuple(range(1, 9))
+
+
+def _ext(a: Img) -> Img:
+    """a padded to 17 entries so that index t in -8..8 reads the signed image
+    of e_|t|: entry t is a[t-1] and entry -t (counted from the end) is -a[t-1]."""
+    return (0, *a, *map(neg, reversed(a)))
+
+
+def _img_mul(a: Img, b: Img) -> Img:
+    """Raw composition (a then applied after b) on image tuples."""
+    return tuple(map(_ext(a).__getitem__, b))
+
+
+def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation of range(8), each from its least element."""
+    seen = [False] * 8
+    out = []
+    for start in range(8):
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = p[i]
+        if cyc:
+            out.append(tuple(cyc))
+    return out
 
 
 @dataclass(frozen=True)
@@ -32,9 +67,11 @@ class SignedPerm:
     image: tuple[int, ...]  # image[i] = signed 1-based index of v(e_i)
 
     def __post_init__(self):
-        if sorted(abs(x) for x in self.image) != list(range(1, 9)):
+        image = self.image
+        if len(image) != 8 or set(map(abs, image)) != _LETTERS:
             raise ValueError("not a signed permutation of 8 letters")
-        if prod(1 if x > 0 else -1 for x in self.image) != 1:
+        # the product of the entries is +-8! with the sign product's sign
+        if prod(image) < 0:
             raise ValueError("sign product must be +1 (lattice preservation)")
 
     # -- constructors ----------------------------------------------------
@@ -83,12 +120,7 @@ class SignedPerm:
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         """Composition: (self * other)(x) = self(other(x))."""
-        out = []
-        for t in other.image:
-            j = abs(t) - 1
-            s = self.image[j]
-            out.append(s if t > 0 else -s)
-        return SignedPerm(tuple(out))
+        return SignedPerm(_img_mul(self.image, other.image))
 
     def inverse(self) -> "SignedPerm":
         out = [0] * 8
@@ -118,22 +150,9 @@ class SignedPerm:
 
     def signed_cycles(self) -> list[tuple[tuple[int, ...], int]]:
         """Cycles of the underlying permutation with their sign products."""
-        p = self.perm()
-        seen = [False] * 8
-        out = []
-        for start in range(8):
-            if seen[start]:
-                continue
-            cyc = []
-            sign = 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cyc.append(i)
-                sign *= 1 if self.image[i] > 0 else -1
-                i = p[i]
-            out.append((tuple(cyc), sign))
-        return out
+        image = self.image
+        return [(cyc, prod(1 if image[i] > 0 else -1 for i in cyc))
+                for cyc in _cycles(self.perm())]
 
     def order(self) -> int:
         return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in self.signed_cycles()))
@@ -157,7 +176,8 @@ class SignedPerm:
         return tuple(poly)
 
     def is_involution(self) -> bool:
-        return self != SignedPerm.identity() and (self * self) == SignedPerm.identity()
+        image = self.image
+        return image != _IDENT_IMG and _img_mul(image, image) == _IDENT_IMG
 
     def matrix_e(self) -> list[list[Fraction]]:
         m = [[Fraction(0)] * 8 for _ in range(8)]
@@ -167,10 +187,6 @@ class SignedPerm:
 
     def __repr__(self):
         return "SignedPerm(%s)" % (self.image,)
-
-
-def order_trace_charpoly(g: SignedPerm) -> tuple[int, int, tuple[int, ...]]:
-    return g.order(), g.trace(), g.charpoly()
 
 
 def group_order() -> int:
@@ -242,11 +258,36 @@ _L_LABELS = {1: "1A'", 2: "2A", 3: "3A"}
 
 
 def parity_witness(v: SignedPerm) -> LatticeVec | None:
-    """A root r with (v(r), r) odd, or None if all pairings are even."""
-    for r in e8.enumerate_roots():
-        if e8.raw_inner(v.apply_doubled(r.d), r.d) % 2:
-            return r
-    return None
+    """The first root r, in enumerate_roots order, with (v(r), r) odd, or
+    None if all pairings are even.
+
+    With v(e_i) = s_i e_pi(i) and doubled coordinates d = 2r, the pairing is
+    (v(r), r) = sum_i s_i d_i d_pi(i) / 4, so it is odd exactly when that
+    integer sum is not 0 mod 8.  The sum is taken for all 240 roots at once,
+    one root per byte of an integer (see _pairing_lanes)."""
+    lanes, low_bits = _pairing_lanes()
+    odd = sum(map(getitem, lanes, v.image)) & low_bits
+    if not odd:
+        return None
+    return e8.enumerate_roots()[((odd & -odd).bit_length() - 1) >> 3]
+
+
+@lru_cache(maxsize=None)
+def _pairing_lanes() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """lanes[i][t] packs s d_i d_j mod 8 over the roots d (doubled, in
+    enumerate_roots order), one root per byte, for the image entry t = s(j+1);
+    negative t index from the end, as in _ext.  A sum of 8 entries stays below
+    256 in every byte, so its bytes masked by low_bits are the sums mod 8."""
+    ds = [r.d for r in e8.enumerate_roots()]
+    lanes = []
+    for i in range(8):
+        row = [0] * 17
+        for j in range(8):
+            for s in (1, -1):
+                row[s * (j + 1)] = int.from_bytes(
+                    bytes([s * d[i] * d[j] % 8 for d in ds]), "little")
+        lanes.append(tuple(row))
+    return tuple(lanes), int.from_bytes(b"\x07" * len(ds), "little")
 
 
 def involution_class(v: SignedPerm) -> InvolutionClass:
@@ -277,18 +318,17 @@ def is_4a_prime_shape(v: SignedPerm) -> bool:
     by 4, and a diagonal element has exactly four -1 entries."""
     if not v.is_involution():
         return False
-    cycles = v.signed_cycles()
-    two_cycles = [c for c, _ in cycles if len(c) == 2]
     eps = v.eps()
     p = v.perm()
     if any(eps[i] != eps[p[i]] for i in range(8)):
         return False
-    neg = eps.count(-1)
-    if len(two_cycles) == 0:
-        return neg == 4
-    if len(two_cycles) != 4:
-        return False
-    return neg % 4 == 0
+    n_minus = eps.count(-1)
+    # an involution's cycles have length 1 or 2, so this is twice the
+    # number of transpositions
+    moved = sum(p[i] != i for i in range(8))
+    if moved == 0:
+        return n_minus == 4
+    return moved == 8 and n_minus % 4 == 0
 
 
 def all_involutions():
@@ -340,8 +380,24 @@ def _perfect_matchings(support: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def four_a_prime_elements() -> tuple[SignedPerm, ...]:
-    """All 910 elements of H in the even-pairing involution class."""
-    out = [v for v in all_involutions() if is_4a_prime_shape(v)]
+    """All 910 elements of H in the even-pairing involution class, built
+    from the shape that is_4a_prime_shape tests: the 70 diagonal elements
+    with four -1 entries, and for each of the 105 perfect matchings of the
+    coordinates the 8 sign patterns that are constant on its pairs and
+    negate an even number of pairs (so the count of -1 entries is 0, 4 or 8)."""
+    out = [SignedPerm.diagonal(tuple(-1 if i in minus else 1 for i in range(8)))
+           for minus in combinations(range(8), 4)]
+    for pairs in _perfect_matchings(tuple(range(8))):
+        perm = list(range(8))
+        for a, b in pairs:
+            perm[a], perm[b] = b, a
+        for pair_signs in product((1, -1), repeat=4):
+            if pair_signs.count(-1) % 2:
+                continue
+            eps = [0] * 8
+            for (a, b), s in zip(pairs, pair_signs):
+                eps[a] = eps[b] = s
+            out.append(SignedPerm.from_eps_perm(tuple(eps), tuple(perm)))
     return tuple(sorted(out, key=lambda v: v.image))
 
 
@@ -367,116 +423,84 @@ def classify_order4(v: SignedPerm) -> Order4Shape:
     if involution_class(sq).label != "4A'":
         raise ValueError("square is not in the even-pairing class")
     tr = v.trace()
-    assert tr % 2 == 0 and -4 <= tr <= 4
+    if tr % 2 or not -4 <= tr <= 4:
+        raise CheckFailure("order-4 element %r has trace %d" % (v, tr))
     cycles = [len(c) for c, _ in v.signed_cycles()]
     if max(cycles) == 4:
-        assert sorted(cycles) == [4, 4]
+        if sorted(cycles) != [4, 4]:
+            raise CheckFailure("%r has cycle lengths %r" % (v, cycles))
         eps = v.eps()
         p = v.perm()
-        assert all(eps[i] == eps[p[i]] for i in range(8))
+        if any(eps[i] != eps[p[i]] for i in range(8)):
+            raise CheckFailure("%r has signs that vary along a 4-cycle" % (v,))
         return Order4Shape("ii", 0, tr)
     n_trans = cycles.count(2)
-    assert n_trans in (2, 3, 4)
+    if n_trans not in (2, 3, 4):
+        raise CheckFailure("%r has %d transpositions" % (v, n_trans))
     return Order4Shape("i", n_trans, tr)
 
 
 def square_roots(c: SignedPerm) -> tuple[SignedPerm, ...]:
-    """All v in H with v*v = c, found by a structured scan: the permutation
-    part of v must square to the permutation part of c, and the signs follow
-    by solving eps_i * eps_{perm(i)} = eps_c along cycles."""
+    """All v in H with v*v = c, sorted by image.
+
+    The permutation part p of v must satisfy p(p(i)) = pi_c(i); those p are
+    found by backtracking (_perm_square_roots).  Writing v(e_i) = s_p(i) e_p(i)
+    and c(e_i) = t_pi_c(i) e_pi_c(i), v*v = c asks s_j s_p(j) = t_p(j) for
+    every j.  Along a cycle of p the first sign is free and fixes the rest;
+    the cycle is consistent exactly when the t over it multiply to +1, and a
+    lift lies in H when all its signs multiply to +1."""
+    ceps = c.eps()
     out = []
-    target_perm = c.perm()
-    # candidate permutation parts: brute over S8 would be 40320; restrict to
-    # permutations whose square matches
-    for perm in permutations(range(8)):
-        ok = all(perm[perm[i]] == target_perm[i] for i in range(8))
-        if not ok:
+    for p in _perm_square_roots(c.perm()):
+        cycles = _cycles(p)
+        if any(prod(ceps[j] for j in cyc) != 1 for cyc in cycles):
             continue
-        for v in _signed_lifts(perm, c):
-            out.append(v)
+        for starts in product((1, -1), repeat=len(cycles)):
+            eps = [0] * 8
+            for cyc, s in zip(cycles, starts):
+                for j in cyc:
+                    eps[j] = s
+                    s *= ceps[p[j]]
+            if prod(eps) == 1:
+                out.append(SignedPerm.from_eps_perm(tuple(eps), p))
     return tuple(sorted(out, key=lambda v: v.image))
 
 
-def _signed_lifts(perm, c: SignedPerm):
-    """Signed permutations with the given permutation part squaring to c."""
-    # v(e_i) = eps[perm[i]] e_perm[i]; (v*v)(e_i) = eps[perm[i]] eps[perm[perm[i]]] e_..
-    ceps = c.eps()
-    cperm = c.perm()
-    # unknowns eps[0..7] with eps[perm[i]] * eps[perm-squared(i)] = sign of c at i
-    # iterate over cycles of perm, propagating choices
-    cycles = []
-    seen = [False] * 8
-    for s in range(8):
-        if seen[s]:
-            continue
-        cyc = []
-        i = s
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = perm[i]
-        cycles.append(cyc)
+def _perm_square_roots(target: tuple[int, ...]):
+    """Every permutation p of range(8) with p(p(i)) = target(i).  Choosing
+    p(i) = j forces p(j) = target(i), which forces the next value in turn;
+    the backtracking branches only on the least unassigned i."""
+    p, taken = [-1] * 8, [False] * 8
 
-    def constraints_ok(eps):
-        if prod(eps) != 1:
-            return False
-        for i in range(8):
-            if eps[perm[i]] * eps[perm[perm[i]]] != ceps[cperm[i]]:
+    def assign(i: int, j: int, trail: list[int]) -> bool:
+        while p[i] < 0:
+            if taken[j]:
                 return False
-        return True
+            p[i] = j
+            taken[j] = True
+            trail.append(i)
+            i, j = j, target[i]
+        return p[i] == j
 
-    # free sign choice per cycle start, rest forced by the constraint chain
-    for choice in product((1, -1), repeat=len(cycles)):
-        eps = [0] * 8
-        consistent = True
-        for cyc, c0 in zip(cycles, choice):
-            eps[perm[cyc[0]]] = c0
-            for i in cyc:
-                j = perm[i]
-                jj = perm[perm[i]]
-                if eps[j] and not eps[jj]:
-                    eps[jj] = ceps[cperm[i]] * eps[j]
-        if 0 in eps:
-            # underdetermined positions (can happen for fixed points); try both
-            holes = [i for i, x in enumerate(eps) if x == 0]
-            for fill in product((1, -1), repeat=len(holes)):
-                trial = eps[:]
-                for h, s in zip(holes, fill):
-                    trial[h] = s
-                if constraints_ok(trial):
-                    yield SignedPerm.from_eps_perm(tuple(trial), tuple(perm))
-            continue
-        if constraints_ok(eps):
-            yield SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+    def extend(i: int):
+        while i < 8 and p[i] >= 0:
+            i += 1
+        if i == 8:
+            yield tuple(p)
+            return
+        for j in range(8):
+            trail: list[int] = []
+            if assign(i, j, trail):
+                yield from extend(i + 1)
+            for k in trail:
+                taken[p[k]] = False
+                p[k] = -1
+
+    yield from extend(0)
 
 
 # ---------------------------------------------------------------------------
 # obstruction searches
-
-
-Img = tuple[int, ...]
-
-
-def _img_mul(a: Img, b: Img) -> Img:
-    """Raw composition (a then applied after b) on image tuples."""
-    return tuple(a[t - 1] if t > 0 else -a[-t - 1] for t in b)
-
-
-def _img_inv(a: Img) -> Img:
-    out = [0] * 8
-    for i, t in enumerate(a):
-        if t > 0:
-            out[t - 1] = i + 1
-        else:
-            out[-t - 1] = -(i + 1)
-    return tuple(out)
-
-
-def _img_trace(a: Img) -> int:
-    return sum(1 if t == i + 1 else -1 if t == -(i + 1) else 0 for i, t in enumerate(a))
-
-
-_IDENT_IMG: Img = tuple(range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -490,10 +514,12 @@ class Z24Report:
 def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     """Averaging obstruction for a (Z_2)^4 all of whose involutions have the
     even-pairing type, plus an exhaustive search inside H confirming that no
-    such subgroup exists (the best possible rank is 3)."""
+    such subgroup exists (the best possible rank is 3).  Every element met
+    is an atom or the identity, so each gets its padded image (_ext) once."""
     avg = Fraction(8 + 15 * 0, 16)
     atoms = [v.image for v in four_a_prime_elements()]
     atom_set = set(atoms)
+    ext = {a: _ext(a).__getitem__ for a in (*atoms, _IDENT_IMG)}
 
     counter = [0]
 
@@ -508,7 +534,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
         new = []
         for g in subgroup:
             charge()
-            p = _img_mul(g, h)
+            p = tuple(map(ext[g], h))
             if p == _IDENT_IMG or p not in atom_set:
                 return None
             new.append(p)
@@ -523,7 +549,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
         if len(gens) == 2 and best_pair is None:
             best_pair = (gens[0], gens[1])
         if len(gens) == 4:
-            raise AssertionError("found an all-even-pairing (Z2)^4: %r" % (gens,))
+            raise CheckFailure("found an all-even-pairing (Z2)^4: %r" % (gens,))
         for idx, h in enumerate(pool):
             new_elts = closed_extension(subgroup, h)
             if new_elts is None:
@@ -532,7 +558,8 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
             pool2 = []
             for h2 in pool[idx + 1:]:
                 charge(len(new_elts))
-                if all(_img_mul(h2, g) == _img_mul(g, h2) for g in new_elts):
+                h2_of = ext[h2]
+                if all(tuple(map(h2_of, g)) == tuple(map(ext[g], h2)) for g in new_elts):
                     pool2.append(h2)
             grow(sub2, gens + [h], pool2)
 
@@ -541,19 +568,21 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     d0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1)).image
     pperm = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)]).image
     for g1 in (d0, pperm):
-        assert g1 in atom_set
+        if g1 not in atom_set:
+            raise CheckFailure("start %r is not of even-pairing type" % (g1,))
         level1 = []
         for h in atoms:
             if h == g1:
                 continue
             charge()
-            if _img_mul(g1, h) != _img_mul(h, g1):
+            if tuple(map(ext[g1], h)) != tuple(map(ext[h], g1)):
                 continue
             if closed_extension([g1], h) is not None:
                 level1.append(h)
         grow([_IDENT_IMG, g1], [g1], level1)
 
-    assert best_pair is not None
+    if best_pair is None:
+        raise CheckFailure("no commuting pair of even-pairing involutions")
     return Z24Report(avg, "no (Z2)^4 with all involutions of even-pairing type",
                      max_rank, (SignedPerm(best_pair[0]), SignedPerm(best_pair[1])))
 
@@ -572,29 +601,36 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
     Enumerates, up to conjugacy of the central involution, all pairs (a, b)
     in H with a^2 = b^2 = c central of even-pairing type and b a b^-1 =
     a^-1, records the realizable trace triples (tr a, tr b, tr ab), and
-    checks that no two triples sum to (-4, -4, -4) coordinatewise."""
+    checks that no two triples sum to (-4, -4, -4) coordinatewise.
+
+    Given a^2 = b^2 = c, b a b^-1 = a^-1 holds exactly when (ab)^2 = c:
+    b a = a^-1 b gives abab = b^2 = c, and abab = c = b^2 gives aba = b.
+    So a pair qualifies exactly when ab is again a square root of c, and
+    each of the |square_roots(c)|^2 pairs costs one product and one lookup
+    in the table of roots and their traces.  Every pair is charged one
+    unit of budget."""
     d0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1))
     pperm = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
     triples: set[tuple[int, int, int]] = set()
     traces: set[int] = set()
     steps = 0
     for c in (d0, pperm):
-        imgs = [v.image for v in square_roots(c)]
-        traces.update(_img_trace(a) for a in imgs)
-        invs = {a: _img_inv(a) for a in imgs}
-        for a in imgs:
-            a_inv = invs[a]
-            tr_a = _img_trace(a)
-            for b in imgs:
-                steps += 1
-                if steps > budget:
-                    raise SearchBudgetExceeded("budget %d exhausted" % budget)
-                if _img_mul(_img_mul(b, a), invs[b]) == a_inv:
-                    triples.add((tr_a, _img_trace(b), _img_trace(_img_mul(a, b))))
+        trace_of = {v.image: v.trace() for v in square_roots(c)}
+        traces.update(trace_of.values())
+        for a, tr_a in trace_of.items():
+            steps += len(trace_of)
+            if steps > budget:
+                raise SearchBudgetExceeded("budget %d exhausted" % budget)
+            a_of = _ext(a).__getitem__
+            for b, tr_b in trace_of.items():
+                tr_ab = trace_of.get(tuple(map(a_of, b)))
+                if tr_ab is not None:
+                    triples.add((tr_a, tr_b, tr_ab))
     want = (-4, -4, -4)
     hit = [(t1, t2) for t1 in triples for t2 in triples
            if tuple(x + y for x, y in zip(t1, t2)) == want]
     verdict = ("no pair of realizable trace triples sums to (-4,-4,-4)"
                if not hit else "OBSTRUCTION FAILED: %r" % hit)
-    assert not hit
+    if hit:
+        raise CheckFailure(verdict)
     return Q8Report(tuple(sorted(traces)), tuple(sorted(triples)), verdict)

@@ -78,3 +78,42 @@ def test_flags_accepted_before_and_after_subcommand(capsys):
     c2, o2, _ = run_cli(capsys, "verify", "lemma-6.4", "--format", "json")
     assert c1 == c2 == 0
     assert json.loads(o1) == json.loads(o2)
+
+
+def test_exhausted_budget_is_inconclusive(capsys):
+    code, out, err = run_cli(capsys, "--budget", "10", "verify", "theorem-1.7")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("INCONCLUSIVE: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_q8_budget_threshold(capsys):
+    # the Q8 search charges one unit per ordered pair: 528^2 + 48^2
+    assert run_cli(capsys, "census", "q8", "--budget", "281088")[0] == 0
+    code, _, err = run_cli(capsys, "census", "q8", "--budget", "281087")
+    assert code == 3 and err.startswith("INCONCLUSIVE: ")
+
+
+def test_unwritable_out_is_an_io_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "lemma-6.4", "--out", str(target))
+    assert code == 2
+    assert err.startswith("ERROR: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flags", [("--budget", "0"), ("--budget", "-5"),
+                                   ("--budget", "x"), ("--digits", "0"),
+                                   ("--digits", "-3")])
+def test_bad_numeric_flags_rejected_at_parse_time(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*flags, "verify", "lemma-6.4"])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_checks_run_under_optimized_python(run_optimized):
+    res = run_optimized("-m", "k3census", "verify", "theorem-1.7")
+    assert res.returncode == 0, res.stderr
+    assert "status: pass" in res.stdout

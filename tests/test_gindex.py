@@ -5,6 +5,7 @@ import pytest
 
 from k3census import gindex as gi
 from k3census.cyclotomic import embed_str
+from k3census.errors import CheckFailure
 from k3census.gindex import FixedPointData, SpinVector
 
 
@@ -62,6 +63,18 @@ def test_orbifold_signature_case_c():
     assert gi.signature_g(data).as_rational() == -6
     # free action
     assert gi.orbifold_signature(5, 0, FixedPointData(5)) == 0
+
+
+def test_orbifold_signature_rejects_fractional_quotient():
+    with pytest.raises(CheckFailure):
+        gi.orbifold_signature(5, -15, FixedPointData(5, ((1, 1),)))
+
+
+def test_orbifold_signature_check_survives_optimized_python(run_optimized):
+    res = run_optimized("-c", "from k3census import gindex as gi\n"
+                        "gi.orbifold_signature(5, -15, gi.FixedPointData(5, ((1, 1),)))")
+    assert res.returncode == 1
+    assert "CheckFailure: averaged signature -19/5 is not an integer" in res.stderr
 
 
 def test_spin_vector_invariants():

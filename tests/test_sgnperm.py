@@ -66,17 +66,16 @@ def test_group_order_and_sylow():
 
 def test_order_trace_charpoly_examples():
     ident = SignedPerm.identity()
-    assert sp.order_trace_charpoly(ident) == (1, 8, (1, -8, 28, -56, 70, -56, 28, -8, 1))
+    assert (ident.order(), ident.trace()) == (1, 8)
+    assert ident.charpoly() == (1, -8, 28, -56, 70, -56, 28, -8, 1)
     diag = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1))
-    order, trace, cp = sp.order_trace_charpoly(diag)
-    assert (order, trace) == (2, 0)
+    assert (diag.order(), diag.trace()) == (2, 0)
     # (x+1)^4 (x-1)^4 = (x^2-1)^4
-    assert cp == (1, 0, -4, 0, 6, 0, -4, 0, 1)
+    assert diag.charpoly() == (1, 0, -4, 0, 6, 0, -4, 0, 1)
     seven = SignedPerm.from_cycles([tuple(range(1, 8))])
-    order, trace, cp = sp.order_trace_charpoly(seven)
-    assert (order, trace) == (7, 1)
+    assert (seven.order(), seven.trace()) == (7, 1)
     # (x^7 - 1)(x - 1)
-    assert cp == (1, -1, 0, 0, 0, 0, 0, -1, 1)
+    assert seven.charpoly() == (1, -1, 0, 0, 0, 0, 0, -1, 1)
 
 
 def test_isometry_property():
