@@ -23,6 +23,7 @@ from itertools import combinations_with_replacement
 
 from . import e8, gindex, reps
 from .cyclotomic import CycNum, embed_str
+from .errors import CheckFailure
 from .gindex import FixedPointData
 from .reps import RepDecomp
 
@@ -181,10 +182,12 @@ def solve_p5_stage1(profile: ThetaProfile) -> StageOneFamily:
     c1 = profile.lefschetz_total()
     fix = profile.first.fixed_rank() + profile.second.fixed_rank()
     b4 = 16 - 5 * fix
-    assert b4 % 4 == 0
+    if b4 % 4:
+        raise CheckFailure("16 - 5*fix = %d is not divisible by 4" % b4)
     b0 = b4 // 4
     # u + 3v = c1 - 4w - 5A ; u - 2v = b0 + w + 5A
-    assert (c1 - b0) % 5 == 0 and (2 * c1 + 3 * b0) % 5 == 0
+    if (c1 - b0) % 5 or (2 * c1 + 3 * b0) % 5:
+        raise CheckFailure("stage-1 system of %s has no integral family" % profile.label())
     v0 = (c1 - b0) // 5
     u0 = (2 * c1 + 3 * b0) // 5
     return StageOneFamily(profile, u0, v0)
@@ -267,6 +270,7 @@ def refine_p5(profile: ThetaProfile, atilde_positive: bool) -> tuple[P5Counts, .
     per-generator signature identity."""
     fam = solve_p5_stage1(profile)
     target = profile.sign_target()
+    euler = gindex.lefschetz(profile.lefschetz_total() - 2)
     found: set[P5Counts] = set()
     for (u, v, w, a) in fam.solutions():
         if (a > 0) != atilde_positive:
@@ -281,14 +285,15 @@ def refine_p5(profile: ThetaProfile, atilde_positive: bool) -> tuple[P5Counts, .
                 if v1 + w1 != v2 + w2:
                     continue
                 cand = P5Counts(z1, z2, v1, v2, w1, w2, a)
-                sig = gindex.signature_g(cand.fixed_point_data()).as_rational() \
-                    if cand.fixed_point_data().isolated or cand.fixed_point_data().surfaces \
-                    else Fraction(0)
+                data = cand.fixed_point_data()
+                sig = gindex.signature_g(data).as_rational() \
+                    if data.isolated or data.surfaces else Fraction(0)
                 if sig != target:
                     continue
                 # cross-check the Euler characteristic against the trace
-                assert cand.fixed_point_data().euler_characteristic() == \
-                    gindex.lefschetz(profile.lefschetz_total() - 2)
+                if data.euler_characteristic() != euler:
+                    raise CheckFailure("%r has Euler characteristic %d, the trace gives %d"
+                                       % (cand, data.euler_characteristic(), euler))
                 found.add(cand.canonical())
     return tuple(sorted(found, key=lambda c: (-c.atilde, c.w, c.x1, c.xyz())))
 
@@ -532,7 +537,8 @@ def admissible_gamma_types(p: int) -> dict:
     count congruences (n = -1 mod p for the A-cycles, n = 4 mod p for the
     D-graphs) plus the requirement that the corresponding root lattice embed
     in the fixed sublattice of an admissible representation."""
-    assert p in (5, 7)
+    if p not in (5, 7):
+        raise ValueError("chain-group catalogue is stated for p in {5, 7}")
     results = {}
     census = reps.lemma45_census(p)
     witnesses = {}
@@ -611,9 +617,11 @@ def q8_fixture_solver() -> Q8Fixture:
         ok, reason = _q8_points_consistent(n, s_minus)
         eliminations[n] = (ok, reason)
         if ok:
-            assert forced is None, "more than one consistent branch"
+            if forced is not None:
+                raise CheckFailure("more than one consistent branch: %d and %d" % (forced, n))
             forced = n
-    assert forced == 4
+    if forced != 4:
+        raise CheckFailure("forced fixed-point count is %s, not 4" % forced)
     return Q8Fixture(tuple(sorted(sols)), eliminations, forced)
 
 

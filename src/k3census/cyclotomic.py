@@ -1,10 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A CycNum is stored as a rational coefficient vector on the power basis
-1, z, ..., z^(phi(n)-1) of Q(zeta_n), reduced modulo the n-th cyclotomic
-polynomial.  The representation is canonical for a fixed conductor, so
-equality of values at a common conductor is coefficient equality.  Mixed
-conductors promote to the lcm.
+A CycNum is stored as integer numerators on the power basis
+1, z, ..., z^(phi(n)-1) of Q(zeta_n) over one positive common denominator,
+reduced modulo the n-th cyclotomic polynomial and divided through by the gcd
+of all of them.  The representation is canonical for a fixed conductor, so
+equality of values at a common conductor is equality of numerators and
+denominator.  Mixed conductors promote to the lcm.
+
+Products are integer convolutions: exponents fold mod n (z^n = 1), and the
+powers z^k with phi(n) <= k < n are rewritten from a per-conductor integer
+table built on first use.  The inverse is the product of the other Galois
+conjugates divided by the norm, so no arithmetic ever leaves Z until the
+rational coefficients are read.
 
 All trigonometric quantities at angles k*pi/p (cotangent, cosecant, cosine)
 are expressed inside these fields, e.g.
@@ -20,58 +27,41 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-import mpmath
+from .errors import CheckFailure
 
 QPoly = tuple[Fraction, ...]  # dense, low degree first
+IntPoly = tuple[int, ...]     # dense, low degree first
 
 
 # ---------------------------------------------------------------------------
-# small polynomial helpers
+# integer polynomials
 
 
-def _ptrim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+def poly_mul(a, b) -> list[int]:
+    """Product of two dense integer polynomials, low degree first."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
+                out[i + j] += x * y
+    return out
 
 
-def _psub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _ptrim([x - y for x, y in zip(a, b)])
-
-
-def _pdivmod(a, b):
-    """Euclidean division of polynomials; exact rational arithmetic."""
-    a = _ptrim(list(a))
-    b = _ptrim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b):
-        f = a[-1] / lead
-        k = len(a) - len(b)
+def _pdiv_monic(a, b) -> list[int]:
+    """Exact quotient a / b of integer polynomials, b monic."""
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        f = a[k + len(b) - 1]
         q[k] = f
-        for i, y in enumerate(b):
-            a[k + i] -= f * y
-        a = _ptrim(a)
-        if not a:
-            break
-    return _ptrim(q), a
+        if f:
+            for i, y in enumerate(b):
+                a[k + i] -= f * y
+    if any(a):
+        raise CheckFailure("polynomial division not exact")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -102,64 +92,111 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> QPoly:
+def cyclotomic_polynomial(n: int) -> IntPoly:
     """Phi_n as Mobius product of (x^d - 1)^{mu(n/d)} over divisors d of n."""
-    num: list[Fraction] = [Fraction(1)]
-    den: list[Fraction] = [Fraction(1)]
+    num, den = [1], [1]
     for d in range(1, n + 1):
         if n % d:
             continue
         mu = _mobius(n // d)
         if mu == 0:
             continue
-        factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]  # x^d - 1
+        factor = [-1] + [0] * (d - 1) + [1]  # x^d - 1
         if mu == 1:
-            num = _pmul(num, factor)
+            num = poly_mul(num, factor)
         else:
-            den = _pmul(den, factor)
-    q, r = _pdivmod(num, den)
-    assert not r, "cyclotomic division not exact"
-    assert len(q) - 1 == euler_phi(n)
+            den = poly_mul(den, factor)
+    q = _pdiv_monic(num, den)
+    if len(q) - 1 != euler_phi(n) or q[-1] != 1:
+        raise CheckFailure("Phi_%d has degree %d, not phi(%d)" % (n, len(q) - 1, n))
     return tuple(q)
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    phi = cyclotomic_polynomial(n)
-    _, r = _pdivmod(coeffs, list(phi))
-    r = list(r) + [Fraction(0)] * (euler_phi(n) - len(r))
-    return tuple(r)
+@lru_cache(maxsize=None)
+def _fold_table(n: int) -> tuple[IntPoly, ...]:
+    """Row k - phi(n) holds z^k mod Phi_n for phi(n) <= k < n, as integer
+    coefficients on 1, z, ..., z^(phi(n)-1)."""
+    phi_n = cyclotomic_polynomial(n)
+    row = [-c for c in phi_n[:-1]]  # z^phi = -(lower terms of Phi_n)
+    rows = []
+    for _ in range(len(row), n):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]  # times z, then rewrite the z^phi term
+        if top:
+            row = [x - top * c for x, c in zip(row, phi_n)]
+    return tuple(rows)
+
+
+def _fold(n: int, vals) -> list[int]:
+    """Canonical numerators of sum vals[k] z^k in Q(zeta_n), any length."""
+    phi = euler_phi(n)
+    out = list(vals[:phi])
+    out += [0] * (phi - len(out))
+    if len(vals) > phi:
+        table = _fold_table(n)
+        for k in range(phi, len(vals)):
+            c = vals[k]
+            if c:
+                k %= n
+                if k < phi:
+                    out[k] += c
+                else:
+                    for i, t in enumerate(table[k - phi]):
+                        out[i] += c * t
+    return out
 
 
 class CycNum:
     """Element of Q(zeta_n) on the reduced power basis.  Immutable."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, coeffs):
         if n < 1:
             raise ValueError("conductor must be positive")
         coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != euler_phi(n):
-            coeffs = list(_reduce(coeffs, n))
+        den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+        num = _fold(n, [c.numerator * (den // c.denominator) for c in coeffs])
+        self._set(n, num, den)
+
+    def _set(self, n: int, num, den: int):
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_num", tuple(num))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _make(cls, n: int, num, den: int) -> "CycNum":
+        """Build from canonical-length integer numerators over den > 0."""
+        out = object.__new__(cls)
+        out._set(n, num, den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> QPoly:
+        """Rational coefficients on 1, z, ..., z^(phi(n)-1)."""
+        return tuple(Fraction(x, self._den) for x in self._num)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def rational(cls, x) -> "CycNum":
-        return cls(1, [Fraction(x)])
+        x = Fraction(x)
+        return cls._make(1, (x.numerator,), x.denominator)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CycNum":
         if n < 1:
             raise ValueError("conductor must be positive")
         k %= n
-        mono = [Fraction(0)] * k + [Fraction(1)]
-        return cls(n, _reduce(mono, n))
+        return cls._make(n, _fold(n, [0] * k + [1]), 1)
 
     # -- conductor handling -------------------------------------------
 
@@ -170,10 +207,10 @@ class CycNum:
         if m % self.n:
             raise ValueError("can only promote to a multiple of the conductor")
         step = m // self.n
-        out = [Fraction(0)] * (max(1, (len(self.coeffs) - 1) * step + 1))
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return CycNum(m, _reduce(out, m))
+        out = [0] * ((len(self._num) - 1) * step + 1)
+        for i, c in enumerate(self._num):
+            out[i * step] = c
+        return CycNum._make(m, _fold(m, out), self._den)
 
     @staticmethod
     def _common(a: "CycNum", b: "CycNum"):
@@ -197,12 +234,13 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        return CycNum(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a._den, b._den
+        return CycNum._make(a.n, [x * db + y * da for x, y in zip(a._num, b._num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.n, [-c for c in self.coeffs])
+        return CycNum._make(self.n, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -218,25 +256,26 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        prod = _pmul(list(a.coeffs), list(b.coeffs))
-        return CycNum(a.n, _reduce(prod, a.n))
+        return CycNum._make(a.n, _fold(a.n, poly_mul(a._num, b._num)), a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """The product of the other Galois conjugates, over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in Q[x]: maintain r_k = s_k * self (mod Phi_n)
-        phi = list(cyclotomic_polynomial(self.n))
-        r0, s0 = phi, [Fraction(0)]
-        r1, s1 = _ptrim(list(self.coeffs)), [Fraction(1)]
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        assert len(r0) == 1, "gcd with cyclotomic polynomial not constant"
-        inv = [x / r0[0] for x in s0]
-        return CycNum(self.n, _reduce(inv, self.n))
+        n = self.n
+        others = CycNum.rational(1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = others * self.galois(k)
+        norm = (self * others).as_rational()
+        if norm is None:
+            raise CheckFailure("norm of %r is not rational" % (self,))
+        others = others.promoted(n)
+        sign = -1 if norm < 0 else 1
+        return CycNum._make(n, [sign * norm.denominator * x for x in others._num],
+                            abs(norm.numerator) * others._den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -267,19 +306,20 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return a._den == b._den and a._num == b._num
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def galois(self, k: int) -> "CycNum":
         """The conjugate under zeta -> zeta^k, gcd(k, n) = 1."""
-        if gcd(k, self.n) != 1:
+        n = self.n
+        if gcd(k, n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        out = [Fraction(0)] * self.n
-        for i, c in enumerate(self.coeffs):
-            out[(i * k) % self.n] += c
-        return CycNum(self.n, _reduce(out, self.n))
+        out = [0] * n
+        for i, c in enumerate(self._num):
+            out[(i * k) % n] = c  # i -> i*k mod n is injective
+        return CycNum._make(n, _fold(n, out), self._den)
 
     def conjugate(self) -> "CycNum":
         return self.galois(-1 % self.n) if self.n > 1 else self
@@ -289,9 +329,9 @@ class CycNum:
 
     def as_rational(self) -> Fraction | None:
         """The rational value, or None if the element is irrational."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self._num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     # -- display ----------------------------------------------------------
 
@@ -323,11 +363,7 @@ def cyc_make(n: int, k: int) -> CycNum:
     return CycNum.zeta(n, k)
 
 
-def as_rational(x: CycNum) -> Fraction | None:
-    """The rational value of x, or None when x is irrational."""
-    return x.as_rational()
-
-
+@lru_cache(maxsize=None)
 def cot_product(p: int, a: int, b: int) -> CycNum:
     """-cot(a*pi/p) * cot(b*pi/p) as (1+z^a)(1+z^b) / ((1-z^a)(1-z^b))."""
     a %= p
@@ -339,6 +375,7 @@ def cot_product(p: int, a: int, b: int) -> CycNum:
     return ((one + za) * (one + zb)) / ((one - za) * (one - zb))
 
 
+@lru_cache(maxsize=None)
 def csc_squared(p: int, c: int) -> CycNum:
     """csc(c*pi/p)^2 = 4 / ((1-z^c)(1-z^-c))."""
     c %= p
@@ -354,12 +391,11 @@ def cos_angle(p: int, c: int) -> CycNum:
     zeta_{2p} = -zeta_p^{(p+1)/2}; otherwise conductor 2p is used."""
     if p % 2:
         h = (c * (p + 1) // 2) % p
-        zh = CycNum.zeta(p, h)
-        return (zh + zh.inverse()) * Fraction((-1) ** (c % 2), 2)
-    z = CycNum.zeta(2 * p, c)
-    return (z + z.inverse()) * Fraction(1, 2)
+        return (CycNum.zeta(p, h) + CycNum.zeta(p, -h)) * Fraction((-1) ** (c % 2), 2)
+    return (CycNum.zeta(2 * p, c) + CycNum.zeta(2 * p, -c)) * Fraction(1, 2)
 
 
+@lru_cache(maxsize=None)
 def csc_cot(p: int, c: int) -> CycNum:
     """csc(c*pi/p) * cot(c*pi/p) = cos(c*pi/p) / sin(c*pi/p)^2."""
     c %= p
@@ -375,6 +411,8 @@ def embed_real(x: CycNum, digits: int = 15):
     coefficient vectors in this package the result is accurate well past
     10^-digits; re-running with larger `digits` refines in place.
     """
+    import mpmath  # display only; keeps the import off every other path
+
     if digits < 1:
         raise ValueError("digits must be >= 1")
     with mpmath.workdps(digits + 25):
@@ -391,6 +429,8 @@ def embed_real(x: CycNum, digits: int = 15):
 def embed_str(x: CycNum, digits: int = 5) -> str:
     """Fixed-decimal rendering of the real embedding; flags a nonzero
     imaginary part rather than hiding it."""
+    import mpmath
+
     re, im = embed_real(x, digits + 5)
     with mpmath.workdps(digits + 25):
         if abs(im) > mpmath.mpf(10) ** (-digits):
@@ -399,6 +439,8 @@ def embed_str(x: CycNum, digits: int = 5) -> str:
 
 
 def _fixed(v, digits: int) -> str:
+    import mpmath
+
     with mpmath.workdps(digits + 25):
         r = int(mpmath.nint(v * 10**digits))
     sign = "-" if r < 0 else ""

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
+from operator import mul
 
 from . import linalg
+from .errors import CheckFailure
 
 Doubled = tuple[int, ...]
 
@@ -114,7 +117,8 @@ def enumerate_roots() -> tuple[Root, ...]:
         if signs.count(-1) % 2 == 0:
             roots.add(signs)
     out = tuple(sorted(LatticeVec(d) for d in roots))
-    assert len(out) == 240
+    if len(out) != 240:
+        raise CheckFailure("found %d roots, not 240" % len(out))
     return out
 
 
@@ -145,8 +149,10 @@ def standard_basis() -> tuple[Root, ...]:
     fs.append(LatticeVec(tuple(a + b for a, b in zip(_e(6), _e(7)))))
     fs.append(LatticeVec((-1, -1, -1, -1, -1, 1, 1, -1)))
     basis = tuple(fs)
-    assert all(is_root(f) for f in basis)
-    assert abs(linalg.det([[Fraction(x, 2) for x in f.d] for f in basis])) == 1
+    if not all(is_root(f) for f in basis):
+        raise CheckFailure("a basis vector f_i is not a root")
+    if abs(linalg.det([[Fraction(x, 2) for x in f.d] for f in basis])) != 1:
+        raise CheckFailure("f1..f8 do not span the lattice")
     return basis
 
 
@@ -278,11 +284,24 @@ def reflection_matrix(r: Root) -> list[list[Fraction]]:
 
 
 def word_matrix(word) -> list[list[Fraction]]:
-    """Product of reflections, leftmost applied last."""
-    m = linalg.identity(8)
+    """Product of reflections, leftmost applied last.
+
+    Runs on 4 times the product, which is an integer matrix: 4 w_r is
+    4I - d d^T on doubled coordinates d, and a product of reflections maps
+    the lattice into itself, so its e-coordinate entries are quarter-integral."""
+    m4 = [[4 * (i == j) for j in range(8)] for i in range(8)]
     for r in word:
-        m = linalg.mat_mul(m, reflection_matrix(r))
-    return m
+        if not is_root(r):
+            raise ValueError("reflection axis must be a root")
+        d = r.d
+        m16 = []
+        for row in m4:
+            c = sum(map(mul, row, d))
+            m16.append([4 * x - c * y for x, y in zip(row, d)])
+        if any(x % 4 for row in m16 for x in row):
+            raise CheckFailure("product of reflections left the quarter-integral matrices")
+        m4 = [[x // 4 for x in row] for row in m16]
+    return [[Fraction(x, 4) for x in row] for row in m4]
 
 
 def apply_matrix(m, x: LatticeVec) -> LatticeVec:
@@ -298,49 +317,58 @@ def _basis_matrix() -> list[list[Fraction]]:
 
 
 @lru_cache(maxsize=None)
-def _basis_inverse() -> tuple[tuple[Fraction, ...], ...]:
+def _basis_inverse() -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(s, B) with B / s the inverse of the basis matrix and B integral."""
     f = _basis_matrix()
     n = 8
     aug = [list(f[i]) + linalg.identity(n)[i] for i in range(n)]
     red, pivots = linalg._echelon(aug)
-    assert pivots == list(range(n))
-    return tuple(tuple(row[n:]) for row in red)
+    if pivots != list(range(n)):
+        raise CheckFailure("f1..f8 are linearly dependent")
+    inv = [row[n:] for row in red]
+    s = lcm(*(x.denominator for row in inv for x in row))
+    return s, tuple(tuple(int(x * s) for x in row) for row in inv)
 
 
 def f_coordinates(v: LatticeVec) -> tuple[int, ...]:
     """Coordinates of a lattice vector on the basis f1..f8."""
-    inv = _basis_inverse()
-    h = v.halves()
+    s, inv = _basis_inverse()
     out = []
-    for i in range(8):
-        c = sum(inv[i][j] * h[j] for j in range(8))
-        assert c.denominator == 1
-        out.append(int(c))
+    for row in inv:
+        c, rem = divmod(sum(map(mul, row, v.d)), 2 * s)  # v.d is twice v
+        if rem:
+            raise CheckFailure("f1..f8 do not span the lattice vector %r" % (v,))
+        out.append(c)
     return tuple(out)
 
 
 def matrix_in_f_basis(m_e) -> list[list[int]]:
-    """Rewrite an e-coordinate action as an integer matrix on the f-basis."""
-    f = _basis_matrix()
-    rows = []
-    for j in range(8):
-        col_e = [sum(Fraction(m_e[i][k]) * f[k][j] for k in range(8)) for i in range(8)]
-        coords = linalg.solve(f, col_e)
-        assert coords is not None
-        rows.append(coords)
-    out = [[None] * 8 for _ in range(8)]
-    for j in range(8):
-        for i in range(8):
-            c = rows[j][i]
-            if c.denominator != 1:
+    """Rewrite an e-coordinate action as an integer matrix on the f-basis.
+
+    The matrix is F^-1 M F for the basis matrix F, computed as the integer
+    product B (t M) (2 F) divided by 2 s t, where F^-1 = B / s and t clears
+    the denominators of M."""
+    s, inv = _basis_inverse()
+    t = lcm(*(x.denominator for row in m_e for x in row))
+    m_cols = list(zip(*([x.numerator * (t // x.denominator) for x in row] for row in m_e)))
+    bm = [[sum(map(mul, row, col)) for col in m_cols] for row in inv]
+    scale = 2 * s * t
+    out = []
+    for row in bm:
+        out_row = []
+        for f in standard_basis():
+            c, rem = divmod(sum(map(mul, row, f.d)), scale)
+            if rem:
                 raise ValueError("matrix does not preserve the lattice")
-            out[i][j] = int(c)
+            out_row.append(c)
+        out.append(out_row)
     return out
 
 
 def coxeter_matrix(simple_roots) -> list[list[Fraction]]:
     """Product of the reflections in the given simple roots (a Coxeter
-    element of the subsystem they span)."""
+    element of the subsystem they span; for mutually orthogonal chains this
+    is the product of their Coxeter elements)."""
     return word_matrix(list(simple_roots))
 
 
@@ -348,10 +376,12 @@ def orthogonal_a4_pair() -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     """Two mutually orthogonal A4 chains inside the root system."""
     all_roots = list(enumerate_roots())
     first = _find_a_chain(_normalized_mod_sign(all_roots), 4)
-    assert first is not None
+    if first is None:
+        raise CheckFailure("no A4 chain among the roots")
     rest = [r for r in all_roots if all(inner(r, a) == 0 for a in first)]
     second = _find_a_chain(_normalized_mod_sign(rest), 4)
-    assert second is not None
+    if second is None:
+        raise CheckFailure("no A4 chain orthogonal to %r" % (first,))
     return first, second
 
 
@@ -362,6 +392,7 @@ def orthogonal_a2_quadruple() -> tuple[tuple[Root, ...], ...]:
     for _ in range(4):
         avoid = tuple(r for c in chains for r in c)
         nxt = _find_a_chain(_normalized_mod_sign(pool), 2, avoid=avoid)
-        assert nxt is not None
+        if nxt is None:
+            raise CheckFailure("no A2 chain orthogonal to %d earlier chains" % len(chains))
         chains.append(nxt)
     return tuple(chains)

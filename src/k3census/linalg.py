@@ -1,14 +1,17 @@
 """Exact linear algebra over Q and Z for small matrices.
 
 Everything here works on plain nested lists.  Rational routines use
-fractions.Fraction; integer routines (Smith normal form, saturated kernels)
-never leave Z.  Matrix sizes in this package are at most 22x22, so no
-attempt is made at asymptotic cleverness.
+fractions.Fraction; integer routines (characteristic polynomial, Smith
+normal form, saturated kernels) never leave Z.  Matrix sizes in this
+package are at most 22x22, so no attempt is made at asymptotic cleverness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
+
+from .errors import CheckFailure
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -28,7 +31,8 @@ def zeros(n: int, m: int) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError("shape mismatch: %d columns times %d rows" % (len(a[0]), k))
     out = zeros(n, m)
     for i in range(n):
         ai = a[i]
@@ -39,14 +43,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, x) -> Vec:
     return [sum(Fraction(a[i][j]) * x[j] for j in range(len(x))) for i in range(len(a))]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _echelon(a: Mat) -> tuple[Mat, list[int]]:
@@ -137,19 +133,26 @@ def nullspace(a: Mat) -> list[Vec]:
     return basis
 
 
-def charpoly(a: Mat) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), coefficients low degree first.
+def charpoly(a) -> list[int]:
+    """Characteristic polynomial det(xI - A) of an integer matrix,
+    coefficients low degree first.
 
-    Faddeev-LeVerrier; exact over Fraction.
+    Faddeev-LeVerrier over Z: every division by k is exact for an integer
+    matrix, and each one is checked.
     """
     n = len(a)
-    am = frac_matrix(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
+    am = [[int(x) for x in row] for row in a]
+    if any(x != y for ra, rb in zip(am, a) for x, y in zip(ra, rb)):
+        raise ValueError("charpoly needs an integer matrix")
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        m = mat_mul(am, m)
-        c = -sum(m[i][i] for i in range(n)) / k
+        mcols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in mcols] for row in am]
+        c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        if r:
+            raise CheckFailure("Faddeev-LeVerrier trace not divisible by %d" % k)
         coeffs[n - k] = c
         for i in range(n):
             m[i][i] += c
@@ -273,30 +276,3 @@ def integer_solve(a, b) -> list[int] | None:
         if ub[i] != 0:
             return None
     return [sum(v[i][j] * y[j] for j in range(cols)) for i in range(cols)]
-
-
-def complete_to_basis(sub: list[list[int]], n: int) -> list[list[int]]:
-    """Extend the rows of `sub` (a saturated rank-k sublattice of Z^n) to a
-    basis of Z^n.  Returns n rows, the first k spanning the sublattice."""
-    k = len(sub)
-    if k == 0:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    divs = elementary_divisors(sub)
-    if len(divs) != k or any(x != 1 for x in divs):
-        raise ValueError("sublattice is not saturated: divisors %s" % divs)
-    # U S V = [I_k | 0], so S and the first k rows of V^{-1} span the same
-    # lattice, and V^{-1} is unimodular.
-    _, _, v = smith_normal_form(sub)
-    return _int_inverse(v)
-
-
-def _int_inverse(u: list[list[int]]) -> list[list[int]]:
-    n = len(u)
-    m = frac_matrix(u)
-    aug = [m[i] + identity(n)[i] for i in range(n)]
-    red, pivots = _echelon(aug)
-    assert pivots == list(range(n)), "matrix not invertible"
-    inv = [row[n:] for row in red]
-    out = [[int(x) for x in row] for row in inv]
-    assert all(Fraction(out[i][j]) == inv[i][j] for i in range(n) for j in range(n))
-    return out

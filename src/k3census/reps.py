@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import e8, linalg
+from .cyclotomic import cyclotomic_polynomial, poly_mul
+from .errors import CheckFailure
 from .sgnperm import SignedPerm
 
 
@@ -108,40 +110,39 @@ def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
         nv = [norm[i][j] for i in range(n)]
         coords = linalg.solve([[Fraction(fixed_basis[k][i]) for k in range(fix_rank)]
                                for i in range(n)], nv)
-        assert coords is not None, "norm image must land in the fixed sublattice"
-        assert all(c.denominator == 1 for c in coords)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise CheckFailure("norm image of e_%d is not in the fixed sublattice" % j)
         cols.append([int(c) for c in coords])
     rel = [[cols[j][i] for j in range(n)] for i in range(fix_rank)]
     divisors = linalg.elementary_divisors(rel)
     free = fix_rank - len(divisors)
-    assert free == 0, "norm image has full rank in the fixed sublattice"
+    if free:
+        raise CheckFailure("norm image has rank %d in the fixed sublattice of rank %d"
+                           % (len(divisors), fix_rank))
+    if any(d not in (1, p) for d in divisors):
+        raise CheckFailure("norm cokernel has elementary divisors %s, not 1 or %d"
+                           % (divisors, p))
     t = sum(1 for d in divisors if d % p == 0)
-    assert all(d == 1 or d == p for d in divisors), divisors
     r = fix_rank - t
     s = m_reg_cyc - r
     dec = RepDecomp(p, r, s, t)
-    assert dec.trace() == trace, "trace inconsistency in decomposition"
+    if dec.trace() != trace:
+        raise CheckFailure("decomposition %r has trace %d, the matrix %d"
+                           % (dec, dec.trace(), trace))
     _check_charpoly(m, p, dec, charpoly_hint)
     return dec
 
 
 def _check_charpoly(m, p: int, dec: RepDecomp, hint=None):
     """(x^p - 1)^r Phi_p^s (x - 1)^t must equal det(xI - M)."""
-    from .cyclotomic import cyclotomic_polynomial, _pmul
-
-    poly = [Fraction(1)]
-    xp_minus_1 = [Fraction(-1)] + [Fraction(0)] * (p - 1) + [Fraction(1)]
-    for _ in range(dec.r):
-        poly = _pmul(poly, xp_minus_1)
-    for _ in range(dec.s):
-        poly = _pmul(poly, list(cyclotomic_polynomial(p)))
-    for _ in range(dec.t):
-        poly = _pmul(poly, [Fraction(-1), Fraction(1)])
-    if hint is not None:
-        cp = [Fraction(c) for c in hint]
-    else:
-        cp = linalg.charpoly([[Fraction(x) for x in row] for row in m])
-    assert list(poly) == list(cp), "characteristic polynomial mismatch"
+    poly = [1]
+    for factor, count in (([-1] + [0] * (p - 1) + [1], dec.r),
+                          (cyclotomic_polynomial(p), dec.s), ([-1, 1], dec.t)):
+        for _ in range(count):
+            poly = poly_mul(poly, factor)
+    cp = list(hint) if hint is not None else linalg.charpoly(m)
+    if poly != cp:
+        raise CheckFailure("characteristic polynomial %s does not match %r" % (cp, dec))
 
 
 def decompose_element(g: SignedPerm, p: int) -> RepDecomp:
@@ -288,21 +289,15 @@ def coxeter_witness(p: int, rst: tuple[int, int, int]):
         return e8.matrix_in_f_basis(SignedPerm.from_cycles([(1, 2, 3, 4, 5, 6, 7)]).matrix_e())
     if p == 5 and rst == (0, 2, 0):
         a, b = e8.orthogonal_a4_pair()
-        m = linalg.mat_mul(e8.coxeter_matrix(a), e8.coxeter_matrix(b))
-        return e8.matrix_in_f_basis(m)
+        return e8.matrix_in_f_basis(e8.coxeter_matrix(a + b))
     if p == 3 and rst == (1, 0, 5):
         return e8.matrix_in_f_basis(SignedPerm.from_cycles([(1, 2, 3)]).matrix_e())
     if p == 3 and rst == (2, 0, 2):
         return e8.matrix_in_f_basis(SignedPerm.from_cycles([(1, 2, 3), (4, 5, 6)]).matrix_e())
     if p == 3 and rst == (0, 4, 0):
         chains = e8.orthogonal_a2_quadruple()
-        m = linalg.identity(8)
-        for ch in chains:
-            m = linalg.mat_mul(m, e8.coxeter_matrix(ch))
-        return e8.matrix_in_f_basis(m)
+        return e8.matrix_in_f_basis(e8.coxeter_matrix(sum(chains, ())))
     if p == 3 and rst == (1, 2, 1):
         chains = e8.orthogonal_a2_quadruple()
-        m = linalg.mat_mul(e8.coxeter_matrix(chains[0]), e8.coxeter_matrix(chains[1]))
-        m = linalg.mat_mul(m, e8.coxeter_matrix(chains[2]))
-        return e8.matrix_in_f_basis(m)
+        return e8.matrix_in_f_basis(e8.coxeter_matrix(sum(chains[:3], ())))
     return None

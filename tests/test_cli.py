@@ -117,3 +117,11 @@ def test_checks_run_under_optimized_python(run_optimized):
     res = run_optimized("-m", "k3census", "verify", "theorem-1.7")
     assert res.returncode == 0, res.stderr
     assert "status: pass" in res.stdout
+
+
+@pytest.mark.parametrize("argv", [("census", "p5"), ("census", "p7"), ("defect-table",),
+                                  ("verify", "lemma-4.5")])
+def test_census_runs_under_optimized_python(run_optimized, argv):
+    res = run_optimized("-m", "k3census", *argv)
+    assert res.returncode == 0, res.stderr
+    assert "status: pass" in res.stdout

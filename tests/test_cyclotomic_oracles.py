@@ -1,0 +1,341 @@
+"""Plain Fraction reference versions of the cyclotomic and lattice-matrix
+kernels, kept here and nowhere in the package.  Each pins an integer kernel
+(CycNum products, inverses and conjugates, the integer characteristic
+polynomial, the f-basis change, the reflection word product) to the rational
+polynomial or linear-algebra route it replaces."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from k3census import cyclotomic as cy, e8, linalg, reps
+from k3census.cyclotomic import CycNum
+from k3census.sgnperm import SignedPerm
+
+CONDUCTORS = (1, 3, 4, 5, 7, 8, 10, 12, 14, 15)
+ORACLE = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# reference field arithmetic: Fraction polynomials reduced mod Phi_n
+
+
+def _ptrim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ptrim(out)
+
+
+def _pdivmod(a, b):
+    a, b = _ptrim([Fraction(x) for x in a]), _ptrim([Fraction(x) for x in b])
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = f
+        for i, y in enumerate(b):
+            a[k + i] -= f * y
+        a = _ptrim(a)
+    return _ptrim(q), a
+
+
+def ref_phi(n):
+    """Phi_n as (x^n - 1) over the product of Phi_d for the proper divisors d."""
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            num, r = _pdivmod(num, ref_phi(d))
+            assert not r
+    return num
+
+
+def ref_reduce(coeffs, n):
+    _, r = _pdivmod(list(coeffs) or [Fraction(0)], ref_phi(n))
+    return tuple(r + [Fraction(0)] * (len(ref_phi(n)) - 1 - len(r)))
+
+
+def ref_mul(a, b, n):
+    return ref_reduce(_pmul(list(a), list(b)), n)
+
+
+def ref_inverse(a, n):
+    """Extended Euclid in Q[x], keeping r_k = s_k * a mod Phi_n."""
+    r0, s0 = ref_phi(n), [Fraction(0)]
+    r1, s1 = _ptrim(list(a)), [Fraction(1)]
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        qs = _pmul(q, s1)
+        width = max(len(s0), len(qs))
+        s0, s1 = s1, _ptrim([(s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
+                             for i in range(width)])
+    assert len(r0) == 1
+    return ref_reduce([x / r0[0] for x in s0], n)
+
+
+def ref_galois(a, k, n):
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        out[(i * k) % n] += c
+    return ref_reduce(out, n)
+
+
+def ref_promote(a, n, m):
+    out = [Fraction(0)] * m
+    for i, c in enumerate(a):
+        out[i * (m // n)] += c
+    return ref_reduce(out, m)
+
+
+def ref_zeta(n, k):
+    mono = [Fraction(0)] * (k % n) + [Fraction(1)]
+    return ref_reduce(mono, n)
+
+
+# ---------------------------------------------------------------------------
+# products, inverses, conjugates and promotion against the reference
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def elements(draw, conductors=CONDUCTORS):
+    """(n, coefficient list); lists run up to 2n entries, past phi(n), so
+    that the constructor's reduction is exercised too."""
+    n = draw(st.sampled_from(conductors))
+    length = draw(st.integers(0, 2 * n))
+    return n, draw(st.lists(rationals, min_size=length, max_size=length))
+
+
+@ORACLE
+@given(elements())
+def test_construction_reduces_like_reference(elt):
+    n, c = elt
+    assert CycNum(n, c).coeffs == ref_reduce(c, n)
+
+
+@ORACLE
+@given(st.data())
+def test_products_match_reference(data):
+    n, a = data.draw(elements())
+    b = data.draw(st.lists(rationals, min_size=cy.euler_phi(n), max_size=cy.euler_phi(n)))
+    x, y = CycNum(n, a), CycNum(n, b)
+    want = ref_mul(ref_reduce(a, n), b, n)
+    assert (x * y).coeffs == want
+    assert (y * x).coeffs == want
+
+
+@ORACLE
+@given(elements())
+def test_inverses_match_reference(elt):
+    n, c = elt
+    x = CycNum(n, c)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert x.inverse().coeffs == ref_inverse(x.coeffs, n)
+    assert x * x.inverse() == 1
+
+
+@ORACLE
+@given(st.data())
+def test_galois_matches_reference(data):
+    n, c = data.draw(elements())
+    k = data.draw(st.sampled_from([k for k in range(1, 2 * n + 1) if gcd(k, n) == 1]))
+    x = CycNum(n, c)
+    assert x.galois(k).coeffs == ref_galois(x.coeffs, k, n)
+
+
+PROMOTIONS = [(n, m) for n in CONDUCTORS for m in CONDUCTORS if m % n == 0 and m != n]
+
+
+@ORACLE
+@given(st.data())
+def test_promotion_and_mixed_conductors_match_reference(data):
+    n, m = data.draw(st.sampled_from(PROMOTIONS))
+    _, a = data.draw(elements(conductors=(n,)))
+    _, b = data.draw(elements(conductors=(m,)))
+    x, y = CycNum(n, a), CycNum(m, b)
+    up = ref_promote(x.coeffs, n, m)
+    assert x.promoted(m).coeffs == up
+    assert (x + y).coeffs == tuple(u + v for u, v in zip(up, y.coeffs))
+    assert (x * y).coeffs == ref_mul(up, y.coeffs, m)
+    assert x.promoted(m) == x
+
+
+@ORACLE
+@given(elements())
+def test_representation_is_canonical(elt):
+    n, c = elt
+    x = CycNum(n, c)
+    y = CycNum(n, x.coeffs)
+    assert x == y and repr(x) == repr(y)
+    num, den = x._num, x._den
+    assert den > 0 and gcd(den, *num) == 1
+    assert (y._num, y._den) == (num, den)
+
+
+def test_trig_elements_match_reference():
+    def one_plus(k, sign, p):  # 1 + sign * z^k
+        z = ref_zeta(p, k)
+        return ref_reduce([1 + sign * z[0]] + [sign * x for x in z[1:]], p)
+
+    for p in (3, 5, 7):
+        for a in range(1, p):
+            for b in range(1, p):
+                want = ref_mul(ref_mul(one_plus(a, 1, p), one_plus(b, 1, p), p),
+                               ref_inverse(ref_mul(one_plus(a, -1, p), one_plus(b, -1, p), p), p),
+                               p)
+                assert cy.cot_product(p, a, b).coeffs == want
+                assert cy.cot_product(p, a + p, b - p) is cy.cot_product(p, a + p, b - p)
+            csc2 = ref_mul(ref_reduce([Fraction(4)], p),
+                           ref_inverse(ref_mul(one_plus(a, -1, p), one_plus(-a, -1, p), p), p), p)
+            assert cy.csc_squared(p, a).coeffs == csc2
+            assert cy.csc_cot(p, a).coeffs == ref_mul(cy.cos_angle(p, a).coeffs, csc2, p)
+
+
+def test_fold_table_rows_are_reduced_powers():
+    for n in CONDUCTORS:
+        phi = cy.euler_phi(n)
+        assert tuple(Fraction(c) for c in cy.cyclotomic_polynomial(n)) == tuple(ref_phi(n))
+        for k, row in enumerate(cy._fold_table(n), start=phi):
+            assert tuple(Fraction(x) for x in row) == ref_zeta(n, k)
+
+
+def test_minimal_polynomials_match_sympy():
+    t = sympy.Symbol("t")
+
+    def monic(expr):
+        poly = sympy.Poly(sympy.minimal_polynomial(expr, t), t).monic()
+        return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+    one = CycNum.rational(1)
+    z1, z2 = cy.cyc_make(5, 1), cy.cyc_make(5, 2)
+    ratio = ((one + z1) / (one - z1)) / ((one + z2) / (one - z2))
+    assert cy.minimal_polynomial(ratio) == \
+        monic(sympy.cot(sympy.pi / 5) / sympy.cot(2 * sympy.pi / 5))
+    assert cy.minimal_polynomial(cy.cos_angle(5, 1)) == monic(sympy.cos(sympy.pi / 5))
+
+
+# ---------------------------------------------------------------------------
+# lattice matrices against the Fraction routes
+
+
+def fraction_charpoly(a):
+    """Faddeev-LeVerrier over Fraction."""
+    n = len(a)
+    am = linalg.frac_matrix(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = linalg.identity(n)
+    for k in range(1, n + 1):
+        m = [[sum(am[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(m[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
+
+
+def eight_solve_f_matrix(m_e):
+    """Column j is the solution of F x = M f_j, one rational solve each."""
+    fs = e8.standard_basis()
+    f = [[fs[j].halves()[i] for j in range(8)] for i in range(8)]
+    out = [[None] * 8 for _ in range(8)]
+    for j in range(8):
+        col = [sum(Fraction(m_e[i][k]) * f[k][j] for k in range(8)) for i in range(8)]
+        coords = linalg.solve(f, col)
+        for i in range(8):
+            if coords[i].denominator != 1:
+                raise ValueError("matrix does not preserve the lattice")
+            out[i][j] = int(coords[i])
+    return out
+
+
+def rand_element(rng) -> SignedPerm:
+    perm = list(range(8))
+    rng.shuffle(perm)
+    eps = [rng.choice((1, -1)) for _ in range(8)]
+    if eps.count(-1) % 2:
+        eps[0] = -eps[0]
+    return SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+
+
+@pytest.fixture(scope="module")
+def witness_inputs():
+    """The e-coordinate matrices coxeter_witness hands to matrix_in_f_basis,
+    with its results."""
+    seen = []
+    original = e8.matrix_in_f_basis
+
+    def record(m_e):
+        seen.append(m_e)
+        return original(m_e)
+
+    e8.matrix_in_f_basis = record
+    try:
+        results = [reps.coxeter_witness(p, (d.r, d.s, d.t))
+                   for p in (3, 5, 7) for d in reps.lemma45_census(p)]
+    finally:
+        e8.matrix_in_f_basis = original
+    return seen, [m for m in results if m is not None]
+
+
+def test_charpoly_matches_fraction_leverrier(witness_inputs):
+    _, witnesses = witness_inputs
+    assert len(witnesses) == 7
+    for m in witnesses:
+        assert linalg.charpoly(m) == fraction_charpoly(m)
+    rng = random.Random(31415)
+    for _ in range(200):
+        g = rand_element(rng)
+        m = e8.matrix_in_f_basis(g.matrix_e())
+        cp = linalg.charpoly(m)
+        assert cp == fraction_charpoly(m) == list(g.charpoly())
+        assert all(type(c) is int for c in cp)
+
+
+def test_charpoly_rejects_non_integer_matrices():
+    with pytest.raises(ValueError):
+        linalg.charpoly([[Fraction(1, 2)]])
+
+
+def test_matrix_in_f_basis_matches_eight_solves(witness_inputs):
+    inputs, _ = witness_inputs
+    assert len(inputs) == 7
+    for m_e in inputs:
+        assert e8.matrix_in_f_basis(m_e) == eight_solve_f_matrix(m_e)
+    rng = random.Random(27182)
+    for _ in range(200):
+        m_e = rand_element(rng).matrix_e()
+        assert e8.matrix_in_f_basis(m_e) == eight_solve_f_matrix(m_e)
+    # a matrix that does not preserve the lattice fails on both routes
+    half = [[Fraction(int(i == j), 1 + (i == j == 0)) for j in range(8)] for i in range(8)]
+    for route in (e8.matrix_in_f_basis, eight_solve_f_matrix):
+        with pytest.raises(ValueError):
+            route(half)
+
+
+def test_word_matrix_matches_fraction_product():
+    rng = random.Random(1729)
+    roots = e8.enumerate_roots()
+    words = [list(ch) for ch in e8.orthogonal_a2_quadruple()] + list(map(list, e8.orthogonal_a4_pair()))
+    words += [[rng.choice(roots) for _ in range(rng.randint(0, 6))] for _ in range(30)]
+    for word in words:
+        want = linalg.identity(8)
+        for r in word:
+            want = linalg.mat_mul(want, e8.reflection_matrix(r))
+        assert e8.word_matrix(word) == want

@@ -76,18 +76,3 @@ def test_integer_solve():
     # underdetermined with a solution
     sol = linalg.integer_solve([[2, 3]], [1])
     assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1
-
-
-def test_complete_to_basis():
-    rng = random.Random(62)
-    basis = linalg.complete_to_basis([[1, 0, 1], [0, 1, 0]], 3)
-    assert abs(linalg.det(basis)) == 1
-    # first rows span the input lattice
-    for target in ([1, 0, 1], [0, 1, 0], [1, 1, 1]):
-        coords = linalg.solve([[Fraction(basis[r][c]) for r in range(2)]
-                               for c in range(3)], target)
-        if target != [1, 1, 1]:
-            assert coords is not None and all(x.denominator == 1 for x in coords)
-    import pytest
-    with pytest.raises(ValueError):
-        linalg.complete_to_basis([[2, 0, 0]], 3)  # not saturated
