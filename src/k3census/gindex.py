@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .cyclotomic import CycNum, cot_product, csc_squared, csc_cot, cyc_make
@@ -174,16 +175,22 @@ class SpinVector:
         return out
 
 
+@lru_cache(maxsize=None)
+def _point_term(p: int, a: int, b: int) -> CycNum:
+    """mu^r / ((1 - mu^-a)(1 - mu^-b)) with 2 r + a + b = 0 mod p: the Dirac
+    character contribution of an isolated point with rotation numbers (a, b)."""
+    r = next(r for r in range(p) if (2 * r + a + b) % p == 0)
+    one = CycNum.rational(1)
+    return cyc_make(p, r) / ((one - cyc_make(p, -a)) * (one - cyc_make(p, -b)))
+
+
 def spin_value(data: FixedPointData) -> CycNum:
     """Exact Dirac character of g on the given fixed-point data, almost
     complex convention (absolute rotation numbers)."""
     p = data.p
     total = CycNum.rational(0)
     for a, b in data.isolated:
-        r = next(r for r in range(p) if (2 * r + a + b) % p == 0)
-        num = cyc_make(p, r)
-        den = (CycNum.rational(1) - cyc_make(p, -a)) * (CycNum.rational(1) - cyc_make(p, -b))
-        total = total + num / den
+        total = total + _point_term(p, a, b)
     for _, selfint, c in data.surfaces:
         if selfint == 0:
             continue

@@ -2,7 +2,7 @@
 
 Everything here works on plain nested lists.  Rational routines use
 fractions.Fraction; integer routines (characteristic polynomial, Smith
-normal form, saturated kernels) never leave Z.  Matrix sizes in this
+normal form, integer solutions) never leave Z.  Matrix sizes in this
 package are at most 22x22, so no attempt is made at asymptotic cleverness.
 """
 
@@ -244,18 +244,6 @@ def elementary_divisors(a) -> list[int]:
     d, _, _ = smith_normal_form(a)
     out = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     return [x for x in out if x != 0]
-
-
-def integer_kernel_basis(a) -> list[list[int]]:
-    """Basis of {x in Z^cols : A x = 0}; the kernel lattice is saturated."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows == 0:
-        return [[int(i == j) for j in range(cols)] for i in range(cols)]
-    d, _, v = smith_normal_form(a)
-    r = len(elementary_divisors(a))
-    # kernel = span of columns r..cols-1 of v
-    return [[v[i][j] for i in range(cols)] for j in range(r, cols)]
 
 
 def integer_solve(a, b) -> list[int] | None:

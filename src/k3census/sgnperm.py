@@ -232,14 +232,39 @@ def std_cycle(p: int) -> SignedPerm:
 
 
 def fixed_roots(gens) -> tuple[LatticeVec, ...]:
-    """Roots fixed by every generator (a single SignedPerm is allowed)."""
+    """Roots fixed by every generator (a single SignedPerm is allowed), in
+    enumerate_roots order.
+
+    g(r) = r exactly when sum_i (s_i d_i - d_pi(i))^2 = 0 in doubled
+    coordinates; the sum is taken for all 240 roots at once, one root per
+    byte of an integer (see _fixed_lanes), and OR-ed over the generators."""
     if isinstance(gens, SignedPerm):
         gens = [gens]
-    out = []
-    for r in e8.enumerate_roots():
-        if all(g.apply_doubled(r.d) == r.d for g in gens):
-            out.append(r)
-    return tuple(out)
+    lanes = _fixed_lanes()
+    moved = 0
+    for g in gens:
+        moved |= sum(map(getitem, lanes, g.image))
+    return tuple(r for r, b in zip(e8.enumerate_roots(), moved.to_bytes(240, "little"))
+                 if not b)
+
+
+@lru_cache(maxsize=None)
+def _fixed_lanes() -> tuple[tuple[int, ...], ...]:
+    """lanes[i][t] packs (s d_i - d_j)^2 over the roots d (doubled, in
+    enumerate_roots order), one root per byte, for the image entry t = s(j+1);
+    negative t index from the end, as in _ext.  Each entry is at most 16, so
+    a sum of 8 stays at most 128 in every byte, and it is 0 exactly when the
+    element fixes that root."""
+    ds = [r.d for r in e8.enumerate_roots()]
+    lanes = []
+    for i in range(8):
+        row = [0] * 17
+        for j in range(8):
+            for s in (1, -1):
+                row[s * (j + 1)] = int.from_bytes(
+                    bytes([(s * d[i] - d[j]) ** 2 for d in ds]), "little")
+        lanes.append(tuple(row))
+    return tuple(lanes)
 
 
 # ---------------------------------------------------------------------------

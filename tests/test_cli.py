@@ -120,7 +120,8 @@ def test_checks_run_under_optimized_python(run_optimized):
 
 
 @pytest.mark.parametrize("argv", [("census", "p5"), ("census", "p7"), ("defect-table",),
-                                  ("verify", "lemma-4.5")])
+                                  ("verify", "lemma-4.5"), ("verify", "lemma-6.3"),
+                                  ("verify", "lemma-6.5")])
 def test_census_runs_under_optimized_python(run_optimized, argv):
     res = run_optimized("-m", "k3census", *argv)
     assert res.returncode == 0, res.stderr

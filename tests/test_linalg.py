@@ -56,19 +56,6 @@ def test_smith_normal_form_properties():
                     assert d[i][j] == 0
 
 
-def test_integer_kernel_is_saturated():
-    rng = random.Random(61)
-    for _ in range(20):
-        a = rand_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        basis = linalg.integer_kernel_basis(a)
-        for vec in basis:
-            assert all(sum(a[i][j] * vec[j] for j in range(len(vec))) == 0
-                       for i in range(len(a)))
-        assert len(basis) == len(a[0]) - linalg.rank(a)
-        if basis:
-            assert all(x == 1 for x in linalg.elementary_divisors(basis))
-
-
 def test_integer_solve():
     a = [[2, 0], [0, 3]]
     assert linalg.integer_solve(a, [4, 9]) == [2, 3]

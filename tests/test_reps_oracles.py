@@ -1,0 +1,247 @@
+"""Plain reference versions of the decomposition, fixed-root and Dirac
+character kernels, kept here and nowhere in the package.  Each pins an
+integer kernel (the norm-matrix SNF of decompose_matrix, the byte-lane
+fixed_roots, the memoized isolated-point term of spin_value) to the route it
+replaces."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from k3census import census, e8, gindex as gi, linalg, reps, sgnperm as sp
+from k3census.cyclotomic import CycNum, csc_cot, cyc_make
+from k3census.reps import RepDecomp
+from k3census.sgnperm import SignedPerm
+
+
+def rand_element(rng) -> SignedPerm:
+    perm = list(range(8))
+    rng.shuffle(perm)
+    eps = [rng.choice((1, -1)) for _ in range(8)]
+    if eps.count(-1) % 2:
+        eps[0] = -eps[0]
+    return SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+
+
+def seeded_elements(n=3000, seed=1729):
+    rng = random.Random(seed)
+    return [rand_element(rng) for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# reference decomposition: saturated kernel basis, Fraction solves, SNF of
+# the coordinate matrix
+
+
+def reference_decompose(m, p):
+    """The kernel-basis route: a saturated basis of ker(g - 1) from the SNF of
+    g - 1, each N(e_j) written in that basis by one Fraction solve, and t read
+    off the elementary divisors of the coordinate matrix."""
+    n = len(m)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = ident
+    norm = [[0] * n for _ in range(n)]
+    for _ in range(p):
+        norm = [[norm[i][j] + power[i][j] for j in range(n)] for i in range(n)]
+        power = [[sum(power[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    assert power == ident
+    g_minus_1 = [[m[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    d, _, v = linalg.smith_normal_form(g_minus_1)
+    rk = sum(1 for i in range(n) if d[i][i] != 0)
+    basis = [[v[i][j] for i in range(n)] for j in range(rk, n)]
+    fix_rank = len(basis)
+    cols = []
+    for j in range(n):
+        coords = linalg.solve([[Fraction(basis[k][i]) for k in range(fix_rank)]
+                               for i in range(n)], [norm[i][j] for i in range(n)])
+        assert coords is not None and all(c.denominator == 1 for c in coords)
+        cols.append([int(c) for c in coords])
+    rel = [[cols[j][i] for j in range(n)] for i in range(fix_rank)]
+    divisors = linalg.elementary_divisors(rel)
+    assert len(divisors) == fix_rank and set(divisors) <= {1, p}
+    t = divisors.count(p)
+    r = fix_rank - t
+    return RepDecomp(p, r, (n - fix_rank) // (p - 1) - r, t)
+
+
+def block_sum(p, r, s, t):
+    """r regular permutation blocks, s companion blocks of Phi_p and t
+    identity entries along the diagonal."""
+    blocks = []
+    cyc = [[int(i == (j + 1) % p) for j in range(p)] for i in range(p)]
+    comp = [[-1 if j == p - 2 else int(i == j + 1) for j in range(p - 1)]
+            for i in range(p - 1)]
+    blocks += [cyc] * r + [comp] * s + [[[1]]] * t
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def unimodular_pair(rng, n, steps):
+    """A seeded unimodular U and its inverse, from elementary row operations."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]          # U <- E U
+        for row in u_inv:                                        # U^-1 <- U^-1 E^-1
+            row[j] -= q * row[i]
+    return u, u_inv
+
+
+def mat_prod(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_decompose_matches_reference_on_witnesses():
+    n = 0
+    for p in (3, 5, 7):
+        for dec in reps.lemma45_census(p):
+            m = reps.coxeter_witness(p, (dec.r, dec.s, dec.t))
+            assert reps.decompose_matrix(m, p) == reference_decompose(m, p) == dec
+            n += 1
+    assert n == 7
+
+
+def test_decompose_matches_reference_on_seeded_h_elements():
+    seen = {3: 0, 5: 0, 7: 0}
+    for g in seeded_elements():
+        p = g.order()
+        if p not in seen:
+            continue
+        m = e8.matrix_in_f_basis(g.matrix_e())
+        assert reps.decompose_element(g, p) == reference_decompose(m, p), g
+        seen[p] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_decompose_matches_reference_on_conjugated_block_sums(p):
+    rng = random.Random(100 + p)
+    shapes = [(1, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 0), (1, 0, 2), (0, 1, 1),
+              (0, 2, 3), (2, 0, 1), (1, 1, 2), (2, 1, 0)]
+    for rst in shapes:
+        m0 = block_sum(p, *rst)
+        n = len(m0)
+        if n > 18:
+            continue
+        for _ in range(3):
+            u, u_inv = unimodular_pair(rng, n, 2 * n)
+            assert mat_prod(u, u_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+            m = mat_prod(mat_prod(u, m0), u_inv)
+            want = RepDecomp(p, *rst)
+            assert reps.decompose_matrix(m, p) == reference_decompose(m, p) == want, (rst, m)
+
+
+def test_decompose_rejects_wrong_order_block_sums():
+    with pytest.raises(ValueError):
+        reps.decompose_matrix(block_sum(5, 1, 0, 1), 3)
+    with pytest.raises(ValueError):
+        reps.decompose_matrix(block_sum(3, 0, 0, 4), 3)
+
+
+# ---------------------------------------------------------------------------
+# reference fixed roots: the lattice action on every root
+
+
+def reference_fixed_roots(gens):
+    if isinstance(gens, SignedPerm):
+        gens = [gens]
+    return tuple(r for r in e8.enumerate_roots()
+                 if all(g.apply_doubled(r.d) == r.d for g in gens))
+
+
+def special_elements():
+    out = [SignedPerm.identity(), SignedPerm.minus_one(), sp.w_f7_prime()]
+    out += [sp.std_cycle(p) for p in range(2, 9)]
+    out += [sp.w_f(i) for i in range(1, 8)]
+    out += [SignedPerm.diagonal((-1, -1) + (1,) * 6), SignedPerm.diagonal((-1,) * 4 + (1,) * 4)]
+    return out
+
+
+def reflections_in_h():
+    return [sp.reflection_in_h(r) for r in e8.enumerate_roots() if 0 in r.d]
+
+
+def test_fixed_roots_match_reference_on_single_elements():
+    elements = special_elements() + reflections_in_h()
+    elements += seeded_elements(600, seed=77)
+    elements += list(sp.all_involutions())[::97]
+    counts = set()
+    for g in elements:
+        got = sp.fixed_roots(g)
+        assert got == reference_fixed_roots(g), g
+        counts.add(len(got))
+    assert 240 in counts and 0 in counts and len(counts) > 5
+
+
+def test_fixed_roots_match_reference_on_generator_lists():
+    rng = random.Random(31)
+    specials = special_elements()
+    invs = list(sp.all_involutions())
+    refl = reflections_in_h()
+    lists = [[], [SignedPerm.identity()], specials[3:6], [sp.w_f(1), sp.w_f(3)],
+             [sp.std_cycle(3), sp.w_f7_prime()], [sp.w_f(i) for i in range(1, 8)]]
+    lists += [rng.sample(refl, k) for k in (2, 3, 4, 5) for _ in range(10)]
+    lists += [rng.sample(invs, k) for k in (2, 2, 3, 3, 4) for _ in range(20)]
+    lists += [rng.sample(specials, 2) for _ in range(30)]
+    for gens in lists:
+        assert sp.fixed_roots(gens) == reference_fixed_roots(gens), gens
+        assert sp.fixed_roots(tuple(gens)) == reference_fixed_roots(gens)
+    assert len(sp.fixed_roots([])) == 240
+
+
+# ---------------------------------------------------------------------------
+# reference Dirac character: every isolated-point term computed afresh
+
+
+def reference_spin_value(data):
+    p = data.p
+    total = CycNum.rational(0)
+    for a, b in data.isolated:
+        r = next(r for r in range(p) if (2 * r + a + b) % p == 0)
+        num = cyc_make(p, r)
+        den = (CycNum.rational(1) - cyc_make(p, -a)) * (CycNum.rational(1) - cyc_make(p, -b))
+        total = total + num / den
+    for _, selfint, c in data.surfaces:
+        if selfint == 0:
+            continue
+        r_y = next(r for r in range(1, p) if (2 * r + c) % p == 0)
+        k_y = (2 * r_y + c) // p
+        total = total + csc_cot(p, c) * Fraction((-1) ** k_y * selfint, 4)
+    return total
+
+
+def census_spin_data(monkeypatch):
+    """Every FixedPointData the p = 5 and p = 7 censuses pass to spin_value."""
+    seen = []
+    original = gi.spin_value
+
+    def recording(data):
+        seen.append(data)
+        return original(data)
+
+    monkeypatch.setattr(gi, "spin_value", recording)
+    census.run_p5()
+    census.solve_p7()
+    monkeypatch.undo()
+    return seen
+
+
+def test_spin_value_matches_direct_sum_on_census_data(monkeypatch):
+    data = census_spin_data(monkeypatch)
+    points = {(d.p, pt) for d in data for pt in d.isolated}
+    assert {p for p, _ in points} == {5, 7}
+    for d in data:
+        assert gi.spin_value(d) == reference_spin_value(d), d
+    for p, (a, b) in points:
+        single = gi.FixedPointData(p, ((a, b),))
+        assert gi.spin_value(single) == reference_spin_value(single)
