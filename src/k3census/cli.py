@@ -189,7 +189,8 @@ def verify_theorem_1_7(cfg: RunConfig) -> dict:
     return {"z2_4": {"average_fixed_dim": str(z24.average_fixed_dim),
                      "verdict": z24.verdict, "max_rank": z24.max_all_even_rank},
             "q8": {"verdict": q8.verdict, "traces": q8.trace_values,
-                   "n_trace_triples": len(q8.trace_triples)}}
+                   "n_trace_triples": len(q8.trace_triples)},
+            "stats": {"z2_4_units": z24.units, "q8_units": q8.units}}
 
 
 VERIFIERS = {
@@ -227,6 +228,7 @@ def census_q8(cfg: RunConfig) -> dict:
     q8 = sgnperm.search_q8_obstruction(cfg.budget)
     out["trace_search"] = {"verdict": q8.verdict, "traces": q8.trace_values,
                            "n_trace_triples": len(q8.trace_triples)}
+    out["stats"] = {"q8_units": q8.units}
     return out
 
 

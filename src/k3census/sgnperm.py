@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm, prod
-from operator import getitem, neg
+from operator import getitem, ne, neg
 
 from . import e8
 from .e8 import LatticeVec
@@ -179,10 +179,10 @@ class SignedPerm:
         image = self.image
         return image != _IDENT_IMG and _img_mul(image, image) == _IDENT_IMG
 
-    def matrix_e(self) -> list[list[Fraction]]:
-        m = [[Fraction(0)] * 8 for _ in range(8)]
+    def matrix_e(self) -> list[list[int]]:
+        m = [[0] * 8 for _ in range(8)]
         for i, t in enumerate(self.image):
-            m[abs(t) - 1][i] = Fraction(1 if t > 0 else -1)
+            m[abs(t) - 1][i] = 1 if t > 0 else -1
         return m
 
     def __repr__(self):
@@ -340,46 +340,47 @@ def is_4a_prime_shape(v: SignedPerm) -> bool:
     """Combinatorial membership test for the even-pairing class inside H:
     the permutation part is trivial or four disjoint transpositions, the
     signs are constant on its cycles with the number of -1 entries divisible
-    by 4, and a diagonal element has exactly four -1 entries."""
+    by 4, and a diagonal element has exactly four -1 entries.
+
+    The test reads the image tuple.  An involution sends e_i to s e_j and
+    e_j back to s e_i with the same sign, so its signs are constant on its
+    cycles, and its -1 entries are its negative image entries."""
     if not v.is_involution():
         return False
-    eps = v.eps()
-    p = v.perm()
-    if any(eps[i] != eps[p[i]] for i in range(8)):
-        return False
-    n_minus = eps.count(-1)
+    image = v.image
+    n_minus = sum(map((0).__gt__, image))
     # an involution's cycles have length 1 or 2, so this is twice the
     # number of transpositions
-    moved = sum(p[i] != i for i in range(8))
+    moved = sum(map(ne, map(abs, image), _IDENT_IMG))
     if moved == 0:
         return n_minus == 4
     return moved == 8 and n_minus % 4 == 0
 
 
 def all_involutions():
-    """Every involution in H except the central -1 (17038 elements)."""
-    minus = SignedPerm.minus_one()
-    ident = SignedPerm.identity()
+    """Every involution in H except the central -1 (17038 elements).
+
+    Each image tuple is written down directly: a transposition (a b) with
+    sign s sends e_a to s e_b and e_b to s e_a, a fixed i with sign s sends
+    e_i to s e_i."""
+    minus = SignedPerm.minus_one().image
     for n_trans in range(5):
         for pairs in _pairings(tuple(range(8)), n_trans):
             moved = [i for pr in pairs for i in pr]
             fixed = [i for i in range(8) if i not in moved]
             # signs: free on each transposition, even number of -1 on fixed
             for pair_signs in product((1, -1), repeat=n_trans):
+                image = [0] * 8
+                for (a, b), s in zip(pairs, pair_signs):
+                    image[a], image[b] = s * (b + 1), s * (a + 1)
                 for fixed_signs in product((1, -1), repeat=len(fixed)):
                     if fixed_signs.count(-1) % 2:
                         continue
-                    eps = [1] * 8
-                    for pr, s in zip(pairs, pair_signs):
-                        eps[pr[0]] = eps[pr[1]] = s
                     for i, s in zip(fixed, fixed_signs):
-                        eps[i] = s
-                    perm = list(range(8))
-                    for a, b in pairs:
-                        perm[a], perm[b] = b, a
-                    v = SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
-                    if v != minus and v != ident:
-                        yield v
+                        image[i] = s * (i + 1)
+                    img = tuple(image)
+                    if img != minus and img != _IDENT_IMG:
+                        yield SignedPerm(img)
 
 
 def _pairings(items: tuple[int, ...], k: int):
@@ -534,17 +535,36 @@ class Z24Report:
     verdict: str
     max_all_even_rank: int
     rank2_example: tuple[SignedPerm, SignedPerm]
+    units: int                    # budget units the search charged
 
 
 def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     """Averaging obstruction for a (Z_2)^4 all of whose involutions have the
     even-pairing type, plus an exhaustive search inside H confirming that no
-    such subgroup exists (the best possible rank is 3).  Every element met
-    is an atom or the identity, so each gets its padded image (_ext) once."""
+    such subgroup exists (the best possible rank is 3).
+
+    Every element that gets multiplied is an atom or the identity, so the
+    elements are interned as indices (atoms first, then the identity, then
+    any other product met) and each product of two indices is computed once
+    and kept in a table for the rest of the call.  Every product asked for
+    is still charged, so the budget counts the same work as a search that
+    multiplies image tuples afresh."""
     avg = Fraction(8 + 15 * 0, 16)
-    atoms = [v.image for v in four_a_prime_elements()]
-    atom_set = set(atoms)
-    ext = {a: _ext(a).__getitem__ for a in (*atoms, _IDENT_IMG)}
+    elts = [v.image for v in four_a_prime_elements()]
+    n_atoms = len(elts)
+    elts.append(_IDENT_IMG)
+    n_elts = len(elts)
+    index = {img: k for k, img in enumerate(elts)}
+    ext = [_ext(a).__getitem__ for a in elts]
+    table: dict[int, int] = {}
+
+    def mul(i: int, j: int) -> int:
+        """Index of elts[i] * elts[j]; at least n_atoms unless it is an atom."""
+        key = i * n_elts + j
+        k = table.get(key)
+        if k is None:
+            k = table[key] = index.setdefault(tuple(map(ext[i], elts[j])), len(index))
+        return k
 
     counter = [0]
 
@@ -553,28 +573,29 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
         if counter[0] > budget:
             raise SearchBudgetExceeded("budget %d exhausted" % budget)
 
-    def closed_extension(subgroup: list[Img], h: Img):
+    def closed_extension(subgroup: list[int], h: int):
         """Products of h with the current subgroup; None if any leaves the
         even-pairing class (the identity product means h is in the subgroup)."""
         new = []
         for g in subgroup:
             charge()
-            p = tuple(map(ext[g], h))
-            if p == _IDENT_IMG or p not in atom_set:
+            p = mul(g, h)
+            if p >= n_atoms:
                 return None
             new.append(p)
         return new
 
     max_rank = 0
-    best_pair: tuple[Img, Img] | None = None
+    best_pair: tuple[int, int] | None = None
 
-    def grow(subgroup: list[Img], gens: list[Img], pool: list[Img]):
+    def grow(subgroup: list[int], gens: list[int], pool: list[int]):
         nonlocal max_rank, best_pair
         max_rank = max(max_rank, len(gens))
         if len(gens) == 2 and best_pair is None:
             best_pair = (gens[0], gens[1])
         if len(gens) == 4:
-            raise CheckFailure("found an all-even-pairing (Z2)^4: %r" % (gens,))
+            raise CheckFailure("found an all-even-pairing (Z2)^4: %r"
+                               % ([elts[g] for g in gens],))
         for idx, h in enumerate(pool):
             new_elts = closed_extension(subgroup, h)
             if new_elts is None:
@@ -583,8 +604,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
             pool2 = []
             for h2 in pool[idx + 1:]:
                 charge(len(new_elts))
-                h2_of = ext[h2]
-                if all(tuple(map(h2_of, g)) == tuple(map(ext[g], h2)) for g in new_elts):
+                if all(mul(h2, g) == mul(g, h2) for g in new_elts):
                     pool2.append(h2)
             grow(sub2, gens + [h], pool2)
 
@@ -592,24 +612,26 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     # two H-class representatives, so two starting points suffice
     d0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1)).image
     pperm = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)]).image
-    for g1 in (d0, pperm):
-        if g1 not in atom_set:
-            raise CheckFailure("start %r is not of even-pairing type" % (g1,))
+    for start in (d0, pperm):
+        g1 = index.get(start, n_atoms)
+        if g1 >= n_atoms:
+            raise CheckFailure("start %r is not of even-pairing type" % (start,))
         level1 = []
-        for h in atoms:
+        for h in range(n_atoms):
             if h == g1:
                 continue
             charge()
-            if tuple(map(ext[g1], h)) != tuple(map(ext[h], g1)):
+            if mul(g1, h) != mul(h, g1):
                 continue
             if closed_extension([g1], h) is not None:
                 level1.append(h)
-        grow([_IDENT_IMG, g1], [g1], level1)
+        grow([n_atoms, g1], [g1], level1)
 
     if best_pair is None:
         raise CheckFailure("no commuting pair of even-pairing involutions")
     return Z24Report(avg, "no (Z2)^4 with all involutions of even-pairing type",
-                     max_rank, (SignedPerm(best_pair[0]), SignedPerm(best_pair[1])))
+                     max_rank, (SignedPerm(elts[best_pair[0]]), SignedPerm(elts[best_pair[1]])),
+                     counter[0])
 
 
 @dataclass(frozen=True)
@@ -617,6 +639,43 @@ class Q8Report:
     trace_values: tuple[int, ...]          # traces of admissible order-4 elements
     trace_triples: tuple[tuple[int, int, int], ...]
     verdict: str
+    units: int                             # budget units the search charged
+
+
+def _perm_mask(image: Img) -> tuple[tuple[int, ...], int]:
+    """(permutation part, sign mask) of an image tuple: the permutation sends
+    i to |image[i]| - 1, and bit i of the mask is set when image[i] < 0."""
+    return (tuple(abs(t) - 1 for t in image),
+            sum(1 << i for i, t in enumerate(image) if t < 0))
+
+
+def _root_products(roots: tuple[SignedPerm, ...]):
+    """For each a in roots, in order, the list of index pairs (j, k) with
+    a * roots[j] == roots[k].
+
+    With a = (p_a, m_a) and b = (p_b, m_b) as in _perm_mask, a * b has
+    permutation part p_a . p_b and sign mask m_b XOR (m_a permuted by p_b),
+    whose bit i is bit p_b(i) of m_a.  The roots are grouped by permutation
+    part, so each a composes permutations once per group, skips a group
+    whose composite is the permutation part of no root, and otherwise tests
+    each b of the group with one XOR and one lookup."""
+    pm = [_perm_mask(v.image) for v in roots]
+    by_perm: dict[tuple[int, ...], dict[int, int]] = {}
+    for k, (p, m) in enumerate(pm):
+        by_perm.setdefault(p, {})[m] = k
+    groups = [(p_b, tuple(members.items())) for p_b, members in by_perm.items()]
+    for p_a, m_a in pm:
+        row = []
+        for p_b, members in groups:
+            found = by_perm.get(tuple(map(p_a.__getitem__, p_b)))
+            if found is None:
+                continue
+            x = sum(((m_a >> q) & 1) << i for i, q in enumerate(p_b))
+            for m_b, j in members:
+                k = found.get(m_b ^ x)
+                if k is not None:
+                    row.append((j, k))
+        yield row
 
 
 def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
@@ -630,27 +689,23 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
 
     Given a^2 = b^2 = c, b a b^-1 = a^-1 holds exactly when (ab)^2 = c:
     b a = a^-1 b gives abab = b^2 = c, and abab = c = b^2 gives aba = b.
-    So a pair qualifies exactly when ab is again a square root of c, and
-    each of the |square_roots(c)|^2 pairs costs one product and one lookup
-    in the table of roots and their traces.  Every pair is charged one
-    unit of budget."""
+    So a pair qualifies exactly when ab is again a square root of c; every
+    one of the |square_roots(c)|^2 pairs is tested (see _root_products) and
+    charged one unit of budget, row by row."""
     d0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1))
     pperm = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
     triples: set[tuple[int, int, int]] = set()
     traces: set[int] = set()
     steps = 0
     for c in (d0, pperm):
-        trace_of = {v.image: v.trace() for v in square_roots(c)}
-        traces.update(trace_of.values())
-        for a, tr_a in trace_of.items():
-            steps += len(trace_of)
+        roots = square_roots(c)
+        trace = [v.trace() for v in roots]
+        traces.update(trace)
+        for tr_a, row in zip(trace, _root_products(roots)):
+            steps += len(roots)
             if steps > budget:
                 raise SearchBudgetExceeded("budget %d exhausted" % budget)
-            a_of = _ext(a).__getitem__
-            for b, tr_b in trace_of.items():
-                tr_ab = trace_of.get(tuple(map(a_of, b)))
-                if tr_ab is not None:
-                    triples.add((tr_a, tr_b, tr_ab))
+            triples.update((tr_a, trace[j], trace[k]) for j, k in row)
     want = (-4, -4, -4)
     hit = [(t1, t2) for t1 in triples for t2 in triples
            if tuple(x + y for x, y in zip(t1, t2)) == want]
@@ -658,4 +713,4 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
                if not hit else "OBSTRUCTION FAILED: %r" % hit)
     if hit:
         raise CheckFailure(verdict)
-    return Q8Report(tuple(sorted(traces)), tuple(sorted(triples)), verdict)
+    return Q8Report(tuple(sorted(traces)), tuple(sorted(triples)), verdict, steps)

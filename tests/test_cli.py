@@ -95,6 +95,15 @@ def test_q8_budget_threshold(capsys):
     assert code == 3 and err.startswith("INCONCLUSIVE: ")
 
 
+@pytest.mark.parametrize("argv,stats", [
+    (("verify", "theorem-1.7"), {"z2_4_units": 177936, "q8_units": 281088}),
+    (("census", "q8"), {"q8_units": 281088})])
+def test_search_reports_carry_budget_units(capsys, argv, stats):
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert json.loads(out)["stats"] == stats
+
+
 def test_unwritable_out_is_an_io_error(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, "verify", "lemma-6.4", "--out", str(target))
@@ -121,7 +130,8 @@ def test_checks_run_under_optimized_python(run_optimized):
 
 @pytest.mark.parametrize("argv", [("census", "p5"), ("census", "p7"), ("defect-table",),
                                   ("verify", "lemma-4.5"), ("verify", "lemma-6.3"),
-                                  ("verify", "lemma-6.5")])
+                                  ("verify", "lemma-6.5"), ("verify", "lemma-5.2"),
+                                  ("census", "q8")])
 def test_census_runs_under_optimized_python(run_optimized, argv):
     res = run_optimized("-m", "k3census", *argv)
     assert res.returncode == 0, res.stderr

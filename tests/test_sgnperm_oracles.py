@@ -4,12 +4,14 @@ search it replaces, so every scan stays exhaustive and every reported
 witness stays the same."""
 
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
 from k3census import e8, sgnperm as sp
-from k3census.sgnperm import SignedPerm
+from k3census.errors import CheckFailure
+from k3census.sgnperm import Q8Report, SignedPerm, Z24Report
 
 D0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1))
 PPERM = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
@@ -63,6 +65,152 @@ def reference_is_4a_prime_shape(v):
     return len(two_cycles) == 4 and neg % 4 == 0
 
 
+def reference_eps_shape(v):
+    """The shape test through the eps() / perm() accessors."""
+    if not v.is_involution():
+        return False
+    eps = v.eps()
+    p = v.perm()
+    if any(eps[i] != eps[p[i]] for i in range(8)):
+        return False
+    n_minus = eps.count(-1)
+    moved = sum(p[i] != i for i in range(8))
+    if moved == 0:
+        return n_minus == 4
+    return moved == 8 and n_minus % 4 == 0
+
+
+def reference_all_involutions():
+    """Every involution of H but -1, built from a sign vector and a
+    permutation through from_eps_perm."""
+    minus = SignedPerm.minus_one()
+    ident = SignedPerm.identity()
+    for n_trans in range(5):
+        for pairs in sp._pairings(tuple(range(8)), n_trans):
+            moved = [i for pr in pairs for i in pr]
+            fixed = [i for i in range(8) if i not in moved]
+            for pair_signs in product((1, -1), repeat=n_trans):
+                for fixed_signs in product((1, -1), repeat=len(fixed)):
+                    if fixed_signs.count(-1) % 2:
+                        continue
+                    eps = [1] * 8
+                    for pr, s in zip(pairs, pair_signs):
+                        eps[pr[0]] = eps[pr[1]] = s
+                    for i, s in zip(fixed, fixed_signs):
+                        eps[i] = s
+                    perm = list(range(8))
+                    for a, b in pairs:
+                        perm[a], perm[b] = b, a
+                    v = SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+                    if v != minus and v != ident:
+                        yield v
+
+
+def tuple_product(a, b):
+    """Image tuple of a * b, by reading a's signed images off b's entries."""
+    return tuple(a[t - 1] if t > 0 else -a[-t - 1] for t in b)
+
+
+def reference_search_z2_4(budget=20_000_000):
+    """The (Z2)^4 search multiplying image tuples afresh for every product,
+    with the same traversal and the same charges."""
+    atoms = [v.image for v in sp.four_a_prime_elements()]
+    atom_set = set(atoms)
+    ident = SignedPerm.identity().image
+    counter = [0]
+
+    def charge(n=1):
+        counter[0] += n
+        if counter[0] > budget:
+            raise sp.SearchBudgetExceeded("budget %d exhausted" % budget)
+
+    def closed_extension(subgroup, h):
+        new = []
+        for g in subgroup:
+            charge()
+            p = tuple_product(g, h)
+            if p == ident or p not in atom_set:
+                return None
+            new.append(p)
+        return new
+
+    max_rank = 0
+    best_pair = None
+
+    def grow(subgroup, gens, pool):
+        nonlocal max_rank, best_pair
+        max_rank = max(max_rank, len(gens))
+        if len(gens) == 2 and best_pair is None:
+            best_pair = (gens[0], gens[1])
+        if len(gens) == 4:
+            raise CheckFailure("found an all-even-pairing (Z2)^4: %r" % (gens,))
+        for idx, h in enumerate(pool):
+            new_elts = closed_extension(subgroup, h)
+            if new_elts is None:
+                continue
+            pool2 = []
+            for h2 in pool[idx + 1:]:
+                charge(len(new_elts))
+                if all(tuple_product(h2, g) == tuple_product(g, h2) for g in new_elts):
+                    pool2.append(h2)
+            grow(subgroup + new_elts, gens + [h], pool2)
+
+    for g1 in (D0.image, PPERM.image):
+        assert g1 in atom_set
+        level1 = []
+        for h in atoms:
+            if h == g1:
+                continue
+            charge()
+            if tuple_product(g1, h) != tuple_product(h, g1):
+                continue
+            if closed_extension([g1], h) is not None:
+                level1.append(h)
+        grow([ident, g1], [g1], level1)
+
+    return Z24Report(Fraction(1, 2), "no (Z2)^4 with all involutions of even-pairing type",
+                     max_rank, (SignedPerm(best_pair[0]), SignedPerm(best_pair[1])),
+                     counter[0])
+
+
+def reference_q8_pairs(roots):
+    """Index pairs (i, j) with roots[i] * roots[j] again in roots, by one
+    tuple product and one lookup per pair."""
+    images = {v.image for v in roots}
+    return {(i, j) for i, a in enumerate(roots) for j, b in enumerate(roots)
+            if tuple_product(a.image, b.image) in images}
+
+
+def reference_search_q8(budget=4_000_000):
+    """The quaternion-pair search testing every pair by a tuple product."""
+    triples, traces, steps = set(), set(), 0
+    for c in (D0, PPERM):
+        trace_of = {v.image: v.trace() for v in sp.square_roots(c)}
+        traces.update(trace_of.values())
+        for a, tr_a in trace_of.items():
+            steps += len(trace_of)
+            if steps > budget:
+                raise sp.SearchBudgetExceeded("budget %d exhausted" % budget)
+            for b, tr_b in trace_of.items():
+                tr_ab = trace_of.get(tuple_product(a, b))
+                if tr_ab is not None:
+                    triples.add((tr_a, tr_b, tr_ab))
+    assert not [(t1, t2) for t1 in triples for t2 in triples
+                if tuple(x + y for x, y in zip(t1, t2)) == (-4, -4, -4)]
+    return Q8Report(tuple(sorted(traces)), tuple(sorted(triples)),
+                    "no pair of realizable trace triples sums to (-4,-4,-4)", steps)
+
+
+def seeded_non_involutions(seed, n):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        v = rand_element(rng)
+        if v * v != SignedPerm.identity():
+            out.append(v)
+    return out
+
+
 def test_square_roots_match_reference_filter():
     assert sp.square_roots(D0) == reference_square_roots(D0)
     assert len(sp.square_roots(D0)) == 528
@@ -109,6 +257,22 @@ def test_4a_prime_shape_matches_reference():
         assert sp.is_4a_prime_shape(v) == reference_is_4a_prime_shape(v), v
 
 
+def test_involutions_match_reference_in_order():
+    got = list(sp.all_involutions())
+    assert got == list(reference_all_involutions())
+    assert len(got) == 17038
+    assert all(v.is_involution() for v in got)
+
+
+def test_image_shape_test_matches_eps_reference():
+    for v in sp.all_involutions():
+        assert sp.is_4a_prime_shape(v) == reference_eps_shape(v), v
+    others = seeded_non_involutions(5772, 200)
+    others += [SignedPerm.identity(), SignedPerm.minus_one()]
+    for v in others:
+        assert sp.is_4a_prime_shape(v) is reference_eps_shape(v) is False, v
+
+
 def test_four_a_prime_elements_match_shape_filter():
     want = sorted((v for v in sp.all_involutions() if sp.is_4a_prime_shape(v)),
                   key=lambda v: v.image)
@@ -132,8 +296,53 @@ def test_q8_pair_criterion_matches_conjugation():
     assert seen == {True, False}
 
 
+def test_root_products_match_tuple_products():
+    sizes = {}
+    rng = random.Random(3141)
+    cs = [D0, PPERM] + [g * g for g in (rand_element(rng) for _ in range(12))]
+    for c in cs:
+        roots = sp.square_roots(c)
+        pairs = set()
+        for i, row in enumerate(sp._root_products(roots)):
+            for j, k in row:
+                assert roots[i] * roots[j] == roots[k]
+                pairs.add((i, j))
+        assert pairs == reference_q8_pairs(roots), c
+        sizes[c] = len(pairs)
+    assert sizes[D0] == 39936 and sizes[PPERM] == 384
+
+
+def test_root_products_on_a_subset_of_a_subgroup():
+    # every sign pattern over the permutations of a 4-cycle's powers is a
+    # subgroup of H; a seeded half of it has products both inside and outside
+    rng = random.Random(1123)
+    cyc = SignedPerm.from_cycles([(1, 2, 4, 3)])
+    perms = [SignedPerm.identity(), cyc, cyc * cyc, cyc * cyc * cyc]
+    group = [SignedPerm.diagonal(eps) * p for p in perms
+             for eps in product((1, -1), repeat=8) if eps.count(-1) % 2 == 0]
+    elements = tuple(sorted(rng.sample(group, 256), key=lambda v: v.image))
+    pairs = {(i, j) for i, row in enumerate(sp._root_products(elements)) for j, _ in row}
+    assert pairs == reference_q8_pairs(elements)
+    assert 0 < len(pairs) < 256 ** 2
+
+
+def test_q8_search_matches_tuple_reference():
+    rep = sp.search_q8_obstruction()
+    assert rep == reference_search_q8()
+    assert rep.units == 281088
+
+
+def test_z2_4_search_matches_tuple_reference():
+    rep = sp.search_z2_4_obstruction()
+    assert rep == reference_search_z2_4()
+    assert rep.units == 177936
+
+
 def test_z2_4_budget_threshold_is_exact():
     # the full search charges exactly 177936 units
     assert sp.search_z2_4_obstruction(177936).max_all_even_rank == 3
     with pytest.raises(sp.SearchBudgetExceeded):
         sp.search_z2_4_obstruction(177935)
+    assert reference_search_z2_4(177936).units == 177936
+    with pytest.raises(sp.SearchBudgetExceeded):
+        reference_search_z2_4(177935)
