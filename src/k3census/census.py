@@ -17,7 +17,6 @@ congruence.  Expected outcome lists live in the test suite only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -25,6 +24,7 @@ from . import e8, gindex, reps
 from .cyclotomic import CycNum, embed_str
 from .errors import CheckFailure
 from .gindex import FixedPointData
+from .record import record
 from .reps import RepDecomp
 
 # local rotation numbers of one group of each type, as multiples of the
@@ -80,7 +80,7 @@ def group_defect(p: int, typ: str) -> Fraction:
 # profiles
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class ThetaProfile:
     """The two lattice-factor representations of the generator."""
 
@@ -147,7 +147,7 @@ def profile_status(profile: ThetaProfile) -> str:
 # stage 1: the linear system in the group counts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StageOneFamily:
     """Affine solution family (u, v) in the free parameters (w, A)."""
 
@@ -197,7 +197,7 @@ def solve_p5_stage1(profile: ThetaProfile) -> StageOneFamily:
 # p = 5 refinement
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class P5Counts:
     """Refined counts: subscript 1 holds the residue classes k = +-1, and
     subscript 2 the classes k = +-2; atilde counts chain groups."""
@@ -302,7 +302,7 @@ def refine_p5(profile: ThetaProfile, atilde_positive: bool) -> tuple[P5Counts, .
 # filters and the full p = 5 run
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Audit:
     candidate_id: str
     filter_name: str
@@ -310,7 +310,7 @@ class Audit:
     detail: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Candidate:
     cid: str
     profile: ThetaProfile
@@ -318,7 +318,7 @@ class Candidate:
     in_elimination_table: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CensusRun:
     p: int
     command: str
@@ -410,12 +410,16 @@ def run_p5() -> CensusRun:
 # p = 7
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class P7Assignment:
     counts: tuple[int, int, int]              # (u, v, w)
     k_type1: tuple[int, ...]
     k_type2: tuple[int, ...]
     k_type3: tuple[int, ...]
+
+    def cid(self) -> str:
+        """Audit and survivor ID: the counts and all three residue tuples."""
+        return "uvw=%d,%d,%d k=%r" % (*self.counts, (self.k_type1, self.k_type2, self.k_type3))
 
     def fixed_point_data(self) -> FixedPointData:
         parts = [group_data(7, "1", k) for k in self.k_type1]
@@ -424,7 +428,7 @@ class P7Assignment:
         return merge_data(parts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class P7Run:
     command: str
     profile: ThetaProfile
@@ -495,7 +499,7 @@ def solve_p7() -> P7Run:
         audits.append(Audit(cid, "exact_signature", "survives",
                             "%d residue assignments" % len(exact_hits)))
         for hit in exact_hits:
-            hid = cid + " k=" + repr((hit.k_type1, hit.k_type2, hit.k_type3))
+            hid = hit.cid()
             data = hit.fixed_point_data()
             spin = gindex.spin_number(data, ind_dirac=2)
             verdict = gindex.fang_test(spin, b2plus=3)
@@ -587,7 +591,7 @@ def _matrix_fixed_roots(m) -> tuple:
 # quaternionic fixture (order-4 fixed point counts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Q8Fixture:
     solutions: tuple[tuple[int, int], ...]   # (s_plus, s_minus)
     eliminations: dict
@@ -673,7 +677,7 @@ def _involutions_with_fixed(n: int):
 # odd-type involution fixture
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvolutionVerdict:
     admissible: bool
     shape: str | None
@@ -759,7 +763,7 @@ def report(run) -> dict:
                  "verdict": a.verdict, "detail": a.detail}
                 for a in run.audits
             ],
-            "survivors": ["uvw=%d,%d,%d" % a.counts for a in run.surviving_assignments],
+            "survivors": [a.cid() for a in run.surviving_assignments],
             "stage1": [list(s) for s in run.stage1],
             "delta_table": run.delta_table,
             "nu_table": run.nu_table,

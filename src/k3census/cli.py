@@ -9,16 +9,16 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, e8, gindex, kummer, reps, sgnperm
 from .cyclotomic import (CycNum, cos_angle, cyc_make, embed_str,
                          minimal_polynomial, poly_str)
 from .errors import CheckFailure
+from .record import record
 
 
-@dataclass
+@record
 class RunConfig:
     digits: int = 15
     budget: int = 20_000_000

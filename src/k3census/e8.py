@@ -11,7 +11,6 @@ be exact negatives of each other (see kummer.verify_e8_bases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -24,22 +23,59 @@ from .errors import CheckFailure
 Doubled = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
 class LatticeVec:
-    """E8 lattice vector; d holds doubled coordinates."""
+    """E8 lattice vector; d holds doubled coordinates.  Immutable; equality,
+    hash and order are those of the tuple (d,)."""
 
-    d: Doubled
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if len(self.d) != 8:
+    def __init__(self, d: Doubled):
+        if len(d) != 8:
             raise ValueError("need 8 coordinates")
-        if not all(isinstance(x, int) for x in self.d):
+        if not all(isinstance(x, int) for x in d):
             raise TypeError("doubled coordinates must be ints")
-        parities = {x & 1 for x in self.d}
+        parities = {x & 1 for x in d}
         if len(parities) != 1:
             raise ValueError("not an E8 vector: mixed coordinate parity")
-        if sum(self.d) % 4:
+        if sum(d) % 4:
             raise ValueError("not an E8 vector: coordinate sum is odd")
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, *a):
+        raise AttributeError("LatticeVec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (LatticeVec, (self.d,))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d == other.d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d < other.d
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d <= other.d
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d > other.d
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d >= other.d
+        return NotImplemented
 
     @classmethod
     def from_halves(cls, halves) -> "LatticeVec":

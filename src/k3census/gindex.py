@@ -21,17 +21,15 @@ the latter written through the exact csc*cot element of Q(mu_p).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from .cyclotomic import CycNum, cot_product, csc_squared, csc_cot, cyc_make
 from .errors import CheckFailure
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FixedPointData:
     """A multiset of isolated fixed points and fixed surface components."""
 
@@ -148,7 +146,7 @@ def orbifold_signature(p: int, sign_m: int, data: FixedPointData) -> Fraction:
 # Dirac character
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpinVector:
     """Equivariant Dirac index character sum d_k mu^k with d_0 even and
     d_k = d_{p-k} (quaternionic symmetry)."""
@@ -244,7 +242,7 @@ def furuta_test(ind_d: int, b2plus_quot: int, b2minus_quot: int) -> str:
     return "ruled_out"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KsResult:
     ks: int
     sign_n: int
@@ -259,6 +257,11 @@ _ROCHLIN: dict[tuple[int, int], tuple[int, str]] | None = None
 def rochlin_table() -> dict[tuple[int, int], tuple[int, str]]:
     global _ROCHLIN
     if _ROCHLIN is None:
+        # imported here: on Python 3.12+ importlib.resources pulls in inspect,
+        # and only the census filters read the table
+        import json
+        from importlib import resources
+
         raw = json.loads(resources.files("k3census").joinpath("data/rochlin_lens.json").read_text())
         _ROCHLIN = {(e["p"], e["q"]): (e["value"], e["source"]) for e in raw["entries"]}
     return _ROCHLIN

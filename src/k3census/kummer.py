@@ -19,10 +19,10 @@ spheres it meets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
+from .record import record
 
 Gen = tuple  # ("E", e0, e1, e2, e3) or ("P", j, kappa, tau)
 
@@ -143,7 +143,7 @@ def e8_basis(side: int) -> tuple[KummerClass, ...]:
     return (f1, f2, f3, f4, f5, f6, f7, f8)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class E8BasesReport:
     gram_first: tuple
     gram_second: tuple
@@ -192,7 +192,7 @@ def verify_e8_bases() -> E8BasesReport:
 # basic classes and the degree-triple rigidity argument
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasicClass:
     b: tuple[int, int, int]       # coefficients against 2 d_j [T_j]
     degrees: tuple[int, int, int]
@@ -232,7 +232,7 @@ def basic_classes(d) -> tuple[BasicClass, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RigidityResult:
     compatible: bool
     assignment: tuple[tuple[int, int], ...] | None  # (target j, sign) per source index

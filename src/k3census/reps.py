@@ -18,17 +18,17 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
 from . import e8, linalg
 from .cyclotomic import cyclotomic_polynomial, poly_mul
 from .errors import CheckFailure
+from .record import record
 from .sgnperm import SignedPerm
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class RepDecomp:
     """Multiplicities (r, s, t) of regular, cyclotomic and trivial summands."""
 
@@ -151,7 +151,7 @@ def decompose_element(g: SignedPerm, p: int) -> RepDecomp:
 # lifting summands through torsion-free quotients
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LiftResult:
     kind: str                       # "trivial", "regular", "cyclotomic"
     generators: tuple[tuple[int, ...], ...] | None  # None means no lift

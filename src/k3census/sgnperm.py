@@ -13,7 +13,6 @@ permutations preserving the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -23,6 +22,7 @@ from operator import getitem, ne, neg
 from . import e8
 from .e8 import LatticeVec
 from .errors import CheckFailure
+from .record import record
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -62,17 +62,36 @@ def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
 class SignedPerm:
-    image: tuple[int, ...]  # image[i] = signed 1-based index of v(e_i)
+    """Element of H.  Immutable; equality and hash are those of the tuple
+    (image,)."""
 
-    def __post_init__(self):
-        image = self.image
+    __slots__ = ("image",)
+
+    def __init__(self, image: Img):
+        # image[i] = signed 1-based index of v(e_i)
         if len(image) != 8 or set(map(abs, image)) != _LETTERS:
             raise ValueError("not a signed permutation of 8 letters")
         # the product of the entries is +-8! with the sign product's sign
         if prod(image) < 0:
             raise ValueError("sign product must be +1 (lattice preservation)")
+        object.__setattr__(self, "image", image)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SignedPerm is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (SignedPerm, (self.image,))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.image == other.image
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.image,))
 
     # -- constructors ----------------------------------------------------
 
@@ -271,7 +290,7 @@ def _fixed_lanes() -> tuple[tuple[int, ...], ...]:
 # involution classification
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvolutionClass:
     label: str                    # "1A'", "2A", "3A", "4A", "4A'"
     l_value: int                  # number of -1 eigenvalues after normalization
@@ -431,7 +450,7 @@ def four_a_prime_elements() -> tuple[SignedPerm, ...]:
 # order-4 elements over the even-pairing class
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Order4Shape:
     case: str            # "i" (square of permutation part trivial) or "ii"
     transpositions: int  # for case i: 2, 3 or 4; for case ii: 0
@@ -529,7 +548,7 @@ def _perm_square_roots(target: tuple[int, ...]):
 # obstruction searches
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Z24Report:
     average_fixed_dim: Fraction
     verdict: str
@@ -634,7 +653,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
                      counter[0])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Q8Report:
     trace_values: tuple[int, ...]          # traces of admissible order-4 elements
     trace_triples: tuple[tuple[int, int, int], ...]

@@ -190,6 +190,16 @@ def test_p7_stage1_and_elimination():
             assert a.detail.count("1") >= 4  # four odd entries in the vector
 
 
+def test_p7_survivor_ids_are_unique_and_audited():
+    run = cs.solve_p7()
+    survivors = cs.report(run)["survivors"]
+    assert len(survivors) == 3 and len(set(survivors)) == 3
+    # each survivor is named exactly as its fang / furuta audits name it
+    assert survivors == [a.candidate_id for a in run.audits
+                         if a.filter_name == "furuta" and a.verdict == "survives"]
+    assert survivors[0] == "uvw=0,2,2 k=((), (1, 1), (2, 2))"
+
+
 def test_p7_tables_match_published_decimals():
     run = cs.solve_p7()
     assert run.delta_table == {

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import k3census
 from k3census import cli, kummer
+
+SRC = Path(k3census.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *args):
@@ -136,3 +143,18 @@ def test_census_runs_under_optimized_python(run_optimized, argv):
     res = run_optimized("-m", "k3census", *argv)
     assert res.returncode == 0, res.stderr
     assert "status: pass" in res.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # each subcommand runs in a new process, so what `import k3census.cli`
+    # pulls in is paid on every run; -S keeps site hooks of the environment
+    # (such as .pth files importing importlib.resources) out of the count
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = "import sys, k3census.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+    for path in sorted((SRC / "k3census").glob("*.py")):
+        assert "dataclasses" not in path.read_text(), path.name
