@@ -101,11 +101,21 @@ def verify_lemma_5_1(cfg: RunConfig) -> dict:
 
 
 def verify_lemma_5_2(cfg: RunConfig) -> dict:
+    """Shape criterion against root-pairing parity on every involution of H
+    but -1, then the order-4 shapes over the even-pairing class.
+
+    Both predicates are class functions, so they are compared on one
+    representative per H-class (sgnperm.involution_classes, whose class
+    sizes are certified to cover all 17038 involutions): pairing parity
+    because H lies in Aut(E8) and conjugation preserves the pairing, and the
+    shape because it depends only on the signed cycle type.  The order-4
+    loop stays exhaustive over every square root."""
+    classes = sgnperm.involution_classes()
     n = bad = 0
-    for v in sgnperm.all_involutions():
-        n += 1
+    for v, size in classes:
+        n += size
         if sgnperm.is_4a_prime_shape(v) != (sgnperm.parity_witness(v) is None):
-            bad += 1
+            bad += size
     _check(bad == 0, "%d involutions disagree with the shape criterion" % bad)
     shapes = {}
     for c in (sgnperm.SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1)),
@@ -116,7 +126,8 @@ def verify_lemma_5_2(cfg: RunConfig) -> dict:
             _check(s.trace % 2 == 0 and -4 <= s.trace <= 4, "trace out of range")
     _check(set(k[0] for k in shapes) == {"i", "ii"}, "missing order-4 shape")
     return {"involutions_checked": n,
-            "order4_shapes": {"case %s, %d transpositions" % k: v for k, v in sorted(shapes.items())}}
+            "order4_shapes": {"case %s, %d transpositions" % k: v for k, v in sorted(shapes.items())},
+            "stats": {"involution_classes": len(classes)}}
 
 
 def verify_lemma_5_3(cfg: RunConfig) -> dict:
@@ -190,7 +201,8 @@ def verify_theorem_1_7(cfg: RunConfig) -> dict:
                      "verdict": z24.verdict, "max_rank": z24.max_all_even_rank},
             "q8": {"verdict": q8.verdict, "traces": q8.trace_values,
                    "n_trace_triples": len(q8.trace_triples)},
-            "stats": {"z2_4_units": z24.units, "q8_units": q8.units}}
+            "stats": {"z2_4_units": z24.units, "q8_units": q8.units,
+                      "z2_4_orbits": z24.orbits, "q8_orbits": q8.orbits}}
 
 
 VERIFIERS = {
@@ -228,7 +240,7 @@ def census_q8(cfg: RunConfig) -> dict:
     q8 = sgnperm.search_q8_obstruction(cfg.budget)
     out["trace_search"] = {"verdict": q8.verdict, "traces": q8.trace_values,
                            "n_trace_triples": len(q8.trace_triples)}
-    out["stats"] = {"q8_units": q8.units}
+    out["stats"] = {"q8_units": q8.units, "q8_orbits": q8.orbits}
     return out
 
 

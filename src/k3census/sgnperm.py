@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import getitem, ne, neg
 
 from . import e8
@@ -447,6 +447,206 @@ def four_a_prime_elements() -> tuple[SignedPerm, ...]:
 
 
 # ---------------------------------------------------------------------------
+# conjugacy classes and conjugation orbits
+#
+# The searches below scan one representative per class or orbit instead of
+# every element.  Each reduction is backed by a certificate checked when it
+# runs, which raises CheckFailure if it does not hold.
+
+
+def involution_type(image: Img) -> tuple[int, int, int]:
+    """Signed cycle type (k, b, s) of an involution's image tuple: k
+    transpositions, b fixed coordinates with sign -1, and, when k = 4, s the
+    parity of the number of transpositions with sign -1 (s = 0 otherwise).
+
+    In W(B8) an involution's class is (k, b).  Inside H a conjugating sign
+    change has an even number of -1 entries, and it flips the sign of a
+    transposition (a b) exactly when it negates one of a, b; with a fixed
+    coordinate to spare any single transposition can be flipped, but at k = 4
+    the parity s is invariant, and the W(B8)-class splits into two H-classes
+    (Carter, "Conjugacy classes in the Weyl group", 1972)."""
+    moved = moved_neg = fixed_neg = 0
+    for i, t in enumerate(image, 1):
+        if t == -i:
+            fixed_neg += 1
+        elif t != i:
+            moved += 1
+            moved_neg += t < 0
+    k = moved // 2
+    return k, fixed_neg, (moved_neg // 2) % 2 if k == 4 else 0
+
+
+def _involution_class_table() -> tuple[tuple[SignedPerm, int], ...]:
+    """(representative, class size) for each type (k, b, s) of involution
+    but +-1; a = 8 - 2k - b coordinates are fixed with sign +1.  The
+    representative takes the transpositions (1 2), (3 4), ..., the first with
+    sign -1 when s = 1, then b coordinates negated.  The type has
+    8!/(k! a! b!) elements: 8!/(2^k k! a! b!) ways to place the pairs and
+    fixed coordinates, times 2^k transposition signs; at k = 4 each parity
+    takes half."""
+    out = []
+    for k in range(5):
+        for b in range(0, 9 - 2 * k, 2):
+            if k == 0 and b in (0, 8):
+                continue
+            size = factorial(8) // (factorial(k) * factorial(8 - 2 * k - b) * factorial(b))
+            for s in ((0, 1) if k == 4 else (0,)):
+                image = list(_IDENT_IMG)
+                for j in range(0, 2 * k, 2):
+                    image[j], image[j + 1] = j + 2, j + 1
+                if s:
+                    image[0], image[1] = -2, -1
+                for i in range(2 * k, 2 * k + b):
+                    image[i] = -(i + 1)
+                out.append((SignedPerm(tuple(image)), size // 2 if k == 4 else size))
+    return tuple(out)
+
+
+def d8_involution_count() -> int:
+    """Number of x in H = W(D8) with x^2 = 1, the identity included.
+
+    Independent of any class table: with e(n), o(n) the counts of x in W(Bn)
+    with x^2 = 1 and an even / odd number of -1 signs, the last coordinate is
+    fixed with sign +1, fixed with sign -1 (flipping the parity), or swapped
+    with one of the other n - 1 with either sign (2(n-1) ways, its two signs
+    agree), so e(n) = e(n-1) + o(n-1) + 2(n-1) e(n-2) and likewise for o."""
+    even, odd = [1, 1], [0, 1]
+    for n in range(2, 9):
+        even.append(even[n - 1] + odd[n - 1] + 2 * (n - 1) * even[n - 2])
+        odd.append(odd[n - 1] + even[n - 1] + 2 * (n - 1) * odd[n - 2])
+    return even[8]
+
+
+def check_involution_classes(table) -> None:
+    """Completeness certificate for a table of (representative, class size):
+    each representative is an involution other than +-1, no two share a
+    type, and the sizes add up to every involution of H but +-1, counted by
+    d8_involution_count.  Raises CheckFailure otherwise."""
+    minus = SignedPerm.minus_one()
+    types = set()
+    for v, _ in table:
+        if not v.is_involution() or v == minus:
+            raise CheckFailure("class representative %r is not an involution other than +-1" % (v,))
+        types.add(involution_type(v.image))
+    if len(types) != len(table):
+        raise CheckFailure("two class representatives share a type")
+    total = sum(size for _, size in table)
+    if total != d8_involution_count() - 2:
+        raise CheckFailure("class sizes add up to %d, not %d"
+                           % (total, d8_involution_count() - 2))
+
+
+@lru_cache(maxsize=None)
+def involution_classes() -> tuple[tuple[SignedPerm, int], ...]:
+    """One (representative, class size) pair per H-class of involutions
+    other than +-1: 14 classes of 17038 elements in all, certified by
+    check_involution_classes.  Any function of the image that is invariant
+    under conjugation by H takes one value on each class."""
+    table = _involution_class_table()
+    check_involution_classes(table)
+    return table
+
+
+def check_start_classes(atoms, starts) -> None:
+    """Certificate that the image tuples `starts` meet every H-class of the
+    image tuples `atoms`: the atoms are distinct, each start is an atom, each
+    atom has the type of a start, and each start's type has exactly as many
+    atoms as its class has elements.  So the atoms are a union of whole
+    classes, and each of them is conjugate to a start.  Raises CheckFailure
+    otherwise."""
+    sizes = {involution_type(v.image): n for v, n in involution_classes()}
+    want = {involution_type(s): sizes.get(involution_type(s)) for s in starts}
+    atom_set = set(atoms)
+    if len(atom_set) != len(atoms) or not atom_set.issuperset(starts):
+        raise CheckFailure("the starting elements are not among distinct atoms")
+    got = dict.fromkeys(want, 0)
+    for a in atoms:
+        t = involution_type(a)
+        if t not in got:
+            raise CheckFailure("atom %r is conjugate to no starting element" % (a,))
+        got[t] += 1
+    if got != want:
+        raise CheckFailure("atoms per class %r, class sizes %r" % (got, want))
+
+
+_D0: Img = (-1, -2, -3, -4, 5, 6, 7, 8)
+_PPERM: Img = (2, 1, 4, 3, 6, 5, 8, 7)
+
+
+@lru_cache(maxsize=None)
+def even_pairing_starts() -> tuple[Img, Img]:
+    """The images of d0 = diag(-1, -1, -1, -1, 1, 1, 1, 1) and of
+    pperm = (1 2)(3 4)(5 6)(7 8), with the certificate (check_start_classes)
+    that every one of the 910 even-pairing involutions is conjugate to one
+    of them: the 70 of type (0, 4) to d0, the 840 of type (4, even) to pperm."""
+    check_start_classes([v.image for v in four_a_prime_elements()], (_D0, _PPERM))
+    return _D0, _PPERM
+
+
+@lru_cache(maxsize=None)
+def _conjugators() -> tuple[Img, ...]:
+    """Small elements of H to draw centralizer generators from: the 7
+    adjacent transpositions, the sign changes of coordinates 1, 2 and of
+    coordinates 4, 5, and the 3 swaps (1 3)(2 4), (3 5)(4 6), (5 7)(6 8) of
+    adjacent pairs.  Of these, 10 commute with d0 and 8 with pperm."""
+    out = []
+    for i in range(7):
+        img = list(_IDENT_IMG)
+        img[i], img[i + 1] = img[i + 1], img[i]
+        out.append(tuple(img))
+    for i in (0, 3):
+        img = list(_IDENT_IMG)
+        img[i], img[i + 1] = -img[i], -img[i + 1]
+        out.append(tuple(img))
+    for i in range(0, 6, 2):
+        img = list(_IDENT_IMG)
+        img[i:i + 4] = img[i + 2:i + 4] + img[i:i + 2]
+        out.append(tuple(img))
+    return tuple(out)
+
+
+def centralizer_generators(c: Img) -> list[Img]:
+    """The _conjugators that commute with c.  They generate a subgroup of
+    the centralizer of c in H, perhaps a proper one: its orbits are then
+    finer, which only costs a few more representatives."""
+    return [g for g in _conjugators() if _img_mul(g, c) == _img_mul(c, g)]
+
+
+def conjugation_orbits(points, gens, center: Img) -> list[list[Img]]:
+    """Orbits of the image tuples `points` under conjugation x -> g x g^-1
+    by the group the image tuples `gens` generate, found by closure.  Each
+    orbit lists its first point (in the order of `points`) first.
+
+    Certificates: every generator commutes with `center`, so the group lies
+    in its centralizer, and every conjugate met lies in `points`, so the set
+    is closed under the group.  Either failing raises CheckFailure."""
+    conj = []
+    for g in gens:
+        if _img_mul(g, center) != _img_mul(center, g):
+            raise CheckFailure("generator %r does not commute with %r" % (g, center))
+        conj.append((_ext(g).__getitem__, SignedPerm(g).inverse().image))
+    point_set = set(points)
+    seen: set[Img] = set()
+    orbits = []
+    for x in points:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            ext_y = _ext(y).__getitem__
+            for ext_g, g_inv in conj:
+                z = tuple(map(ext_g, map(ext_y, g_inv)))
+                if z not in seen:
+                    if z not in point_set:
+                        raise CheckFailure("conjugate %r leaves the point set" % (z,))
+                    seen.add(z)
+                    orbit.append(z)
+        orbits.append(orbit)
+    return orbits
+
+
+# ---------------------------------------------------------------------------
 # order-4 elements over the even-pairing class
 
 
@@ -555,6 +755,7 @@ class Z24Report:
     max_all_even_rank: int
     rank2_example: tuple[SignedPerm, SignedPerm]
     units: int                    # budget units the search charged
+    orbits: tuple[int, ...] = ()  # second-generator orbits, per start
 
 
 def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
@@ -562,13 +763,24 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     even-pairing type, plus an exhaustive search inside H confirming that no
     such subgroup exists (the best possible rank is 3).
 
+    Conjugating a subgroup moves any one of its involutions g1 to d0 or
+    pperm (certified by even_pairing_starts), so those two start the search.
+    Its other elements then lie in level 1: the even-pairing h != g1 that
+    commute with g1 and whose product with g1 is again of even-pairing type.
+    Conjugating by the centralizer of g1 moves a second generator h to the
+    representative of its level-1 orbit (conjugation_orbits certifies the
+    orbits), so h runs over one representative per orbit, and the
+    generators after it over the level-1 elements that commute with h; from
+    there the search adds generators in pool order, keeping in the pool the
+    later elements that commute with the new one.
+
     Every element that gets multiplied is an atom or the identity, so the
     elements are interned as indices (atoms first, then the identity, then
     any other product met) and each product of two indices is computed once
     and kept in a table for the rest of the call.  Every product asked for
-    is still charged, so the budget counts the same work as a search that
-    multiplies image tuples afresh."""
+    is still charged one unit of budget, and so is every commutation test."""
     avg = Fraction(8 + 15 * 0, 16)
+    starts = even_pairing_starts()
     elts = [v.image for v in four_a_prime_elements()]
     n_atoms = len(elts)
     elts.append(_IDENT_IMG)
@@ -592,6 +804,10 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
         if counter[0] > budget:
             raise SearchBudgetExceeded("budget %d exhausted" % budget)
 
+    def commutes(g: int, h: int) -> bool:
+        charge()
+        return mul(g, h) == mul(h, g)
+
     def closed_extension(subgroup: list[int], h: int):
         """Products of h with the current subgroup; None if any leaves the
         even-pairing class (the identity product means h is in the subgroup)."""
@@ -604,10 +820,11 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
             new.append(p)
         return new
 
-    max_rank = 0
+    max_rank = 1
     best_pair: tuple[int, int] | None = None
 
     def grow(subgroup: list[int], gens: list[int], pool: list[int]):
+        # every element of pool commutes with all of subgroup
         nonlocal max_rank, best_pair
         max_rank = max(max_rank, len(gens))
         if len(gens) == 2 and best_pair is None:
@@ -619,38 +836,27 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
             new_elts = closed_extension(subgroup, h)
             if new_elts is None:
                 continue
-            sub2 = subgroup + new_elts
-            pool2 = []
-            for h2 in pool[idx + 1:]:
-                charge(len(new_elts))
-                if all(mul(h2, g) == mul(g, h2) for g in new_elts):
-                    pool2.append(h2)
-            grow(sub2, gens + [h], pool2)
+            grow(subgroup + new_elts, gens + [h],
+                 [h2 for h2 in pool[idx + 1:] if commutes(h2, h)])
 
-    # conjugating the whole subgroup moves its first generator to one of the
-    # two H-class representatives, so two starting points suffice
-    d0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1)).image
-    pperm = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)]).image
-    for start in (d0, pperm):
-        g1 = index.get(start, n_atoms)
-        if g1 >= n_atoms:
-            raise CheckFailure("start %r is not of even-pairing type" % (start,))
-        level1 = []
-        for h in range(n_atoms):
-            if h == g1:
-                continue
-            charge()
-            if mul(g1, h) != mul(h, g1):
-                continue
-            if closed_extension([g1], h) is not None:
-                level1.append(h)
-        grow([n_atoms, g1], [g1], level1)
+    n_orbits = []
+    for start in starts:
+        g1 = index[start]
+        level1 = [h for h in range(n_atoms) if h != g1 and commutes(g1, h)
+                  and closed_extension([g1], h) is not None]
+        orbits = conjugation_orbits([elts[h] for h in level1],
+                                    centralizer_generators(start), start)
+        n_orbits.append(len(orbits))
+        for orbit in orbits:
+            h = index[orbit[0]]
+            grow([n_atoms, g1, h, mul(g1, h)], [g1, h],
+                 [h2 for h2 in level1 if h2 != h and commutes(h2, h)])
 
     if best_pair is None:
         raise CheckFailure("no commuting pair of even-pairing involutions")
     return Z24Report(avg, "no (Z2)^4 with all involutions of even-pairing type",
                      max_rank, (SignedPerm(elts[best_pair[0]]), SignedPerm(elts[best_pair[1]])),
-                     counter[0])
+                     counter[0], tuple(n_orbits))
 
 
 @record(frozen=True)
@@ -659,6 +865,7 @@ class Q8Report:
     trace_triples: tuple[tuple[int, int, int], ...]
     verdict: str
     units: int                             # budget units the search charged
+    orbits: tuple[int, ...] = ()           # orbits of square roots, per c
 
 
 def _perm_mask(image: Img) -> tuple[tuple[int, ...], int]:
@@ -668,9 +875,9 @@ def _perm_mask(image: Img) -> tuple[tuple[int, ...], int]:
             sum(1 << i for i, t in enumerate(image) if t < 0))
 
 
-def _root_products(roots: tuple[SignedPerm, ...]):
-    """For each a in roots, in order, the list of index pairs (j, k) with
-    a * roots[j] == roots[k].
+def _root_products(roots: tuple[SignedPerm, ...], picks=None):
+    """For each a = roots[i], i in picks (default every index, in order), the
+    list of index pairs (j, k) with a * roots[j] == roots[k].
 
     With a = (p_a, m_a) and b = (p_b, m_b) as in _perm_mask, a * b has
     permutation part p_a . p_b and sign mask m_b XOR (m_a permuted by p_b),
@@ -683,7 +890,8 @@ def _root_products(roots: tuple[SignedPerm, ...]):
     for k, (p, m) in enumerate(pm):
         by_perm.setdefault(p, {})[m] = k
     groups = [(p_b, tuple(members.items())) for p_b, members in by_perm.items()]
-    for p_a, m_a in pm:
+    for a in range(len(roots)) if picks is None else picks:
+        p_a, m_a = pm[a]
         row = []
         for p_b, members in groups:
             found = by_perm.get(tuple(map(p_a.__getitem__, p_b)))
@@ -701,30 +909,37 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
     """Trace obstruction for quaternionic subgroups acting on both lattice
     factors.
 
-    Enumerates, up to conjugacy of the central involution, all pairs (a, b)
-    in H with a^2 = b^2 = c central of even-pairing type and b a b^-1 =
-    a^-1, records the realizable trace triples (tr a, tr b, tr ab), and
-    checks that no two triples sum to (-4, -4, -4) coordinatewise.
+    Enumerates all pairs (a, b) in H with a^2 = b^2 = c central of
+    even-pairing type and b a b^-1 = a^-1, records the realizable trace
+    triples (tr a, tr b, tr ab), and checks that no two triples sum to
+    (-4, -4, -4) coordinatewise.  Up to conjugacy c is d0 or pperm
+    (certified by even_pairing_starts).
 
     Given a^2 = b^2 = c, b a b^-1 = a^-1 holds exactly when (ab)^2 = c:
     b a = a^-1 b gives abab = b^2 = c, and abab = c = b^2 gives aba = b.
-    So a pair qualifies exactly when ab is again a square root of c; every
-    one of the |square_roots(c)|^2 pairs is tested (see _root_products) and
-    charged one unit of budget, row by row."""
-    d0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1))
-    pperm = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
+    So a pair qualifies exactly when ab is again a square root of c.
+    Conjugating a pair by the centralizer of c keeps it a pair and keeps its
+    traces, so a runs over one representative per orbit of square roots
+    (certified by conjugation_orbits) and b over every square root; each
+    such pair is tested (see _root_products) and charged one unit of
+    budget, row by row."""
     triples: set[tuple[int, int, int]] = set()
     traces: set[int] = set()
+    n_orbits = []
     steps = 0
-    for c in (d0, pperm):
-        roots = square_roots(c)
+    for c in even_pairing_starts():
+        roots = square_roots(SignedPerm(c))
         trace = [v.trace() for v in roots]
         traces.update(trace)
-        for tr_a, row in zip(trace, _root_products(roots)):
+        orbits = conjugation_orbits([v.image for v in roots], centralizer_generators(c), c)
+        n_orbits.append(len(orbits))
+        index = {v.image: k for k, v in enumerate(roots)}
+        picks = [index[orbit[0]] for orbit in orbits]
+        for i, row in zip(picks, _root_products(roots, picks)):
             steps += len(roots)
             if steps > budget:
                 raise SearchBudgetExceeded("budget %d exhausted" % budget)
-            triples.update((tr_a, trace[j], trace[k]) for j, k in row)
+            triples.update((trace[i], trace[j], trace[k]) for j, k in row)
     want = (-4, -4, -4)
     hit = [(t1, t2) for t1 in triples for t2 in triples
            if tuple(x + y for x, y in zip(t1, t2)) == want]
@@ -732,4 +947,5 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
                if not hit else "OBSTRUCTION FAILED: %r" % hit)
     if hit:
         raise CheckFailure(verdict)
-    return Q8Report(tuple(sorted(traces)), tuple(sorted(triples)), verdict, steps)
+    return Q8Report(tuple(sorted(traces)), tuple(sorted(triples)), verdict, steps,
+                    tuple(n_orbits))

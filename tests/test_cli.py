@@ -96,15 +96,17 @@ def test_exhausted_budget_is_inconclusive(capsys):
 
 
 def test_q8_budget_threshold(capsys):
-    # the Q8 search charges one unit per ordered pair: 528^2 + 48^2
-    assert run_cli(capsys, "census", "q8", "--budget", "281088")[0] == 0
-    code, _, err = run_cli(capsys, "census", "q8", "--budget", "281087")
+    # the Q8 search charges one unit per pair tested: a runs over the 6 and 1
+    # orbit representatives among the 528 and 48 square roots, b over all
+    assert run_cli(capsys, "census", "q8", "--budget", "3216")[0] == 0
+    code, _, err = run_cli(capsys, "census", "q8", "--budget", "3215")
     assert code == 3 and err.startswith("INCONCLUSIVE: ")
 
 
 @pytest.mark.parametrize("argv,stats", [
-    (("verify", "theorem-1.7"), {"z2_4_units": 177936, "q8_units": 281088}),
-    (("census", "q8"), {"q8_units": 281088})])
+    (("verify", "theorem-1.7"), {"z2_4_units": 10450, "q8_units": 3216,
+                                 "z2_4_orbits": [2, 3], "q8_orbits": [6, 1]}),
+    (("census", "q8"), {"q8_units": 3216, "q8_orbits": [6, 1]})])
 def test_search_reports_carry_budget_units(capsys, argv, stats):
     code, out, _ = run_cli(capsys, "--format", "json", *argv)
     assert code == 0

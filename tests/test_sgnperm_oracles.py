@@ -327,22 +327,121 @@ def test_root_products_on_a_subset_of_a_subgroup():
 
 
 def test_q8_search_matches_tuple_reference():
-    rep = sp.search_q8_obstruction()
-    assert rep == reference_search_q8()
-    assert rep.units == 281088
+    # the search scans orbit representatives; the reference tests every
+    # pair, so only the charged units differ
+    rep, ref = sp.search_q8_obstruction(), reference_search_q8()
+    assert (rep.verdict, rep.trace_values, rep.trace_triples) \
+        == (ref.verdict, ref.trace_values, ref.trace_triples)
+    assert rep.units == 3216 and ref.units == 281088
+    assert rep.orbits == (6, 1)
 
 
 def test_z2_4_search_matches_tuple_reference():
-    rep = sp.search_z2_4_obstruction()
-    assert rep == reference_search_z2_4()
-    assert rep.units == 177936
+    rep, ref = sp.search_z2_4_obstruction(), reference_search_z2_4()
+    assert (rep.average_fixed_dim, rep.verdict, rep.max_all_even_rank, rep.rank2_example) \
+        == (ref.average_fixed_dim, ref.verdict, ref.max_all_even_rank, ref.rank2_example)
+    assert rep.units == 10450 and ref.units == 177936
+    assert rep.orbits == (2, 3)
 
 
 def test_z2_4_budget_threshold_is_exact():
-    # the full search charges exactly 177936 units
-    assert sp.search_z2_4_obstruction(177936).max_all_even_rank == 3
+    # the search charges exactly 10450 units, the reference 177936
+    assert sp.search_z2_4_obstruction(10450).max_all_even_rank == 3
     with pytest.raises(sp.SearchBudgetExceeded):
-        sp.search_z2_4_obstruction(177935)
+        sp.search_z2_4_obstruction(10449)
     assert reference_search_z2_4(177936).units == 177936
     with pytest.raises(sp.SearchBudgetExceeded):
         reference_search_z2_4(177935)
+
+
+def reference_involution_type(v):
+    """(k, b, s) through the signed cycle decomposition: k 2-cycles, b fixed
+    coordinates sent to their negatives, s the parity of the 2-cycles with
+    sign -1 when k = 4."""
+    eps = v.eps()
+    two = [c for c, _ in v.signed_cycles() if len(c) == 2]
+    b = sum(1 for c, _ in v.signed_cycles() if len(c) == 1 and eps[c[0]] == -1)
+    s = sum(eps[c[0]] == -1 for c in two) % 2 if len(two) == 4 else 0
+    return len(two), b, s
+
+
+def involutions_by_type():
+    groups = {}
+    for v in sp.all_involutions():
+        groups.setdefault(reference_involution_type(v), []).append(v)
+    return groups
+
+
+def test_involution_classes_match_every_involution_grouped_by_type():
+    groups = involutions_by_type()
+    classes = sp.involution_classes()
+    assert len(classes) == len(groups) == 14
+    assert {reference_involution_type(v): n for v, n in classes} \
+        == {t: len(vs) for t, vs in groups.items()}
+    assert sum(n for _, n in classes) == 17038
+    assert sp.d8_involution_count() == 17038 + 2
+    for t, vs in groups.items():
+        assert all(sp.involution_type(v.image) == t for v in vs)
+
+
+def test_shape_and_parity_are_constant_on_each_type():
+    for t, vs in involutions_by_type().items():
+        assert len({sp.is_4a_prime_shape(v) for v in vs}) == 1, t
+        assert len({sp.parity_witness(v) is None for v in vs}) == 1, t
+
+
+def test_atoms_form_two_h_orbits_with_d0_and_pperm():
+    # orbits under conjugation by the 8 generators of H: the 7 adjacent
+    # transpositions and one double sign change
+    gens = [SignedPerm.from_cycles([(i, i + 1)]) for i in range(1, 8)]
+    gens.append(SignedPerm.diagonal((-1, -1, 1, 1, 1, 1, 1, 1)))
+    atoms = set(sp.four_a_prime_elements())
+    orbits, seen = [], set()
+    for x in sorted(atoms, key=lambda v: v.image):
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for g in gens:
+                z = y.conjugated_by(g)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        assert orbit <= atoms
+        seen |= orbit
+        orbits.append(orbit)
+    assert sorted(map(len, orbits)) == [70, 840]
+    assert {len(o) for o in orbits if D0 in o} == {70}
+    assert {len(o) for o in orbits if PPERM in o} == {840}
+    assert sp.even_pairing_starts() == (D0.image, PPERM.image)
+
+
+def test_q8_triples_from_orbit_representatives_match_every_row():
+    rng = random.Random(3141)
+    cs = [D0, PPERM] + [g * g for g in (rand_element(rng) for _ in range(12))]
+    reduced = 0
+    for c in cs:
+        roots = sp.square_roots(c)
+        trace = [v.trace() for v in roots]
+        full = {(trace[i], trace[j], trace[k])
+                for i, row in enumerate(sp._root_products(roots)) for j, k in row}
+        orbits = sp.conjugation_orbits([v.image for v in roots],
+                                       sp.centralizer_generators(c.image), c.image)
+        assert sorted(x for o in orbits for x in o) == sorted(v.image for v in roots)
+        index = {v.image: k for k, v in enumerate(roots)}
+        picks = [index[o[0]] for o in orbits]
+        got = {(trace[i], trace[j], trace[k])
+               for i, row in zip(picks, sp._root_products(roots, picks)) for j, k in row}
+        assert got == full, c
+        reduced += len(picks) < len(roots)
+    assert reduced >= 2
+
+
+def test_orbit_sizes_of_the_square_roots():
+    sizes = []
+    for c in sp.even_pairing_starts():
+        roots = [v.image for v in sp.square_roots(SignedPerm(c))]
+        orbits = sp.conjugation_orbits(roots, sp.centralizer_generators(c), c)
+        sizes.append(sorted(map(len, orbits)))
+    assert sizes == [[12, 12, 72, 144, 144, 144], [48]]
