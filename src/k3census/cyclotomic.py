@@ -20,7 +20,9 @@ are expressed inside these fields, e.g.
 
 so products like cot*cot, csc^2 and csc*cot are exact field elements with
 no floating point anywhere.  Decimal embeddings exist only for display and
-for comparison against published 5-decimal tables.
+for comparison against published 5-decimal tables; they too run on integers,
+as fixed-point enclosures with counted error bounds, and a digit is printed
+only when the whole enclosure rounds to it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import CheckFailure
 
@@ -404,45 +407,180 @@ def csc_cot(p: int, c: int) -> CycNum:
     return cos_angle(p, c) * csc_squared(p, c)
 
 
-def embed_real(x: CycNum, digits: int = 15):
-    """Evaluate at zeta = exp(2*pi*i/n); returns (real, imag) as mpf.
+# ---------------------------------------------------------------------------
+# certified decimal embedding
+#
+# An integer v at precision g stands for v / 2^g.  Every fixed-point value
+# below carries a bound on its error in units of 2^-g (ulps), counted
+# through each truncation, so a value of x at zeta = exp(2 pi i / n) is an
+# enclosure rather than an estimate.  A decimal is printed only when the
+# whole enclosure rounds to it.
 
-    Working precision is digits + 25 decimal places, so for the tiny
-    coefficient vectors in this package the result is accurate well past
-    10^-digits; re-running with larger `digits` refines in place.
-    """
-    import mpmath  # display only; keeps the import off every other path
 
+def _fx_mul(a: int, ea: int, b: int, eb: int, g: int) -> tuple[int, int]:
+    """Fixed-point product of a and b, off by at most ea and eb ulps, and
+    its error bound: |A B - a b| <= |a| eb + |b| ea + 3 ea eb for the true
+    A, B, plus one ulp each for the ceiling and the truncating shift."""
+    return (a * b) >> g, ((abs(a) * eb + abs(b) * ea + 3 * ea * eb) >> g) + 2
+
+
+def _atan_inv(x: int, g: int) -> tuple[int, int]:
+    """atan(1/x) 2^g for an integer x >= 2, with its error in ulps.  The
+    powers 2^g / x^(2j+1) are truncated divisions, each off by less than
+    4/3 (the carried error shrinks by x^2 per step); so each term, one more
+    division, is off by less than 2, and the alternating tail after the
+    first vanished power is below 2 as well."""
+    power, x2 = (1 << g) // x, x * x
+    total, err, j = 0, 2, 0
+    while power:
+        term = power // (2 * j + 1)
+        total += -term if j & 1 else term
+        err += 2
+        power //= x2
+        j += 1
+    return total, err
+
+
+@lru_cache(maxsize=None)
+def _pi_fixed(g: int) -> tuple[int, int]:
+    """pi 2^g and its error in ulps, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+    a, ea = _atan_inv(5, g)
+    b, eb = _atan_inv(239, g)
+    return 16 * a - 4 * b, 16 * ea + 4 * eb
+
+
+def _cos_sin(a: int, ea: int, g: int) -> tuple[int, int, int, int]:
+    """(cos, its error, sin, its error) of the angle a / 2^g, 0 <= a / 2^g
+    <= pi, off by at most ea ulps, by the Taylor series.  Term j + 1 is
+    term j times a^2 / (m (m + 1)); the series stops at the first term that
+    truncates to 0, whose true value is within its error bound, and the
+    alternating tail after it is no larger (the ratios are below 1 from
+    there on, as m >= 3 and a^2 <= pi^2)."""
+    a2, ea2 = _fx_mul(a, ea, a, ea, g)
+    out = []
+    for m, term, et in ((1, 1 << g, 0), (2, a, ea)):
+        total, err, sign = term, et, 1
+        while term:
+            term, et = _fx_mul(term, et, a2, ea2, g)
+            q = m * (m + 1)
+            term, et = term // q, et // q + 2
+            sign = -sign
+            total += sign * term
+            err += et
+            m += 2
+        out += (total, err + et)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _unit_circle(n: int, g: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """cos(2 pi k / n) and sin(2 pi k / n) for 0 <= k < phi(n) at precision
+    g, with one error bound in ulps per k.  The angle is brought into
+    [0, pi] by k -> n - k (cos even, sin odd); k = 0 is exact."""
+    pi, epi = _pi_fixed(g)
+    cos, sin, err = [1 << g], [0], [0]
+    for k in range(1, euler_phi(n)):
+        j = min(k, n - k)
+        c, ec, s, es = _cos_sin(2 * j * pi // n, 2 * j * epi // n + 2, g)
+        cos.append(c)
+        sin.append(s if j == k else -s)
+        err.append(max(ec, es))
+    return tuple(cos), tuple(sin), tuple(err)
+
+
+def _enclose(x: CycNum, g: int) -> tuple[int, int, int]:
+    """Integers (re, im, err): the real and imaginary parts of x at
+    zeta = exp(2 pi i / n) lie within err / d of re / d and im / d, where
+    d = den 2^g.  The error is sum |c_k| e_k over the numerators c_k."""
+    cos, sin, err = _unit_circle(x.n, g)
+    num = x._num
+    return (sum(map(mul, num, cos)), sum(map(mul, num, sin)),
+            sum(map(mul, map(abs, num), err)))
+
+
+def _rational_part(x: CycNum, part: int) -> Fraction | None:
+    """Re x = (x + conj x) / 2 (part 0) or Im x = -i (x - conj x) / 2
+    (part 1) when it is rational, else None."""
+    y = x.conjugate()
+    if part:
+        return ((x - y) * CycNum.zeta(4, 3) * Fraction(1, 2)).as_rational()
+    return ((x + y) * Fraction(1, 2)).as_rational()
+
+
+def _settle(x: CycNum, part: int, decide):
+    """decide(s, e, d) on finer and finer enclosures of the real (part 0)
+    or imaginary (part 1) part of x, which lies within e / d of s / d,
+    until it gives an answer.  After the first miss a rational part is
+    passed exactly (e = 0), on which decide always answers, so an exact tie
+    never keeps the loop going; an irrational part is never at a tie or on
+    a rational bound, and the precision doubles until it is settled."""
+    g = 64
+    while True:
+        t = _enclose(x, g)
+        out = decide(t[part], t[2], x._den << g)
+        if out is not None:
+            return out
+        if g == 64:
+            q = _rational_part(x, part)
+            if q is not None:
+                return decide(q.numerator, 0, q.denominator)
+        g *= 2
+
+
+def _nearest(s: int, e: int, d: int, scale: int) -> int | None:
+    """The integer nearest to v scale, the same for every v within e / d of
+    s / d, or None if they do not agree or one is a tie.  Exact values
+    (e = 0) round half to even."""
+    if not e:
+        return round(Fraction(s * scale, d))
+    lo, hi, d2 = 2 * (s - e) * scale + d, 2 * (s + e) * scale + d, 2 * d
+    r = lo // d2
+    return r if lo % d2 and r == hi // d2 else None
+
+
+def _imag_shown(s: int, e: int, d: int, scale: int) -> tuple[bool, int] | None:
+    """(False, 0) when |v| <= 1/scale for every v within e / d of s / d,
+    (True, nearest integer to v scale) when |v| > 1/scale for all of them,
+    None when the enclosure does not settle which."""
+    lo, hi = (s - e) * scale, (s + e) * scale
+    if -d <= lo and hi <= d:
+        return False, 0
+    if lo > d or hi < -d:
+        r = _nearest(s, e, d, scale)
+        return None if r is None else (True, r)
+    return None
+
+
+def embed_real(x: CycNum, digits: int = 15) -> tuple[Fraction, Fraction]:
+    """Evaluate at zeta = exp(2*pi*i/n); returns (real, imag) as Fractions,
+    each within 10^-digits of the true value."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with mpmath.workdps(digits + 25):
-        z = mpmath.e ** (2j * mpmath.pi / x.n)
-        total = mpmath.mpc(0)
-        zp = mpmath.mpc(1)
-        for c in x.coeffs:
-            if c:
-                total += mpmath.mpf(c.numerator) / c.denominator * zp
-            zp *= z
-        return mpmath.mpf(total.real), mpmath.mpf(total.imag)
+    scale = 10**digits
+
+    def close(s, e, d):
+        return Fraction(s, d) if e * scale <= d else None
+
+    return _settle(x, 0, close), _settle(x, 1, close)
 
 
 def embed_str(x: CycNum, digits: int = 5) -> str:
-    """Fixed-decimal rendering of the real embedding; flags a nonzero
-    imaginary part rather than hiding it."""
-    import mpmath
+    """Fixed-decimal rendering of the value at zeta = exp(2*pi*i/n),
+    rounded half to even; an imaginary part of absolute value above
+    10^-digits is flagged rather than hidden."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    scale = 10**digits
+    re = _settle(x, 0, lambda s, e, d: _nearest(s, e, d, scale))
+    shown, im = _settle(x, 1, lambda s, e, d: _imag_shown(s, e, d, scale))
+    if shown:
+        return "%s + %si" % (_decimal(re, digits), _decimal(im, digits))
+    return _decimal(re, digits)
 
-    re, im = embed_real(x, digits + 5)
-    with mpmath.workdps(digits + 25):
-        if abs(im) > mpmath.mpf(10) ** (-digits):
-            return "%s + %si" % (_fixed(re, digits), _fixed(im, digits))
-    return _fixed(re, digits)
 
-
-def _fixed(v, digits: int) -> str:
-    import mpmath
-
-    with mpmath.workdps(digits + 25):
-        r = int(mpmath.nint(v * 10**digits))
+def _decimal(r: int, digits: int) -> str:
+    """r / 10^digits written out with exactly `digits` decimals."""
     sign = "-" if r < 0 else ""
     r = abs(r)
     return "%s%d.%0*d" % (sign, r // 10**digits, digits, r % 10**digits)

@@ -657,6 +657,14 @@ class Order4Shape:
     trace: int
 
 
+@lru_cache(maxsize=None)
+def _is_4a_prime_image(img: Img) -> bool:
+    """Whether the involution with image tuple img lies in 4A'.  Memoized:
+    the squares of the order-4 elements met in a scan are few (the square
+    roots of d0 and pperm square to those two)."""
+    return involution_class(SignedPerm(img)).label == "4A'"
+
+
 def classify_order4(v: SignedPerm) -> Order4Shape:
     """Normal-form shape of an order-4 element whose square is in the
     even-pairing class: either the permutation part is an involution made of
@@ -664,8 +672,7 @@ def classify_order4(v: SignedPerm) -> Order4Shape:
     with signs constant on both (case ii)."""
     if v.order() != 4:
         raise ValueError("element does not have order 4")
-    sq = v * v
-    if involution_class(sq).label != "4A'":
+    if not _is_4a_prime_image((v * v).image):
         raise ValueError("square is not in the even-pairing class")
     tr = v.trace()
     if tr % 2 or not -4 <= tr <= 4:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -147,16 +148,47 @@ def test_census_runs_under_optimized_python(run_optimized, argv):
     assert "status: pass" in res.stdout
 
 
+def _run_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # each subcommand runs in a new process, so what `import k3census.cli`
     # pulls in is paid on every run; -S keeps site hooks of the environment
     # (such as .pth files importing importlib.resources) out of the count
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     code = "import sys, k3census.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    res = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
+    res = _run_python("-S", "-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
     for path in sorted((SRC / "k3census").glob("*.py")):
         assert "dataclasses" not in path.read_text(), path.name
+
+
+MPMATH_BLOCKED = ("import sys; sys.modules['mpmath'] = None; from k3census import cli; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [("census", "p5"), ("census", "p7"),
+                                  ("defect-table", "--digits", "15")])
+def test_reports_need_no_mpmath(argv, tmp_path):
+    # an import of mpmath fails in this process; the digests are the pinned
+    # ones (defect-table defaults to --digits 15)
+    from test_golden_reports import GOLDEN
+
+    out = tmp_path / "report.json"
+    res = _run_python("-c", MPMATH_BLOCKED, *argv, "--format", "json", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    command = " ".join(a for a in argv if a[0].isalpha())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
+
+
+def test_census_run_leaves_out_mpmath(tmp_path):
+    code = ("import sys; from k3census import cli; "
+            "code = cli.main(['census', 'p7', '--out', sys.argv[1]]); "
+            "print(code, 'mpmath' in sys.modules)")
+    res = _run_python("-c", code, str(tmp_path / "report.txt"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 False"
