@@ -138,11 +138,6 @@ def nontrivial_profiles(p: int) -> tuple[ThetaProfile, ...]:
     return tuple(sorted(out))
 
 
-def profile_status(profile: ThetaProfile) -> str:
-    return ("outside the census hypotheses (a factor acts trivially)"
-            if profile.is_degenerate() else "both factors nontrivial")
-
-
 # ---------------------------------------------------------------------------
 # stage 1: the linear system in the group counts
 

@@ -2,8 +2,11 @@
 
 Everything here works on plain nested lists.  Rational routines use
 fractions.Fraction; integer routines (characteristic polynomial, Smith
-normal form, integer solutions) never leave Z.  Matrix sizes in this
-package are at most 22x22, so no attempt is made at asymptotic cleverness.
+normal form, integer solutions) never leave Z.  One elimination loop,
+_smith_reduce, serves the Smith form: smith_normal_form and integer_solve
+carry the two unimodular transforms through it, elementary_divisors only
+reduces the matrix.  Matrix sizes in this package are at most 22x22, so no
+attempt is made at asymptotic cleverness.
 """
 
 from __future__ import annotations
@@ -163,6 +166,76 @@ def charpoly(a) -> list[int]:
 # integer lattice routines
 
 
+def _smith_reduce(m, u=None, v=None) -> None:
+    """Reduce the integer matrix m in place to Smith normal form.
+
+    When u and v are given, every row operation on m is also applied to u
+    and every column operation to v, so identities passed in come back as
+    unimodular u and v with u*a*v = m.  Without them only m is reduced."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    t = 0
+    while t < min(rows, cols):
+        # pivot: smallest nonzero entry in the remaining block, first in
+        # row-major order (no entry is smaller than 1, so one ends the scan)
+        piv, bi = 0, t
+        for i in range(t, rows):
+            low = min(map(abs, filter(None, m[i][t:])), default=0)
+            if low and (not piv or low < piv):
+                piv, bi = low, i
+                if low == 1:
+                    break
+        if not piv:
+            break
+        bj = list(map(abs, m[bi])).index(piv, t)
+        m[t], m[bi] = m[bi], m[t]
+        if u is not None:
+            u[t], u[bi] = u[bi], u[t]
+        if bj != t:
+            for row in m:
+                row[t], row[bj] = row[bj], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[bj] = row[bj], row[t]
+        pivot_row = m[t]
+        if pivot_row[t] < 0:
+            m[t] = pivot_row = [-x for x in pivot_row]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t]:
+                q = -(m[i][t] // piv)
+                m[i] = [x + q * y for x, y in zip(m[i], pivot_row)]
+                if u is not None:
+                    u[i] = [x + q * y for x, y in zip(u[i], u[t])]
+                if m[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if pivot_row[j]:
+                q = -(pivot_row[j] // piv)
+                for row in m:
+                    row[j] += q * row[t]
+                if v is not None:
+                    for row in v:
+                        row[j] += q * row[t]
+                if pivot_row[j]:
+                    dirty = True
+        if dirty:
+            continue
+        # enforce divisibility of later entries by the pivot
+        bad = None
+        if piv != 1:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % piv for x in m[i][t + 1:])), None)
+        if bad is not None:
+            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            continue
+        t += 1
+
+
 def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (d, u, v) with u*a*v = d diagonal, u and v unimodular."""
     m = [[int(x) for x in row] for row in a]
@@ -170,80 +243,16 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
     cols = len(m[0]) if rows else 0
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row dst += q * row src
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # pivot: smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if m[t][t] < 0:
-            negate_row(t)
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                add_row(t, i, -q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                add_col(t, j, -q)
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility of later entries by m[t][t]
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
+    _smith_reduce(m, u, v)
     return m, u, v
 
 
 def elementary_divisors(a) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    out = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    return [x for x in out if x != 0]
+    """The nonzero diagonal of the Smith normal form of a, each dividing the
+    next.  The unimodular transforms are not formed."""
+    m = [[int(x) for x in row] for row in a]
+    _smith_reduce(m)
+    return [x for x in map(list.__getitem__, m, range(len(m[0]) if m else 0)) if x]
 
 
 def integer_solve(a, b) -> list[int] | None:

@@ -19,6 +19,7 @@ computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 
 from . import e8, linalg
@@ -90,14 +91,7 @@ def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     if m == ident:
         raise ValueError("element has order 1, not %d" % p)
-    mcols = list(zip(*m))
-    power = [list(row) for row in m]
-    norm = ident
-    for _ in range(p - 1):
-        norm = [list(map(add, a, b)) for a, b in zip(norm, power)]
-        power = [[sum(map(mul, row, col)) for col in mcols] for row in power]
-    if power != ident:
-        raise ValueError("element does not have order %d" % p)
+    norm = norm_matrix(m, p)
     trace = sum(m[i][i] for i in range(n))
     g_minus_1 = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
     fix_rank = n - len(linalg.elementary_divisors(g_minus_1))
@@ -127,16 +121,70 @@ def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
     return dec
 
 
+def norm_matrix(m, p: int) -> list[list[int]]:
+    """N = 1 + g + ... + g^(p-1) for the integer matrix g = m, after checking
+    g^p = 1 (ValueError otherwise).
+
+    Each row of g^k is kept as one integer holding its entries in signed
+    lanes of B bits, entry j at bit B*j, so row i of g^(k+1) is the single
+    sum over l of m[i][l] times row l of g^k.  With rho the largest absolute
+    row sum of m (at least 1), every entry of g^k for k <= p is at most
+    rho^k and every entry of N at most p rho^(p-1) in absolute value; B is
+    chosen so that 2^(B-1) exceeds both, so no lane overflows and packed
+    rows are equal exactly when the matrices are."""
+    n = len(m)
+    rho = max(1, max((sum(map(abs, row)) for row in m), default=0))
+    bound = max(rho ** p, p * rho ** (p - 1))
+    bits = _lane_bits(bound)
+    if bound >> (bits - 1):
+        raise CheckFailure("lanes of %d bits cannot hold entries up to %d" % (bits, bound))
+    one = [1 << (bits * i) for i in range(n)]
+    power, norm = one, [0] * n
+    for _ in range(p):
+        norm = list(map(add, norm, power))
+        power = [sum(map(mul, row, power)) for row in m]
+    if power != one:
+        raise ValueError("element does not have order %d" % p)
+    return [_unpack(x, n, bits) for x in norm]
+
+
+def _lane_bits(bound: int) -> int:
+    """Lane width in bits for signed entries of absolute value at most bound."""
+    return bound.bit_length() + 1
+
+
+def _unpack(x: int, n: int, bits: int) -> list[int]:
+    """The n signed lanes of x, lowest first; CheckFailure if a carry is
+    left past the top lane."""
+    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = []
+    for _ in range(n):
+        lane = x & mask
+        if lane >= half:
+            lane -= full
+        out.append(lane)
+        x = (x - lane) >> bits
+    if x:
+        raise CheckFailure("packed row carries %d past its %d lanes" % (x, n))
+    return out
+
+
 def _check_charpoly(m, p: int, dec: RepDecomp, hint=None):
     """(x^p - 1)^r Phi_p^s (x - 1)^t must equal det(xI - M)."""
+    cp = list(hint) if hint is not None else linalg.charpoly(m)
+    if tuple(cp) != _expected_charpoly(p, dec.r, dec.s, dec.t):
+        raise CheckFailure("characteristic polynomial %s does not match %r" % (cp, dec))
+
+
+@lru_cache(maxsize=None)
+def _expected_charpoly(p: int, r: int, s: int, t: int) -> tuple[int, ...]:
+    """(x^p - 1)^r Phi_p^s (x - 1)^t, low degree first."""
     poly = [1]
-    for factor, count in (([-1] + [0] * (p - 1) + [1], dec.r),
-                          (cyclotomic_polynomial(p), dec.s), ([-1, 1], dec.t)):
+    for factor, count in (([-1] + [0] * (p - 1) + [1], r),
+                          (cyclotomic_polynomial(p), s), ([-1, 1], t)):
         for _ in range(count):
             poly = poly_mul(poly, factor)
-    cp = list(hint) if hint is not None else linalg.charpoly(m)
-    if poly != cp:
-        raise CheckFailure("characteristic polynomial %s does not match %r" % (cp, dec))
+    return tuple(poly)
 
 
 def decompose_element(g: SignedPerm, p: int) -> RepDecomp:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, lcm, prod
-from operator import getitem, ne, neg
+from operator import eq, getitem, ne, neg
 
 from . import e8
 from .e8 import LatticeVec
@@ -33,6 +33,7 @@ Img = tuple[int, ...]
 
 _LETTERS = frozenset(range(1, 9))
 _IDENT_IMG: Img = tuple(range(1, 9))
+_MINUS_IMG: Img = tuple(range(-1, -9, -1))
 
 
 def _ext(a: Img) -> Img:
@@ -110,8 +111,10 @@ class SignedPerm:
         return cls(tuple(range(1, 9)))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def minus_one(cls) -> "SignedPerm":
-        return cls(tuple(-(i + 1) for i in range(8)))
+        """The central element -1; every call returns the same instance."""
+        return cls(_MINUS_IMG)
 
     @classmethod
     def from_cycles(cls, cycles, eps=None) -> "SignedPerm":
@@ -167,32 +170,38 @@ class SignedPerm:
 
     # -- invariants -----------------------------------------------------
 
-    def signed_cycles(self) -> list[tuple[tuple[int, ...], int]]:
-        """Cycles of the underlying permutation with their sign products."""
+    def cycle_type(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (length, sign product) pairs over the cycles of the
+        underlying permutation, from one walk along the image tuple.  Order
+        and characteristic polynomial depend on nothing else."""
         image = self.image
-        return [(cyc, prod(1 if image[i] > 0 else -1 for i in cyc))
-                for cyc in _cycles(self.perm())]
+        todo = [True] * 8
+        out = []
+        for start in range(8):
+            if todo[start]:
+                length, sign, i = 0, 1, start
+                while todo[i]:
+                    todo[i] = False
+                    t = image[i]
+                    if t < 0:
+                        sign, t = -sign, -t
+                    i = t - 1
+                    length += 1
+                out.append((length, sign))
+        out.sort()
+        return tuple(out)
 
     def order(self) -> int:
-        return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in self.signed_cycles()))
+        return _type_order(self.cycle_type())
 
     def trace(self) -> int:
-        return sum(1 if t == i + 1 else -1 if t == -(i + 1) else 0
-                   for i, t in enumerate(self.image))
+        image = self.image
+        return sum(map(eq, image, _IDENT_IMG)) - sum(map(eq, image, _MINUS_IMG))
 
     def charpoly(self) -> tuple[int, ...]:
         """Characteristic polynomial as a product of (x^L - s) over signed
         cycles; integer coefficients, low degree first."""
-        poly = [1]
-        for cyc, sign in self.signed_cycles():
-            factor = [-sign] + [0] * (len(cyc) - 1) + [1]
-            new = [0] * (len(poly) + len(factor) - 1)
-            for i, a in enumerate(poly):
-                if a:
-                    for j, b in enumerate(factor):
-                        new[i + j] += a * b
-            poly = new
-        return tuple(poly)
+        return _type_charpoly(self.cycle_type())
 
     def is_involution(self) -> bool:
         image = self.image
@@ -206,6 +215,25 @@ class SignedPerm:
 
     def __repr__(self):
         return "SignedPerm(%s)" % (self.image,)
+
+
+@lru_cache(maxsize=None)
+def _type_order(ctype: tuple[tuple[int, int], ...]) -> int:
+    """Order of an element of signed cycle type ctype: a cycle of length L
+    has order L with sign product +1 and 2L with -1."""
+    return lcm(*(length if sign == 1 else 2 * length for length, sign in ctype))
+
+
+@lru_cache(maxsize=None)
+def _type_charpoly(ctype: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Product of x^L - s over the (L, s) in ctype, low degree first."""
+    poly = [1]
+    for length, sign in ctype:
+        new = [-sign * a for a in poly] + [0] * length
+        for i, a in enumerate(poly):
+            new[i + length] += a
+        poly = new
+    return tuple(poly)
 
 
 def group_order() -> int:
@@ -677,7 +705,7 @@ def classify_order4(v: SignedPerm) -> Order4Shape:
     tr = v.trace()
     if tr % 2 or not -4 <= tr <= 4:
         raise CheckFailure("order-4 element %r has trace %d" % (v, tr))
-    cycles = [len(c) for c, _ in v.signed_cycles()]
+    cycles = [length for length, _ in v.cycle_type()]
     if max(cycles) == 4:
         if sorted(cycles) != [4, 4]:
             raise CheckFailure("%r has cycle lengths %r" % (v, cycles))

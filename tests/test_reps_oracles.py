@@ -1,6 +1,7 @@
 """Plain reference versions of the decomposition, fixed-root and Dirac
 character kernels, kept here and nowhere in the package.  Each pins an
-integer kernel (the norm-matrix SNF of decompose_matrix, the byte-lane
+integer kernel (the norm-matrix SNF of decompose_matrix, the packed-lane
+norm powers, the diagonal-only elementary divisors, the byte-lane
 fixed_roots, the memoized isolated-point term of spin_value) to the route it
 replaces."""
 
@@ -13,6 +14,7 @@ from k3census import census, e8, gindex as gi, linalg, reps, sgnperm as sp
 from k3census.cyclotomic import CycNum, csc_cot, cyc_make
 from k3census.reps import RepDecomp
 from k3census.sgnperm import SignedPerm
+from test_sgnperm_oracles import signed_cycle_type_representatives
 
 
 def rand_element(rng) -> SignedPerm:
@@ -146,6 +148,178 @@ def test_decompose_rejects_wrong_order_block_sums():
         reps.decompose_matrix(block_sum(5, 1, 0, 1), 3)
     with pytest.raises(ValueError):
         reps.decompose_matrix(block_sum(3, 0, 0, 4), 3)
+
+
+# ---------------------------------------------------------------------------
+# reference norm powers and divisors: dense matrix powers, and the Smith form
+# carried with both unimodular transforms
+
+
+def reference_norm_matrix(m, p):
+    """1 + g + ... + g^(p-1) from p - 1 dense products, after checking g^p = 1."""
+    n = len(m)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    mcols = list(zip(*m))
+    power = [list(row) for row in m]
+    norm = ident
+    for _ in range(p - 1):
+        norm = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(norm, power)]
+        power = [[sum(x * y for x, y in zip(row, col)) for col in mcols] for row in power]
+    if power != ident:
+        raise ValueError("element does not have order %d" % p)
+    return norm
+
+
+def reference_smith_normal_form(a):
+    """(d, u, v) with u*a*v = d, every row and column operation applied to
+    the transforms as it is made."""
+    m = [[int(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in m:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t] != 0:
+                add_row(t, i, -(m[i][t] // m[t][t]))
+                dirty = dirty or m[i][t] != 0
+        for j in range(t + 1, cols):
+            if m[t][j] != 0:
+                add_col(t, j, -(m[t][j] // m[t][t]))
+                dirty = dirty or m[t][j] != 0
+        if dirty:
+            continue
+        bad = next((i for i in range(t + 1, rows)
+                    if any(m[i][j] % m[t][t] for j in range(t + 1, cols))), None)
+        if bad is not None:
+            add_row(bad, t, 1)
+            continue
+        t += 1
+    return m, u, v
+
+
+def reference_elementary_divisors(a):
+    d, _, _ = reference_smith_normal_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+
+
+def elements_of_every_order(conjugates=2, seed=4242):
+    """One element of H per signed cycle type, each with seeded random
+    conjugates, so every element order of H occurs."""
+    rng = random.Random(seed)
+    out = []
+    for g in signed_cycle_type_representatives():
+        out.append(g)
+        for _ in range(conjugates):
+            out.append(g.conjugated_by(rand_element(rng)))
+    return out
+
+
+def kernel_inputs():
+    """(label, f-basis matrix, order) for the 14 involution class
+    representatives, every Coxeter witness and seeded elements of every
+    order in H."""
+    out = [("class %r" % (v,), e8.matrix_in_f_basis(v.matrix_e()), 2)
+           for v, _ in sp.involution_classes()]
+    for p in (3, 5, 7):
+        for dec in reps.lemma45_census(p):
+            out.append(("witness %r" % (dec,), reps.coxeter_witness(p, (dec.r, dec.s, dec.t)), p))
+    out += [(repr(g), e8.matrix_in_f_basis(g.matrix_e()), g.order())
+            for g in elements_of_every_order()]
+    return out
+
+
+def test_kernel_inputs_cover_every_order_in_h():
+    inputs = kernel_inputs()
+    # lcm of cycle lengths L (sign +1) or 2L (sign -1) over partitions of 8
+    assert {n for _, _, n in inputs} == {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 20, 24, 30}
+    assert sum(label.startswith("class") for label, _, _ in inputs) == 14
+    assert sum(label.startswith("witness") for label, _, _ in inputs) == 7
+
+
+def test_norm_matrix_matches_dense_powers():
+    for label, m, n in kernel_inputs():
+        assert reps.norm_matrix(m, n) == reference_norm_matrix(m, n), label
+        for q in (2, 3, 5, 7):   # g^q = 1 exactly when the order n divides q
+            if q % n:
+                with pytest.raises(ValueError):
+                    reference_norm_matrix(m, q)
+                with pytest.raises(ValueError):
+                    reps.norm_matrix(m, q)
+            else:
+                assert reps.norm_matrix(m, q) == reference_norm_matrix(m, q), label
+
+
+def test_norm_matrix_matches_dense_powers_on_conjugated_block_sums():
+    rng = random.Random(2718)
+    for p in (2, 3, 5, 7, 11):
+        for rst in ((1, 0, 0), (0, 1, 1), (1, 2, 0), (2, 0, 1)):
+            m0 = block_sum(p, *rst)
+            u, u_inv = unimodular_pair(rng, len(m0), 3 * len(m0))
+            m = mat_prod(mat_prod(u, m0), u_inv)
+            assert reps.norm_matrix(m, p) == reference_norm_matrix(m, p), (p, rst)
+
+
+def test_divisors_match_transform_carrying_route():
+    for label, m, n in kernel_inputs():
+        g_minus_1 = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        for a in (g_minus_1, reference_norm_matrix(m, n)):
+            assert linalg.elementary_divisors(a) == reference_elementary_divisors(a), label
+            assert linalg.smith_normal_form(a) == reference_smith_normal_form(a), label
+
+
+def test_smith_transforms_match_reference_on_random_matrices():
+    rng = random.Random(8080)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        a = [[rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(cols)]
+             for _ in range(rows)]
+        assert linalg.smith_normal_form(a) == reference_smith_normal_form(a), a
+        assert linalg.elementary_divisors(a) == reference_elementary_divisors(a), a
+
+
+def test_decompose_matches_reference_on_every_order_p_input():
+    seen = set()
+    for label, m, n in kernel_inputs():
+        if n in (3, 5, 7):
+            assert reps.decompose_matrix(m, n) == reference_decompose(m, n), label
+            seen.add(n)
+    assert seen == {3, 5, 7}
 
 
 # ---------------------------------------------------------------------------

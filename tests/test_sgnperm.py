@@ -121,6 +121,17 @@ def test_involution_class_error_paths():
         sp.involution_class(sp.std_cycle(5))
 
 
+def test_minus_one_is_one_cached_immutable_element():
+    a, b = SignedPerm.minus_one(), SignedPerm.minus_one()
+    assert a is b and a == b and hash(a) == hash(b)
+    assert a.image == (-1, -2, -3, -4, -5, -6, -7, -8)
+    assert a == SignedPerm.diagonal((-1,) * 8) and len({a, b}) == 1
+    with pytest.raises(AttributeError):
+        a.image = tuple(range(1, 9))
+    with pytest.raises(ValueError):
+        sp.involution_class(SignedPerm.minus_one())
+
+
 def test_trace_eigenvalue_relation():
     for v in (sp.w_f(1), sp.w_f(1) * sp.w_f(3),
               sp.w_f(1) * sp.w_f(3) * sp.w_f(5) * sp.w_f7_prime()):

@@ -6,6 +6,7 @@ witness stays the same."""
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm, prod
 
 import pytest
 
@@ -51,11 +52,41 @@ def reference_parity_witness(v):
     return None
 
 
+def reference_signed_cycles(v):
+    """Cycles of the underlying permutation, each from its least element,
+    with their sign products."""
+    image = v.image
+    return [(cyc, prod(1 if image[i] > 0 else -1 for i in cyc))
+            for cyc in sp._cycles(v.perm())]
+
+
+def reference_order(v):
+    return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in reference_signed_cycles(v)))
+
+
+def reference_charpoly(v):
+    """Product of x^L - s over the signed cycles, multiplied out densely."""
+    poly = [1]
+    for cyc, sign in reference_signed_cycles(v):
+        factor = [-sign] + [0] * (len(cyc) - 1) + [1]
+        new = [0] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                new[i + j] += a * b
+        poly = new
+    return tuple(poly)
+
+
+def reference_trace(v):
+    return sum(1 if t == i + 1 else -1 if t == -(i + 1) else 0
+               for i, t in enumerate(v.image))
+
+
 def reference_is_4a_prime_shape(v):
     """The shape test stated through the signed cycle decomposition."""
     if not (v != SignedPerm.identity() and v * v == SignedPerm.identity()):
         return False
-    two_cycles = [c for c, _ in v.signed_cycles() if len(c) == 2]
+    two_cycles = [c for c, _ in reference_signed_cycles(v) if len(c) == 2]
     eps, p = v.eps(), v.perm()
     if any(eps[i] != eps[p[i]] for i in range(8)):
         return False
@@ -359,8 +390,8 @@ def reference_involution_type(v):
     coordinates sent to their negatives, s the parity of the 2-cycles with
     sign -1 when k = 4."""
     eps = v.eps()
-    two = [c for c, _ in v.signed_cycles() if len(c) == 2]
-    b = sum(1 for c, _ in v.signed_cycles() if len(c) == 1 and eps[c[0]] == -1)
+    two = [c for c, _ in reference_signed_cycles(v) if len(c) == 2]
+    b = sum(1 for c, _ in reference_signed_cycles(v) if len(c) == 1 and eps[c[0]] == -1)
     s = sum(eps[c[0]] == -1 for c in two) % 2 if len(two) == 4 else 0
     return len(two), b, s
 
@@ -445,3 +476,73 @@ def test_orbit_sizes_of_the_square_roots():
         orbits = sp.conjugation_orbits(roots, sp.centralizer_generators(c), c)
         sizes.append(sorted(map(len, orbits)))
     assert sizes == [[12, 12, 72, 144, 144, 144], [48]]
+
+
+def partitions(n, largest=None):
+    """Partitions of n into non-increasing parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def signed_cycle_type_representatives():
+    """One element of H for each signed cycle type: the cycles run over
+    consecutive letters, the sign product of a cycle sits on its first
+    letter, and an even number of cycles is negative."""
+    out = {}
+    for parts in partitions(8):
+        for signs in product((1, -1), repeat=len(parts)):
+            if signs.count(-1) % 2:
+                continue
+            cycles, eps, at = [], [1] * 8, 1
+            for length, sign in zip(parts, signs):
+                cycles.append(tuple(range(at, at + length)))
+                eps[at - 1] = sign
+                at += length
+            out.setdefault(tuple(sorted(zip(parts, signs))),
+                           SignedPerm.from_cycles(cycles, eps))
+    return list(out.values())
+
+
+def invariant_inputs():
+    """The 14 involution class representatives, one element per signed cycle
+    type and seeded random elements."""
+    return ([v for v, _ in sp.involution_classes()] + signed_cycle_type_representatives()
+            + seeded_elements(2000, seed=1357))
+
+
+def seeded_elements(n, seed):
+    rng = random.Random(seed)
+    return [rand_element(rng) for _ in range(n)]
+
+
+def test_cycle_type_is_the_sorted_reference_type():
+    reps = signed_cycle_type_representatives()
+    types = {g.cycle_type() for g in reps}
+    assert len(types) == len(reps)
+    for g in invariant_inputs():
+        want = sorted((len(c), s) for c, s in reference_signed_cycles(g))
+        assert g.cycle_type() == tuple(want), g
+
+
+def test_order_charpoly_trace_match_signed_cycle_reference():
+    orders = set()
+    for g in invariant_inputs():
+        assert g.order() == reference_order(g), g
+        assert g.charpoly() == reference_charpoly(g), g
+        assert g.trace() == reference_trace(g), g
+        orders.add(g.order())
+    assert orders == {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 20, 24, 30}
+
+
+def test_type_invariants_are_cached_per_type():
+    sp._type_order.cache_clear()
+    sp._type_charpoly.cache_clear()
+    for g in invariant_inputs():
+        g.order(), g.charpoly()
+    n_types = len(signed_cycle_type_representatives())
+    assert sp._type_order.cache_info().currsize == n_types
+    assert sp._type_charpoly.cache_info().currsize == n_types
