@@ -252,7 +252,7 @@ def elementary_divisors(a) -> list[int]:
     next.  The unimodular transforms are not formed."""
     m = [[int(x) for x in row] for row in a]
     _smith_reduce(m)
-    return [x for x in map(list.__getitem__, m, range(len(m[0]) if m else 0)) if x]
+    return [m[i][i] for i in range(min(len(m), len(m[0]) if m else 0)) if m[i][i]]
 
 
 def integer_solve(a, b) -> list[int] | None:
