@@ -8,17 +8,21 @@ Group parameters are residues k mod p, and every numerical consequence
 (Euler numbers, signatures, signature defects, Dirac characters) is
 evaluated exactly by the gindex module, never read off from tables.
 
-Stage 1 solves the Lefschetz + averaged-signature linear system per pair of
-lattice representations; refinement enumerates residue splittings against
-the exact per-power signature identity; the filters apply the Dirac-character
-mod-p test, the quotient index bound, and the boundary Kirby-Siebenmann
-congruence.  Expected outcome lists live in the test suite only.
+One pipeline serves every prime in GROUP_TYPES.  Stage 1 solves the
+Lefschetz and averaged-signature equations for the group counts of each
+pair of lattice representations; refinement keeps the residue assignments
+that satisfy the exact signature identity, one per relabelling orbit; the
+filters apply the Dirac-character mod-p test, the quotient index bound and
+the boundary Kirby-Siebenmann congruence.  Expected outcome lists live in
+the test suite only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
+from math import comb, lcm, prod
 
 from . import e8, gindex, reps
 from .cyclotomic import CycNum, embed_str
@@ -43,6 +47,12 @@ GROUP_TYPES: dict[int, dict[str, dict]] = {
     },
 }
 
+# the paper's names for the p = 5 candidates: without chain groups, with
+# chain groups, and the one profile outside the elimination table
+PAPER_LABELS = {5: (("a", "b", "c", "d", "e", "f"), ("i", "ii", "iii", "iv"), "base")}
+
+FILTERS = ("fang", "furuta", "ks_rochlin")
+
 
 def group_data(p: int, typ: str, k: int) -> FixedPointData:
     """Fixed-point data of a single type-`typ` group at parameter k."""
@@ -50,14 +60,6 @@ def group_data(p: int, typ: str, k: int) -> FixedPointData:
     pts = tuple((a * k, b * k) for a, b in spec["points"])
     surf = tuple((g, si, c * k) for g, si, c in spec["surfaces"])
     return FixedPointData(p, pts, surf)
-
-
-def merge_data(parts) -> FixedPointData:
-    parts = list(parts)
-    p = parts[0].p
-    return FixedPointData(p,
-                          tuple(pt for d in parts for pt in d.isolated),
-                          tuple(s for d in parts for s in d.surfaces))
 
 
 def group_signature(p: int, typ: str, k: int) -> CycNum:
@@ -68,12 +70,53 @@ def group_spin(p: int, typ: str, k: int) -> CycNum:
     return gindex.spin_value(group_data(p, typ, k))
 
 
+@lru_cache(maxsize=None)
 def group_defect(p: int, typ: str) -> Fraction:
     """Total signature defect of one group (k-independent)."""
     d = group_data(p, typ, 1)
     total = sum((gindex.point_defect(p, a, b) for a, b in d.isolated), Fraction(0))
     total += sum((gindex.surface_defect(p, si) for _, si, _ in d.surfaces), Fraction(0))
     return total
+
+
+def group_residues(p: int, typ: str) -> tuple[int, ...]:
+    """Parameters k of a group of this type: one per class {k, -k}, as every
+    filter input is even in k; chain groups are taken at k = 1 only."""
+    return (1,) if GROUP_TYPES[p][typ]["surfaces"] else tuple(range(1, (p + 1) // 2))
+
+
+@lru_cache(maxsize=None)
+def delta_values(p: int) -> dict[str, dict[int, CycNum]]:
+    """Exact signature contribution of one group per type and parameter k."""
+    return {typ: {k: group_signature(p, typ, k) for k in range(1, (p + 1) // 2)}
+            for typ in GROUP_TYPES[p]}
+
+
+@lru_cache(maxsize=None)
+def delta_coordinates(p: int) -> tuple[int, dict[str, dict[int, tuple[int, ...]]]]:
+    """delta_values(p) as integer vectors on the power basis of Q(zeta_p) over
+    one common denominator; sums are equal as CycNums iff their vectors are."""
+    table = {t: {k: v.promoted(p).coeffs for k, v in per.items()}
+             for t, per in delta_values(p).items()}
+    den = lcm(*(c.denominator for per in table.values() for xs in per.values() for c in xs))
+    return den, {t: {k: tuple(int(c * den) for c in xs) for k, xs in per.items()}
+                 for t, per in table.items()}
+
+
+@lru_cache(maxsize=None)
+def nu_values(p: int) -> dict[str, dict[int, CycNum]]:
+    """Exact Dirac character of one group per type and parameter k."""
+    return {typ: {k: group_spin(p, typ, k) for k in range(1, (p + 1) // 2)}
+            for typ in GROUP_TYPES[p]}
+
+
+def decimal(x: CycNum, digits: int) -> str:
+    """x with min(digits, 5) decimals, the precision of the published tables."""
+    return embed_str(x, min(digits, 5))
+
+
+def decimal_table(table, digits: int) -> dict:
+    return {typ: {k: decimal(v, digits) for k, v in per.items()} for typ, per in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +150,10 @@ class ThetaProfile:
         trivial = RepDecomp(self.p, 0, 0, 8)
         return self.first == trivial or self.second == trivial
 
+    def in_elimination_table(self) -> bool:
+        """Some factor has a regular summand (else the profile is the base)."""
+        return self.first.r + self.second.r > 0
+
     def label(self) -> str:
         return "(%d,%d,%d)x(%d,%d,%d)" % (self.first.as_rts() + self.second.as_rts())
 
@@ -129,172 +176,70 @@ class ThetaProfile:
 
 
 def nontrivial_profiles(p: int) -> tuple[ThetaProfile, ...]:
-    """All profiles with both factor representations nontrivial."""
+    """All profiles with both factor representations nontrivial, those with
+    more regular summands first."""
     entries = reps.lemma45_census(p)
+    out = [ThetaProfile(p, d1, d2) for i, d1 in enumerate(entries) for d2 in entries[i:]]
+    return tuple(sorted(out, key=lambda pr: (-pr.first.r - pr.second.r, pr.label())))
+
+
+# ---------------------------------------------------------------------------
+# stage 1 and refinement
+
+
+def stage1(profile: ThetaProfile) -> tuple[tuple[int, ...], ...]:
+    """Group counts n_t >= 0, one per type of GROUP_TYPES[p], with
+    sum n_t chi_t = chi(F) (Lefschetz) and sum n_t def_t = 16 - p fix
+    (averaged signature with Sign(M) = -16 and Sign(M/G) = -fix)."""
+    p = profile.p
+    *euler, last = [group_data(p, t, 1).euler_characteristic() for t in GROUP_TYPES[p]]
+    defect = [group_defect(p, t) for t in GROUP_TYPES[p]]
+    chi = profile.lefschetz_total()
+    rhs = 16 - p * (profile.first.fixed_rank() + profile.second.fixed_rank())
     out = []
-    for i, d1 in enumerate(entries):
-        for d2 in entries[i:]:
-            out.append(ThetaProfile(p, d1, d2))
-    return tuple(sorted(out))
+    for head in product(*(range(chi // e + 1) for e in euler)):
+        rest = chi - sum(map(int.__mul__, head, euler))  # left for the last type
+        n = head + (rest // last,)
+        if rest >= 0 and rest % last == 0 and sum(map(Fraction.__mul__, defect, n)) == rhs:
+            out.append(n)
+    return tuple(out)
+
+
+def chain_groups(p: int, counts) -> int:
+    """Number of chain groups (types with fixed surfaces) among the counts."""
+    return sum(n for n, spec in zip(counts, GROUP_TYPES[p].values()) if spec["surfaces"])
+
+
+def relabel(p: int, residues, c: int):
+    """The same assignment seen by g^c: point-group parameters k -> c k
+    (up to sign); chain groups stay at k = 1."""
+    return tuple(ks if spec["surfaces"] else tuple(sorted(min(c * k % p, -c * k % p) for k in ks))
+                 for spec, ks in zip(GROUP_TYPES[p].values(), residues))
+
+
+def refine(profile: ThetaProfile, counts) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Assignments of residues to the counted groups whose exact signature,
+    summed from delta_values(p), equals Sign(g, M); one per relabelling orbit,
+    the lexicographically smallest tuple of sorted per-type residues."""
+    p = profile.p
+    den, vectors = delta_coordinates(p)
+    zero = (0,) * (p - 1)
+    target = (profile.sign_target() * den,) + zero[1:]
+    per_type = []
+    for typ, n in zip(GROUP_TYPES[p], counts):
+        ks = combinations_with_replacement(group_residues(p, typ), n)
+        per_type.append([(combo, tuple(map(sum, zip(zero, *(vectors[typ][k] for k in combo)))))
+                         for combo in ks])
+    found = set()
+    for choice in product(*per_type):
+        if tuple(map(sum, zip(*(value for _, value in choice)))) == target:
+            res = tuple(combo for combo, _ in choice)
+            found.add(min(relabel(p, res, c) for c in range(1, (p + 1) // 2)))
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
-# stage 1: the linear system in the group counts
-
-
-@record(frozen=True)
-class StageOneFamily:
-    """Affine solution family (u, v) in the free parameters (w, A)."""
-
-    profile: ThetaProfile
-    u0: int   # u = u0 - w + A
-    v0: int   # v = v0 - w - 2A
-
-    def u(self, w: int, a: int) -> int:
-        return self.u0 - w + a
-
-    def v(self, w: int, a: int) -> int:
-        return self.v0 - w - 2 * a
-
-    def family_str(self) -> str:
-        return "(%d-w+A,%d-w-2A)" % (self.u0, self.v0)
-
-    def solutions(self) -> tuple[tuple[int, int, int, int], ...]:
-        out = []
-        for a in range(0, max(self.v0, 0) // 2 + 1):   # v >= 0 bounds A
-            for w in range(0, max(self.v0, 0) + 1):
-                u, v = self.u(w, a), self.v(w, a)
-                if u >= 0 and v >= 0:
-                    out.append((u, v, w, a))
-        return tuple(sorted(out))
-
-
-def solve_p5_stage1(profile: ThetaProfile) -> StageOneFamily:
-    """Solve  u + 3v + 4w + 5A = chi(F)  and
-    5(-fix1-fix2) = -16 + 4u - 8v - 4w - 20A  for (u, v) affine in (w, A)."""
-    if profile.p != 5:
-        raise ValueError("stage-1 family solver is for p = 5")
-    c1 = profile.lefschetz_total()
-    fix = profile.first.fixed_rank() + profile.second.fixed_rank()
-    b4 = 16 - 5 * fix
-    if b4 % 4:
-        raise CheckFailure("16 - 5*fix = %d is not divisible by 4" % b4)
-    b0 = b4 // 4
-    # u + 3v = c1 - 4w - 5A ; u - 2v = b0 + w + 5A
-    if (c1 - b0) % 5 or (2 * c1 + 3 * b0) % 5:
-        raise CheckFailure("stage-1 system of %s has no integral family" % profile.label())
-    v0 = (c1 - b0) // 5
-    u0 = (2 * c1 + 3 * b0) // 5
-    return StageOneFamily(profile, u0, v0)
-
-
-# ---------------------------------------------------------------------------
-# p = 5 refinement
-
-
-@record(frozen=True, order=True)
-class P5Counts:
-    """Refined counts: subscript 1 holds the residue classes k = +-1, and
-    subscript 2 the classes k = +-2; atilde counts chain groups."""
-
-    z1: int
-    z2: int
-    v1: int
-    v2: int
-    w1: int
-    w2: int
-    atilde: int
-
-    @property
-    def x1(self) -> int:
-        return 2 * self.v1 + self.w1
-
-    @property
-    def x2(self) -> int:
-        return 2 * self.v2 + self.w2
-
-    @property
-    def y1(self) -> int:
-        return self.v1 + 3 * self.w1
-
-    @property
-    def y2(self) -> int:
-        return self.v2 + 3 * self.w2
-
-    @property
-    def u(self) -> int:
-        return self.z1 + self.z2
-
-    @property
-    def v(self) -> int:
-        return self.v1 + self.v2
-
-    @property
-    def w(self) -> int:
-        return self.w1 + self.w2
-
-    def uvwa(self) -> tuple[int, int, int, int]:
-        return (self.u, self.v, self.w, self.atilde)
-
-    def xyz(self) -> tuple[int, int, int, int, int, int]:
-        return (self.x1, self.x2, self.y1, self.y2, self.z1, self.z2)
-
-    def relabeled(self) -> "P5Counts":
-        """The same candidate seen by g^2 (residue classes swap)."""
-        return P5Counts(self.z2, self.z1, self.v2, self.v1, self.w2, self.w1, self.atilde)
-
-    def canonical(self) -> "P5Counts":
-        other = self.relabeled()
-        return self if (self.x1, self.y1, self.z1) >= (other.x1, other.y1, other.z1) else other
-
-    def fixed_point_data(self) -> FixedPointData:
-        parts = []
-        for count, typ, k in ((self.z1, "1", 1), (self.z2, "1", 2),
-                              (self.v1, "3", 1), (self.v2, "3", 2),
-                              (self.w1, "4", 1), (self.w2, "4", 2),
-                              (self.atilde, "A4~", 1)):
-            parts.extend(group_data(5, typ, k) for _ in range(count))
-        if not parts:
-            return FixedPointData(5)
-        return merge_data(parts)
-
-
-def refine_p5(profile: ThetaProfile, atilde_positive: bool) -> tuple[P5Counts, ...]:
-    """All residue splittings compatible with the stage-1 family, the
-    balance constraint z1 - z2 = v1 + w1 - v2 - w2 = 0, and the exact
-    per-generator signature identity."""
-    fam = solve_p5_stage1(profile)
-    target = profile.sign_target()
-    euler = gindex.lefschetz(profile.lefschetz_total() - 2)
-    found: set[P5Counts] = set()
-    for (u, v, w, a) in fam.solutions():
-        if (a > 0) != atilde_positive:
-            continue
-        if u % 2:
-            continue
-        z1 = z2 = u // 2
-        for v1 in range(v + 1):
-            v2 = v - v1
-            for w1 in range(w + 1):
-                w2 = w - w1
-                if v1 + w1 != v2 + w2:
-                    continue
-                cand = P5Counts(z1, z2, v1, v2, w1, w2, a)
-                data = cand.fixed_point_data()
-                sig = gindex.signature_g(data).as_rational() \
-                    if data.isolated or data.surfaces else Fraction(0)
-                if sig != target:
-                    continue
-                # cross-check the Euler characteristic against the trace
-                if data.euler_characteristic() != euler:
-                    raise CheckFailure("%r has Euler characteristic %d, the trace gives %d"
-                                       % (cand, data.euler_characteristic(), euler))
-                found.add(cand.canonical())
-    return tuple(sorted(found, key=lambda c: (-c.atilde, c.w, c.x1, c.xyz())))
-
-
-# ---------------------------------------------------------------------------
-# filters and the full p = 5 run
+# candidates, filters and the run
 
 
 @record(frozen=True)
@@ -307,224 +252,166 @@ class Audit:
 
 @record(frozen=True)
 class Candidate:
+    """One refined assignment: residues[i] lists the parameters k of the
+    groups of the i-th type of GROUP_TYPES[p]."""
+
     cid: str
     profile: ThetaProfile
-    counts: P5Counts
-    in_elimination_table: bool
+    residues: tuple[tuple[int, ...], ...]
+
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(ks) for ks in self.residues)
+
+    def chain_groups(self) -> int:
+        return chain_groups(self.profile.p, self.counts())
+
+    def fixed_point_data(self) -> FixedPointData:
+        p = self.profile.p
+        parts = [group_data(p, t, k) for t, ks in zip(GROUP_TYPES[p], self.residues) for k in ks]
+        return FixedPointData(p, tuple(x for d in parts for x in d.isolated),
+                              tuple(s for d in parts for s in d.surfaces))
 
 
 @record(frozen=True)
 class CensusRun:
     p: int
-    command: str
-    profiles: tuple[ThetaProfile, ...]
-    families: tuple[tuple[str, str, tuple], ...]
+    digits: int
+    stage1: tuple[tuple[ThetaProfile, tuple], ...]   # (profile, group counts)
     candidates: tuple[Candidate, ...]
     audits: tuple[Audit, ...]
     survivors: tuple[str, ...]
     structure: dict
+    stats: dict
 
 
-def _apply_filters_p5(cand: Candidate, audits: list[Audit]) -> bool:
-    data = cand.counts.fixed_point_data()
+def candidate_id(profile: ThetaProfile, counts, residues=None) -> str:
+    """Audit ID of a stage-1 solution, or of one residue assignment."""
+    cid = "%s n=%s" % (profile.label(), ",".join(map(str, counts)))
+    return cid if residues is None else "%s k=%r" % (cid, residues)
+
+
+def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
+    """Fang and Furuta on every candidate; Kirby-Siebenmann on the pseudofree
+    ones both leave alive, as its congruence presumes the action exists."""
+    data = cand.fixed_point_data()
     spin = gindex.spin_number(data, ind_dirac=2)
     spin_exact = gindex.spin_value(data)
-    alive = True
-    verdict = gindex.fang_test(spin, b2plus=3, sw_nonzero_mod_p=True)
-    audits.append(Audit(cand.cid, "fang", verdict,
-                        "spin=%s (%s), d=%s" % (spin_exact, embed_str(spin_exact, 5), spin.d)))
-    alive &= verdict == "survives"
-    ind_d = spin.d[0]
+    fang = gindex.fang_test(spin, b2plus=3)
+    audits.append(Audit(cand.cid, "fang", fang, "spin=%s (%s), d=%s"
+                        % (spin_exact, decimal(spin_exact, digits), spin.d)))
     b2m = cand.profile.quotient_b2minus()
-    verdict = gindex.furuta_test(ind_d, cand.profile.quotient_b2plus(), b2m)
-    audits.append(Audit(cand.cid, "furuta", verdict,
-                        "ind D = d0 = %d, window (-%d, %d)" % (ind_d, b2m, 3)))
-    alive &= verdict == "survives"
-    if alive and data.is_pseudofree():
-        lens = sorted(gindex.lens_space(5, a, b) for a, b in data.isolated)
-        sign_n = int(gindex.orbifold_signature(5, -16, data))
-        try:
-            ks = gindex.ks_rochlin_test(lens, sign_n)
-        except KeyError as missing:
-            # only provenance-tagged Rochlin values may eliminate a candidate
-            audits.append(Audit(cand.cid, "ks_rochlin", "skipped",
-                                "Sign(N)=%d, boundary=%s; %s" % (sign_n, lens, missing)))
-        else:
-            verdict = "survives" if ks.smoothable else "ruled_out"
-            audits.append(Audit(cand.cid, "ks_rochlin", verdict,
-                                "Sign(N)=%d, boundary=%s, ks=%d" % (sign_n, lens, ks.ks)))
-            alive &= ks.smoothable
-    return alive
+    furuta = gindex.furuta_test(spin.d[0], cand.profile.quotient_b2plus(), b2m)
+    audits.append(Audit(cand.cid, "furuta", furuta,
+                        "ind D = d0 = %d, window (-%d, %d)" % (spin.d[0], b2m, 3)))
+    if fang == furuta == "survives" and data.is_pseudofree():
+        lens = sorted(gindex.lens_space(data.p, a, b) for a, b in data.isolated)
+        sign_n = int(gindex.orbifold_signature(data.p, -16, data))
+        ks = gindex.ks_rochlin_test(lens, sign_n)
+        audits.append(Audit(cand.cid, "ks_rochlin", "survives" if ks.smoothable else "ruled_out",
+                            "Sign(N)=%d, boundary=%s, ks=%d" % (sign_n, lens, ks.ks)))
 
 
-def run_p5() -> CensusRun:
-    profiles = nontrivial_profiles(5)
-    families = []
-    candidates: list[Candidate] = []
-    labels_a0 = iter(("a", "b", "c", "d", "e", "f"))
-    labels_a1 = iter(("i", "ii", "iii", "iv"))
-    ordered = sorted(profiles, key=lambda pr: (-pr.first.r - pr.second.r, pr.label()))
-    for pr in ordered:
-        fam = solve_p5_stage1(pr)
-        families.append((pr.label(), fam.family_str(), fam.solutions()))
-    # the elimination table covers profiles with a regular summand on some
-    # factor; the doubly-cyclotomic profile is completely forced at stage 1
-    # and is reported as the base structure instead
-    for atilde_positive in (False, True):
-        for pr in ordered:
-            in_table = pr.first.r + pr.second.r > 0
-            for counts in refine_p5(pr, atilde_positive):
-                if in_table:
-                    label = next(labels_a1) if atilde_positive else next(labels_a0)
-                else:
-                    label = "base"
-                candidates.append(Candidate(label, pr, counts, in_table))
+def run_census(p: int, digits: int = 5) -> CensusRun:
+    """Stage 1, refinement and the filter chain over every profile of p."""
+    profiles = nontrivial_profiles(p)
+    stages = tuple((pr, stage1(pr)) for pr in profiles)
     audits: list[Audit] = []
-    survivors = []
-    for cand in candidates:
-        alive = _apply_filters_p5(cand, audits)
-        if alive and cand.in_elimination_table:
-            survivors.append(cand.cid)
-    base = next(c for c in candidates if not c.in_elimination_table)
-    # the bound on the number of chain groups is read off the stage-1
-    # families, not derived independently
-    max_chain = max(a for _, _, sols in families for (_, _, _, a) in sols)
-    structure = {
-        "fourteen_points": [c.cid for c in candidates
-                            if c.cid in survivors and c.counts.atilde == 0],
-        "sl2_core_family": sorted([base.cid] + [c.cid for c in candidates
-                                                if c.cid in survivors and c.counts.atilde > 0]),
-        "max_tori": {c.cid: c.profile.max_tori() for c in candidates},
-        "max_chain_groups": max_chain,
-    }
-    return CensusRun(5, "census p5", tuple(ordered), tuple(families),
-                     tuple(candidates), tuple(audits), tuple(survivors), structure)
+    cands = []
+    scanned = 0
+    for pr, solutions in stages:
+        for counts in solutions:
+            scanned += prod(comb(len(group_residues(p, t)) + n - 1, n)
+                            for t, n in zip(GROUP_TYPES[p], counts))
+            found = refine(pr, counts)
+            audits.append(Audit(candidate_id(pr, counts), "exact_signature",
+                                "survives" if found else "ruled_out",
+                                "residue assignments attaining Sign(g) = %d, up to relabelling: %d"
+                                % (pr.sign_target(), len(found))))
+            cands += [Candidate(candidate_id(pr, counts, res), pr, res) for res in found]
+    # within a profile: more chain groups first, then residues descending;
+    # across profiles: candidates without chain groups first
+    cands.sort(key=lambda c: (c.chain_groups(), c.residues), reverse=True)
+    cands.sort(key=lambda c: (c.chain_groups() > 0, profiles.index(c.profile)))
+    if p in PAPER_LABELS:
+        plain, chained, base = PAPER_LABELS[p]
+        plain, chained = iter(plain), iter(chained)
+        cands = [Candidate(next(chained if c.chain_groups() else plain)
+                           if c.profile.in_elimination_table() else base, c.profile, c.residues)
+                 for c in cands]
+    for c in cands:
+        _filter(c, digits, audits)
+    verdicts = {(a.candidate_id, a.filter_name): a.verdict for a in audits}
+    n_solutions = sum(len(sols) for _, sols in stages)
+    stats = {"stage1": {"in": len(profiles), "out": n_solutions},
+             "refinement": {"in": n_solutions, "assignments": scanned, "out": len(cands)}}
+    alive = cands
+    for name in FILTERS:
+        left = [c for c in alive if verdicts.get((c.cid, name), "survives") == "survives"]
+        stats[name] = {"in": len(alive), "out": len(left)}
+        alive = left
+    stats["audits"] = {}
+    for a in audits:
+        stats["audits"].setdefault(a.filter_name, {"survives": 0, "ruled_out": 0})[a.verdict] += 1
+    survivors = tuple(c.cid for c in alive if c.profile.in_elimination_table())
+    structure = STRUCTURE[p](cands, survivors, stages)
+    return CensusRun(p, digits, stages, tuple(cands), tuple(audits), survivors, structure, stats)
+
+
+def run_p5(digits: int = 5) -> CensusRun:
+    return run_census(5, digits)
+
+
+def solve_p7(digits: int = 5) -> CensusRun:
+    return run_census(7, digits)
+
+
+# the stage names bench/layers.py traces
+refine_p5 = refine
+p7_stage1 = stage1
 
 
 # ---------------------------------------------------------------------------
-# p = 7
+# the theorem each prime's census proves, read off its run
 
 
-@record(frozen=True)
-class P7Assignment:
-    counts: tuple[int, int, int]              # (u, v, w)
-    k_type1: tuple[int, ...]
-    k_type2: tuple[int, ...]
-    k_type3: tuple[int, ...]
-
-    def cid(self) -> str:
-        """Audit and survivor ID: the counts and all three residue tuples."""
-        return "uvw=%d,%d,%d k=%r" % (*self.counts, (self.k_type1, self.k_type2, self.k_type3))
-
-    def fixed_point_data(self) -> FixedPointData:
-        parts = [group_data(7, "1", k) for k in self.k_type1]
-        parts += [group_data(7, "2", k) for k in self.k_type2]
-        parts += [group_data(7, "3", k) for k in self.k_type3]
-        return merge_data(parts)
+def _structure_p5(cands, survivors, stages) -> dict:
+    alive = [c for c in cands if c.cid in survivors]
+    return {
+        "fourteen_points": [c.cid for c in alive if not c.chain_groups()],
+        "sl2_core_family": sorted([c.cid for c in cands if not c.profile.in_elimination_table()]
+                                  + [c.cid for c in alive if c.chain_groups()]),
+        "max_tori": {c.cid: c.profile.max_tori() for c in cands},
+        "max_chain_groups": max(chain_groups(5, n) for _, sols in stages for n in sols),
+    }
 
 
-@record(frozen=True)
-class P7Run:
-    command: str
-    profile: ThetaProfile
-    stage1: tuple[tuple[int, int, int], ...]
-    delta_table: dict
-    nu_table: dict
-    audits: tuple[Audit, ...]
-    surviving_assignments: tuple[P7Assignment, ...]
-    structure: dict
+# the p = 7 survivor's isolated points as multiples of its two-point class k
+P7_POINTS = (("(2k,3k)", (2, 3), 2), ("(-k,-k)", (-1, -1), 2),
+             ("(2k,4k)", (2, 4), 2), ("(-2k,k)", (-2, 1), 4))
 
 
-def p7_stage1(profile: ThetaProfile) -> tuple[tuple[int, int, int], ...]:
-    """Integer solutions of u + 2v + 3w = chi(F) and
-    7(-fix1-fix2) = -16 + 10u - 8v + 2w."""
-    c1 = profile.lefschetz_total()
-    rhs = 7 * (-(profile.first.fixed_rank() + profile.second.fixed_rank())) + 16
-    out = []
-    for u in range(c1 + 1):
-        for w in range(c1 // 3 + 1):
-            num = c1 - u - 3 * w
-            if num < 0 or num % 2:
-                continue
-            v = num // 2
-            if 10 * u - 8 * v + 2 * w == rhs:
-                out.append((u, v, w))
-    return tuple(sorted(out))
+def _structure_p7(cands, survivors, stages) -> dict:
+    alive = [c for c in cands if c.cid in survivors]
+    if not alive:
+        return {}
+    first = alive[0]
+    k = first.residues[1][0]
+    points = FixedPointData(7, tuple((a * k, b * k) for _, (a, b), n in P7_POINTS
+                                     for _ in range(n)))
+    if points != first.fixed_point_data():
+        raise CheckFailure("survivor %s does not have the points %r" % (first.cid, P7_POINTS))
+    return {
+        "points": {name: n for name, _, n in P7_POINTS},
+        "k_examples": sorted({relabel(7, first.residues, c)[1][0] for c in (1, 2, 3)}),
+        "equal_k_forced": all(len(set(c.residues[1])) == 1 and len(set(c.residues[2])) == 1
+                              for c in alive),
+        "type3_class_is_doubled": all(2 * c.residues[1][0] % 7 in (c.residues[2][0],
+                                                                  7 - c.residues[2][0])
+                                      for c in alive),
+    }
 
 
-def delta_values(p: int = 7) -> dict[str, dict[int, CycNum]]:
-    return {typ: {k: group_signature(p, typ, k) for k in (1, 2, 3)}
-            for typ in ("1", "2", "3")}
-
-
-def nu_values(p: int = 7) -> dict[str, dict[int, CycNum]]:
-    return {typ: {k: group_spin(p, typ, k) for k in (1, 2, 3)}
-            for typ in ("2", "3")}
-
-
-def solve_p7() -> P7Run:
-    """Stage 1, exact elimination over residue assignments, and the
-    mod-p Dirac filter forcing a single residue class."""
-    profile = ThetaProfile(7, reps.lemma45_census(7)[0], reps.lemma45_census(7)[0])
-    stage1 = p7_stage1(profile)
-    target = profile.sign_target()
-    audits: list[Audit] = []
-    survivors: list[P7Assignment] = []
-    deltas = delta_values()
-    nus = nu_values()
-    for (u, v, w) in stage1:
-        cid = "uvw=%d,%d,%d" % (u, v, w)
-        exact_hits = []
-        for k1 in combinations_with_replacement((1, 2, 3), u):
-            for k2 in combinations_with_replacement((1, 2, 3), v):
-                for k3 in combinations_with_replacement((1, 2, 3), w):
-                    total = CycNum.rational(0)
-                    for k in k1:
-                        total = total + deltas["1"][k]
-                    for k in k2:
-                        total = total + deltas["2"][k]
-                    for k in k3:
-                        total = total + deltas["3"][k]
-                    if total == target:
-                        exact_hits.append(P7Assignment((u, v, w), k1, k2, k3))
-        if not exact_hits:
-            audits.append(Audit(cid, "exact_signature", "ruled_out",
-                                "no residue assignment attains Sign(g) = %d" % target))
-            continue
-        audits.append(Audit(cid, "exact_signature", "survives",
-                            "%d residue assignments" % len(exact_hits)))
-        for hit in exact_hits:
-            hid = hit.cid()
-            data = hit.fixed_point_data()
-            spin = gindex.spin_number(data, ind_dirac=2)
-            verdict = gindex.fang_test(spin, b2plus=3)
-            audits.append(Audit(hid, "fang", verdict, "d=%s" % (spin.d,)))
-            if verdict == "ruled_out":
-                continue
-            b2m = profile.quotient_b2minus()
-            verdict = gindex.furuta_test(spin.d[0], 3, b2m)
-            audits.append(Audit(hid, "furuta", verdict,
-                                "ind D = %d, window (-%d, 3)" % (spin.d[0], b2m)))
-            if verdict == "survives":
-                survivors.append(hit)
-    # all survivors must share one residue class across both group types
-    structure = {}
-    if survivors:
-        base = survivors[0]
-        k = base.k_type2[0]
-        structure = {
-            "points": {"(2k,3k)": 2, "(-k,-k)": 2, "(2k,4k)": 2, "(-2k,k)": 4},
-            "k_examples": sorted({a.k_type2[0] for a in survivors}),
-            "equal_k_forced": all(len(set(a.k_type2)) == 1 and len(set(a.k_type3)) == 1
-                                  for a in survivors),
-            "type3_class_is_doubled": all(
-                (2 * a.k_type2[0]) % 7 in (a.k_type3[0], 7 - a.k_type3[0])
-                for a in survivors),
-        }
-    dt = {typ: {k: embed_str(vv, 5) for k, vv in per.items()} for typ, per in deltas.items()}
-    nt = {typ: {k: embed_str(vv, 5) for k, vv in per.items()} for typ, per in nus.items()}
-    return P7Run("census p7", profile, stage1, dt, nt, tuple(audits),
-                 tuple(survivors), structure)
+STRUCTURE = {5: _structure_p5, 7: _structure_p7}
 
 
 # ---------------------------------------------------------------------------
@@ -547,26 +434,19 @@ def admissible_gamma_types(p: int) -> dict:
             continue
         witnesses[dec.as_rts()] = _matrix_fixed_roots(m)
     max_fix = max(d.fixed_rank() for d in census)
-    for n in range(1, 9):
-        label = "A%d~" % n
-        if (n + 1) % p != 0:
-            results[label] = (False, "cycle length %d not divisible by %d" % (n + 1, p))
+    graphs = [("A%d" % n, n, (n + 1) % p, "cycle length %d not divisible by %d" % (n + 1, p))
+              for n in range(1, 9)]
+    graphs += [("D%d" % n, n, (n - 4) % p, "graph size %d is not 4 mod %d" % (n, p))
+               for n in (4, 9)]
+    for name, n, residue, reason in graphs:
+        if residue:
+            results[name + "~"] = (False, reason)
         elif n > max_fix:
-            results[label] = (False, "rank %d exceeds every fixed sublattice" % n)
+            results[name + "~"] = (False, "rank %d exceeds every fixed sublattice" % n)
         else:
-            ok = any(e8.root_subsystem_type(rootset, "A%d" % n)
+            ok = any(e8.root_subsystem_type(rootset, name if name[0] == "A" else "D4")
                      for rootset in witnesses.values())
-            results[label] = (bool(ok), "fixed root sublattice search")
-    for n in (4, 9):
-        label = "D%d~" % n
-        if (n - 4) % p != 0:
-            results[label] = (False, "graph size %d is not 4 mod %d" % (n, p))
-        elif n > max_fix:
-            results[label] = (False, "rank %d exceeds every fixed sublattice" % n)
-        else:
-            ok = any(e8.root_subsystem_type(rootset, "D4")
-                     for rootset in witnesses.values())
-            results[label] = (bool(ok), "fixed root sublattice search")
+            results[name + "~"] = (bool(ok), "fixed root sublattice search")
     for label in ("E6~", "E7~", "E8~"):
         results[label] = (False, "no free symmetry of the graph; full rank exceeds fixed sublattice")
     return results
@@ -602,8 +482,6 @@ def q8_fixture_solver() -> Q8Fixture:
     for t in range(0, 23):
         s_sum = 2 * t - 12
         s_diff = (24 - 4 * t + 16) // 2
-        if (24 - 4 * t + 16) % 2:
-            continue
         s_plus = (s_sum + s_diff) // 2
         s_minus = (s_sum - s_diff) // 2
         if (s_sum + s_diff) % 2 or s_plus < 0 or s_minus < 0 or s_plus + s_minus > 8:
@@ -631,8 +509,7 @@ def _q8_points_consistent(n: int, s_minus: int) -> tuple[bool, str]:
     each to be inversion-symmetric, i.e. of (1,3) type; the s_minus points
     of (1,1)/(3,3) type must avoid the other two fixed sets."""
     points = list(range(8))
-    moved = 8 - n
-    if moved % 2:
+    if n % 2:
         return False, "an involution moves an even number of points"
     # normalize i to fix 0..n-1 and swap the rest in consecutive pairs
     i_perm = list(range(8))
@@ -718,54 +595,28 @@ def involution_fixture_check(components) -> InvolutionVerdict:
 # machine-readable reports
 
 
-def report(run) -> dict:
+def report(run: CensusRun) -> dict:
     """Deterministic, JSON-ready record of a census run."""
-    if isinstance(run, CensusRun):
-        return _jsonable({
-            "command": run.command,
-            "inputs": {"p": run.p, "profiles": [pr.label() for pr in run.profiles]},
-            "candidates": [
-                {
-                    "id": c.cid,
-                    "profile": c.profile.label(),
-                    "uvwA": list(c.counts.uvwa()),
-                    "xyz": list(c.counts.xyz()),
-                    "in_elimination_table": c.in_elimination_table,
-                }
-                for c in run.candidates
-            ],
-            "filters": [
-                {"candidate": a.candidate_id, "filter": a.filter_name,
-                 "verdict": a.verdict, "detail": a.detail}
-                for a in run.audits
-            ],
-            "survivors": list(run.survivors),
-            "families": [list(f) for f in run.families],
-            "structure": run.structure,
-            "timings": None,
-        })
-    if isinstance(run, P7Run):
-        return _jsonable({
-            "command": run.command,
-            "inputs": {"p": 7, "profile": run.profile.label()},
-            "candidates": [
-                {"uvw": list(a.counts),
-                 "k": [list(a.k_type1), list(a.k_type2), list(a.k_type3)]}
-                for a in run.surviving_assignments
-            ],
-            "filters": [
-                {"candidate": a.candidate_id, "filter": a.filter_name,
-                 "verdict": a.verdict, "detail": a.detail}
-                for a in run.audits
-            ],
-            "survivors": [a.cid() for a in run.surviving_assignments],
-            "stage1": [list(s) for s in run.stage1],
-            "delta_table": run.delta_table,
-            "nu_table": run.nu_table,
-            "structure": run.structure,
-            "timings": None,
-        })
-    raise TypeError("unknown run type %r" % type(run))
+    return _jsonable({
+        "command": "census p%d" % run.p,
+        "inputs": {"p": run.p, "profiles": [pr.label() for pr, _ in run.stage1]},
+        "stage1": {pr.label(): sols for pr, sols in run.stage1},
+        "candidates": [{"id": c.cid, "profile": c.profile.label(), "counts": c.counts(),
+                        "residues": c.residues,
+                        "in_elimination_table": c.profile.in_elimination_table()}
+                       for c in run.candidates],
+        "filters": [
+            {"candidate": a.candidate_id, "filter": a.filter_name,
+             "verdict": a.verdict, "detail": a.detail}
+            for a in run.audits
+        ],
+        "survivors": list(run.survivors),
+        "delta_table": decimal_table(delta_values(run.p), run.digits),
+        "nu_table": decimal_table(nu_values(run.p), run.digits),
+        "structure": run.structure,
+        "stats": run.stats,
+        "timings": None,
+    })
 
 
 def _jsonable(x):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import census, e8, gindex, kummer, reps, sgnperm
-from .cyclotomic import (CycNum, cos_angle, cyc_make, embed_str,
+from .cyclotomic import (CycNum, cos_angle, cyc_make,
                          minimal_polynomial, poly_str)
 from .errors import CheckFailure
 from .record import record
@@ -224,13 +224,13 @@ VERIFIERS = {
 
 
 def census_p5(cfg: RunConfig) -> dict:
-    run = census.run_p5()
+    run = census.run_p5(cfg.digits)
     _check(run.survivors == ("c", "i", "iii"), "survivors %r" % (run.survivors,))
     return census.report(run)
 
 
 def census_p7(cfg: RunConfig) -> dict:
-    run = census.solve_p7()
+    run = census.solve_p7(cfg.digits)
     _check(run.structure.get("equal_k_forced"), "unequal residues not eliminated")
     return census.report(run)
 
@@ -265,14 +265,12 @@ def defect_table(cfg: RunConfig) -> dict:
     for p in (5, 7):
         for q in range(1, p):
             out["point_defects"]["I_%d_%d" % (p, q)] = str(gindex.signature_defect(p, q))
-    for p, types in ((5, ("1", "3", "4", "A4~")), (7, ("1", "2", "3"))):
+    for p, types in census.GROUP_TYPES.items():
         for typ in types:
             out["group_totals"]["p=%d type %s" % (p, typ)] = str(census.group_defect(p, typ))
-    for typ, per in census.delta_values().items():
-        out["delta"][typ] = {k: embed_str(v, cfg.digits if cfg.digits <= 5 else 5)
-                             for k, v in per.items()}
-    for typ, per in census.nu_values().items():
-        out["nu"][typ] = {k: embed_str(v, 5) for k, v in per.items()}
+    out["delta"] = census.decimal_table(census.delta_values(7), cfg.digits)
+    nu = census.nu_values(7)  # the published table covers the two- and three-point groups
+    out["nu"] = census.decimal_table({typ: nu[typ] for typ in ("2", "3")}, cfg.digits)
     for k in (1, 2, 3, 4):
         val = census.group_signature(5, "A4~", k).as_rational()
         _check(val == -5, "chain-group signature is %s" % val)

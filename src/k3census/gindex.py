@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .cyclotomic import CycNum, cot_product, csc_squared, csc_cot, cyc_make
 from .errors import CheckFailure
@@ -251,28 +252,45 @@ class KsResult:
     smoothable: bool
 
 
-_ROCHLIN: dict[tuple[int, int], tuple[int, str]] | None = None
-
-
-def rochlin_table() -> dict[tuple[int, int], tuple[int, str]]:
-    global _ROCHLIN
-    if _ROCHLIN is None:
-        # imported here: on Python 3.12+ importlib.resources pulls in inspect,
-        # and only the census filters read the table
-        import json
-        from importlib import resources
-
-        raw = json.loads(resources.files("k3census").joinpath("data/rochlin_lens.json").read_text())
-        _ROCHLIN = {(e["p"], e["q"]): (e["value"], e["source"]) for e in raw["entries"]}
-    return _ROCHLIN
-
-
 def rochlin(p: int, q: int) -> int:
-    table = rochlin_table()
-    key = (p, q % p)
-    if key not in table:
-        raise KeyError("no tabulated Rochlin value for L(%d,%d)" % key)
-    return table[key][0]
+    """Rochlin invariant mu(L(p, q)) mod 16 for odd p, with the unique spin
+    structure (Neumann, "An invariant of plumbed homology spheres", 1980).
+
+    L(p, q) bounds the linear plumbing P with weights -a_1, ..., -a_n, where
+    p/q = a_1 - 1/(a_2 - ... - 1/a_n) with every a_i >= 2.  Its form Q is
+    tridiagonal with det Q = +-p odd, so exactly one 0/1 vector w solves
+    Q w = diag Q over F_2 (the characteristic class), and
+    mu(L(p, q)) = sign(P) - w.w mod 16."""
+    if p < 1 or p % 2 == 0 or gcd(p, q) != 1:
+        raise ValueError("need odd p >= 1 coprime to q, got L(%d,%d)" % (p, q))
+    if p == 1:
+        return 0  # L(1, q) is the 3-sphere
+    a, num, den = [], p, q % p
+    while den:
+        c = -(-num // den)
+        a.append(c)
+        num, den = den, c * den - num
+    # row i of Q w = diag Q mod 2 reads a_i w_i + w_{i-1} + w_{i+1} = a_i;
+    # w_1 fixes the rest, and the last row decides which w_1 is right
+    fits = []
+    for first in (0, 1):
+        w = [0, first]
+        for i in range(len(a) - 1):
+            w.append((a[i] * (1 + w[-1]) + w[-2]) % 2)
+        if (a[-1] * (1 + w[-1]) + w[-2]) % 2 == 0:
+            fits.append(w[1:])
+    if len(fits) != 1:
+        raise CheckFailure("L(%d,%d) has %d characteristic classes" % (p, q, len(fits)))
+    w = fits[0]
+    square = sum(-ai * wi + 2 * wi * wj for ai, wi, wj in zip(a, w, w[1:] + [0]))
+    # sign(P) by Jacobi: sign changes along the leading principal minors
+    minors = [1, -a[0]]
+    for i in range(1, len(a)):
+        minors.append(-a[i] * minors[-1] - minors[-2])
+    if abs(minors[-1]) != p or 0 in minors:
+        raise CheckFailure("plumbing of L(%d,%d) has minors %r" % (p, q, minors))
+    negative = sum(1 for x, y in zip(minors, minors[1:]) if x * y < 0)
+    return (len(a) - 2 * negative - square) % 16
 
 
 def lens_space(p: int, a: int, b: int) -> tuple[int, int]:

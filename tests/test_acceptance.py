@@ -12,7 +12,6 @@ from fractions import Fraction
 from k3census import census as cs
 from k3census import cyclotomic as cy
 from k3census import e8, gindex as gi, kummer as km, reps, sgnperm as sp
-from k3census.census import P5Counts
 from k3census.gindex import FixedPointData, SpinVector
 from k3census.sgnperm import SignedPerm
 
@@ -71,13 +70,19 @@ def test_criterion_04_defect_values():
     _ok(4, "defect table, group totals, and the chain-group values exact")
 
 
-CASE_A = P5Counts(1, 1, 2, 2, 0, 0, 0)
-CASE_B = P5Counts(0, 0, 1, 1, 1, 1, 0)
-CASE_C = P5Counts(0, 0, 2, 0, 0, 2, 0)
-CASE_D = P5Counts(1, 1, 1, 0, 0, 1, 0)
-CASE_I = P5Counts(2, 2, 0, 0, 0, 0, 2)
-CASE_II = P5Counts(1, 1, 1, 0, 0, 1, 1)
-CASE_III = P5Counts(2, 2, 0, 0, 0, 0, 1)
+# residues per group type ("1", "3", "4", "A4~") of the p = 5 cases
+CASE_A = ((1, 2), (1, 1, 2, 2), (), ())
+CASE_B = ((), (1, 2), (1, 2), ())
+CASE_C = ((), (1, 1), (2, 2), ())
+CASE_D = ((1, 2), (1,), (2,), ())
+CASE_I = ((1, 1, 2, 2), (), (), (1, 1))
+CASE_II = ((1, 2), (1,), (2,), (1,))
+CASE_III = ((1, 1, 2, 2), (), (), (1,))
+
+
+def _family(u0, v0):
+    return {(u0 - w + a, v0 - w - 2 * a, w, a) for w in range(v0 + 1) for a in range(v0 + 1)
+            if u0 - w + a >= 0 and v0 - w - 2 * a >= 0}
 
 
 def test_criterion_05_p5_census():
@@ -85,16 +90,17 @@ def test_criterion_05_p5_census():
     pr1 = cs.ThetaProfile.from_rts(5, (1, 3, 0), (1, 3, 0))
     prm = cs.ThetaProfile.from_rts(5, (1, 3, 0), (0, 0, 2))
     pr0 = cs.ThetaProfile.from_rts(5, (0, 0, 2), (0, 0, 2))
-    assert cs.solve_p5_stage1(pr1).family_str() == "(2-w+A,4-w-2A)"
-    assert cs.solve_p5_stage1(prm).family_str() == "(3-w+A,2-w-2A)"
-    assert cs.solve_p5_stage1(pr0).solutions() == ((4, 0, 0, 0),)
+    assert set(cs.stage1(pr1)) == _family(2, 4)   # (2-w+A, 4-w-2A)
+    assert set(cs.stage1(prm)) == _family(3, 2)   # (3-w+A, 2-w-2A)
+    assert cs.stage1(pr0) == ((4, 0, 0, 0),)
     run = cs.run_p5()
-    by_label = {c.cid: c.counts for c in run.candidates}
+    by_label = {c.cid: c.residues for c in run.candidates}
     assert by_label["a"] == CASE_A and by_label["b"] == CASE_B
     assert by_label["c"] == CASE_C and by_label["d"] == CASE_D
     assert by_label["i"] == CASE_I and by_label["ii"] == CASE_II
     assert by_label["iii"] == CASE_III
-    eliminated = {a.candidate_id for a in run.audits if a.verdict == "ruled_out"}
+    eliminated = {a.candidate_id for a in run.audits
+                  if a.verdict == "ruled_out" and a.filter_name != "exact_signature"}
     assert eliminated == {"a", "b", "d", "ii"}
     assert run.survivors == ("c", "i", "iii")
     elapsed = time.perf_counter() - start
@@ -113,7 +119,7 @@ def test_criterion_06_spin_numbers():
         "iii": (2, (2, 0, 0, 0, 0)),
     }
     run = cs.run_p5()
-    by_label = {c.cid: c.counts for c in run.candidates}
+    by_label = {c.cid: c for c in run.candidates}
     mu2mu3 = cy.cyc_make(5, 2) + cy.cyc_make(5, 3)
     for label, (rational, dvec) in expect.items():
         data = by_label[label].fixed_point_data()
@@ -132,27 +138,31 @@ def test_criterion_06_spin_numbers():
 def test_criterion_07_p7_census():
     start = time.perf_counter()
     run = cs.solve_p7()
-    assert run.stage1 == ((0, 2, 2), (1, 3, 1), (2, 4, 0))
-    assert run.delta_table == {
-        "1": {1: "4.31194", 2: "0.63596", 3: "0.05210"},
-        "2": {1: "-4.49396", 2: "-1.10992", 3: "1.60388"},
-        "3": {1: "-2.60388", 2: "3.49396", 3: "0.10992"},
+    assert [sols for _, sols in run.stage1] == [((0, 2, 2), (1, 3, 1), (2, 4, 0))]
+    rep = cs.report(run)
+    assert rep["delta_table"] == {
+        "1": {"1": "4.31194", "2": "0.63596", "3": "0.05210"},
+        "2": {"1": "-4.49396", "2": "-1.10992", "3": "1.60388"},
+        "3": {"1": "-2.60388", "2": "3.49396", "3": "0.10992"},
     }
-    assert run.nu_table == {
-        "2": {1: "-1.00000", 2: "-1.00000", 3: "-1.00000"},
-        "3": {1: "-0.44504", 2: "-1.80194", 3: "1.24698"},
+    assert {t: rep["nu_table"][t] for t in ("2", "3")} == {
+        "2": {"1": "-1.00000", "2": "-1.00000", "3": "-1.00000"},
+        "3": {"1": "-0.44504", "2": "-1.80194", "3": "1.24698"},
     }
     # compare the exact values against the published decimals at 1e-4
-    for typ, per in cs.delta_values().items():
+    for typ, per in cs.delta_values(7).items():
         for k, val in per.items():
             got, _ = cy.embed_real(val, 10)
-            assert abs(float(got) - float(run.delta_table[typ][k])) < 1e-4
+            assert abs(float(got) - float(rep["delta_table"][typ][str(k)])) < 1e-4
     assert run.structure["equal_k_forced"]
     assert run.structure["points"] == {"(2k,3k)": 2, "(-k,-k)": 2,
                                        "(2k,4k)": 2, "(-2k,k)": 4}
     sig = {a.candidate_id: a.verdict for a in run.audits
            if a.filter_name == "exact_signature"}
-    assert sig["uvw=1,3,1"] == "ruled_out" and sig["uvw=2,4,0"] == "ruled_out"
+    assert sig["(1,1,0)x(1,1,0) n=1,3,1"] == "ruled_out"
+    assert sig["(1,1,0)x(1,1,0) n=2,4,0"] == "ruled_out"
+    (survivor,) = [c for c in run.candidates if c.cid in run.survivors]
+    assert survivor.fixed_point_data().euler_characteristic() == 10
     elapsed = time.perf_counter() - start
     assert elapsed < 60
     _ok(7, "stage-1 triple, decimal tables at 1e-4, equal-residue forcing, "

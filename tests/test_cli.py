@@ -67,6 +67,25 @@ def test_json_output_round_trips(capsys, tmp_path):
     assert out_file.read_text() == out_file2.read_text()
 
 
+def _census_bytes(tmp_path, *extra):
+    out = tmp_path / "report.json"
+    assert cli.main(["census", "p7", "--format", "json", "--out", str(out), *extra]) == 0
+    return out.read_bytes()
+
+
+def test_digits_reach_the_census_decimals(tmp_path):
+    # census decimals follow --digits up to the five published places, the
+    # rule defect-table applies
+    default = _census_bytes(tmp_path)
+    assert _census_bytes(tmp_path, "--digits", "5") == default
+    assert _census_bytes(tmp_path, "--digits", "15") == default
+    one = json.loads(_census_bytes(tmp_path, "--digits", "1"))
+    assert one["delta_table"]["1"]["1"] == "4.3"
+    assert one["nu_table"]["3"]["2"] == "-1.8"
+    assert "(-5.6)" in next(f["detail"] for f in one["filters"] if f["filter"] == "fang"
+                            and f["verdict"] == "survives")
+
+
 def test_corrupted_pairing_table_fails(capsys, monkeypatch):
     real = kummer._pair_gens
 

@@ -69,11 +69,13 @@ I = CycNum.zeta(4, 1)
 
 
 def test_report_values_match_reference():
-    values = [v for per in census.delta_values().values() for v in per.values()]
-    values += [v for per in census.nu_values().values() for v in per.values()]
-    candidates = census.run_p5().candidates
-    values += [gindex.spin_value(c.counts.fixed_point_data()) for c in candidates]
-    assert len(values) == 15 + len(candidates)
+    # the delta and nu tables both census reports print, and the spin
+    # values of their fang audits
+    values = [v for p in (5, 7) for table in (census.delta_values(p), census.nu_values(p))
+              for per in table.values() for v in per.values()]
+    candidates = census.run_p5().candidates + census.solve_p7().candidates
+    values += [gindex.spin_value(c.fixed_point_data()) for c in candidates]
+    assert len(values) == 2 * (4 * 2 + 3 * 3) + 10
     _same_strings(values, (1, 5, 15))
 
 

@@ -128,8 +128,12 @@ def test_rochlin_table_and_ks():
     assert gi.rochlin(5, 1) == 4
     assert gi.rochlin(5, 2) == 0
     assert gi.rochlin(5, 3) == 0
-    with pytest.raises(KeyError):
-        gi.rochlin(7, 1)
+    # derived for every odd p, not read from a table
+    assert gi.rochlin(5, 4) == 12
+    assert gi.rochlin(7, 1) == 6
+    for p, q in ((6, 1), (5, 5), (9, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            gi.rochlin(p, q)
     res = gi.ks_rochlin_test([(5, 1)] * 6 + [(5, 2)] * 6 + [(5, 3)] * 2, -8)
     assert res.ks == 0 and res.smoothable
     assert gi.ks_rochlin_test([], 0).ks == 0

@@ -24,13 +24,9 @@ MODULES = (census, cli, e8, gindex, kummer, reps, sgnperm)
 # (frozen, order) as each class is declared
 RECORDS = {
     census.ThetaProfile: (True, True),
-    census.StageOneFamily: (True, False),
-    census.P5Counts: (True, True),
     census.Audit: (True, False),
     census.Candidate: (True, False),
     census.CensusRun: (True, False),
-    census.P7Assignment: (True, False),
-    census.P7Run: (True, False),
     census.Q8Fixture: (True, False),
     census.InvolutionVerdict: (True, False),
     cli.RunConfig: (False, False),
@@ -56,20 +52,16 @@ VALUE_TYPES = {
 
 
 def _samples():
-    run5, run7 = census.run_p5(), census.solve_p7()
-    data = [c.counts.fixed_point_data() for c in run5.candidates]
+    run5, run7 = census.run_census(5), census.run_census(7)
+    data = [c.fixed_point_data() for c in run5.candidates + run7.candidates]
     w = sgnperm.w_f
     elements = [w(1), w(1) * w(3), w(1) * w(3) * w(5), w(1) * w(3) * w(5) * w(7),
                 w(1) * w(3) * w(5) * sgnperm.w_f7_prime()]
     return {
-        census.ThetaProfile: list(run5.profiles),
-        census.StageOneFamily: [census.solve_p5_stage1(pr) for pr in run5.profiles],
-        census.P5Counts: [c.counts for c in run5.candidates],
+        census.ThetaProfile: [pr for pr, _ in run5.stage1 + run7.stage1],
         census.Audit: list(run5.audits[:5] + run7.audits[:5]),
-        census.Candidate: list(run5.candidates),
-        census.CensusRun: [run5],
-        census.P7Assignment: list(run7.surviving_assignments),
-        census.P7Run: [run7],
+        census.Candidate: list(run5.candidates + run7.candidates),
+        census.CensusRun: [run5, run7],
         census.Q8Fixture: [census.q8_fixture_solver()],
         census.InvolutionVerdict: [census.involution_fixture_check(c) for c in
                                    ([], [(1, 0), (1, 0)], [(0, -2), (1, 0)], [(2, 2)])],

@@ -404,8 +404,8 @@ def census_spin_data(monkeypatch):
         return original(data)
 
     monkeypatch.setattr(gi, "spin_value", recording)
-    census.run_p5()
-    census.solve_p7()
+    for p in census.GROUP_TYPES:
+        census.run_census(p)
     monkeypatch.undo()
     return seen
 
