@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import census, e8, gindex, kummer, reps, sgnperm
-from .cyclotomic import (CycNum, cos_angle, cyc_make,
+from .cyclotomic import (CycNum, cos_angle, cyc_make, inv_one_minus_zeta,
                          minimal_polynomial, poly_str)
 from .errors import CheckFailure
 from .record import record
@@ -33,9 +33,11 @@ def _check(cond, msg):
 
 
 def _cot_ratio(p: int, a: int, b: int) -> CycNum:
-    one = CycNum.rational(1)
-    za, zb = cyc_make(p, a), cyc_make(p, b)
-    return ((one + za) * (one - zb)) / ((one - za) * (one + zb))
+    """cot(a pi/p) / cot(b pi/p) = (1+z^a)(1-z^b) / ((1-z^a)(1+z^b)), with
+    1 / (1 + z^b) = (1 - z^b) / (1 - z^(2b))."""
+    one_minus_zb = 1 - cyc_make(p, b)
+    return ((1 + cyc_make(p, a)) * inv_one_minus_zeta(p, a) * one_minus_zb * one_minus_zb
+            * inv_one_minus_zeta(p, 2 * b))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ denominator.  Mixed conductors promote to the lcm.
 
 Products are integer convolutions: exponents fold mod n (z^n = 1), and the
 powers z^k with phi(n) <= k < n are rewritten from a per-conductor integer
-table built on first use.  The inverse is the product of the other Galois
-conjugates divided by the norm, so no arithmetic ever leaves Z until the
-rational coefficients are read.
+table built on first use.  The generic inverse is the product of the other
+Galois conjugates divided by the norm, so no arithmetic ever leaves Z until
+the rational coefficients are read.
 
 All trigonometric quantities at angles k*pi/p (cotangent, cosecant, cosine)
 are expressed inside these fields, e.g.
@@ -19,10 +19,23 @@ are expressed inside these fields, e.g.
     cot(a*pi/p) = -i (1 + z^a) / (1 - z^a),   z = zeta_p,
 
 so products like cot*cot, csc^2 and csc*cot are exact field elements with
-no floating point anywhere.  Decimal embeddings exist only for display and
-for comparison against published 5-decimal tables; they too run on integers,
-as fixed-point enclosures with counted error bounds, and a digit is printed
-only when the whole enclosure rounds to it.
+no floating point anywhere.  Their only divisions are by factors 1 - z^c,
+and those need no inverse: if z^c has order m > 1 then
+
+    1 / (1 - z^c) = -(1/m) sum_{k<m} k z^(ck),
+
+because (1 - w) sum_k k w^k = sum_{k=1}^{m-1} w^k - (m-1) w^m = -m for a
+primitive m-th root of unity w.  inv_one_minus_zeta memoizes this closed
+form per (n, c) and certifies each entry once by multiplying back; the
+cot*cot, csc^2 and csc*cot elements, the Dirac character's point terms
+(gindex) and the cot ratio of lemma 6.4 (cli) all divide through it, and
+1 / (1 + z^b) is written (1 - z^b) / (1 - z^(2b)).  None of them calls the
+generic inverse, which stays as the field operation behind `/`.
+
+Decimal embeddings exist only for display and for comparison against
+published 5-decimal tables; they too run on integers, as fixed-point
+enclosures with counted error bounds, and a digit is printed only when the
+whole enclosure rounds to it.
 """
 
 from __future__ import annotations
@@ -366,6 +379,33 @@ def cyc_make(n: int, k: int) -> CycNum:
     return CycNum.zeta(n, k)
 
 
+def _closed_form_inverse(n: int, c: int) -> CycNum:
+    """-(1/m) sum_{k<m} k z^(ck) in Q(zeta_n), m > 1 the order of z^c."""
+    m = n // gcd(n, c)
+    vals = [0] * n
+    for k in range(1, m):
+        vals[c * k % n] = -k
+    return CycNum._make(n, _fold(n, vals), m)
+
+
+@lru_cache(maxsize=None)
+def inv_one_minus_zeta(n: int, c: int) -> CycNum:
+    """1 / (1 - z^c) in Q(zeta_n) by the closed form; CheckFailure unless
+    (1 - z^c) times it is 1."""
+    if c % n == 0:
+        raise ZeroDivisionError("1 - z^%d vanishes in Q(zeta_%d)" % (c, n))
+    out = _closed_form_inverse(n, c)
+    if (1 - CycNum.zeta(n, c)) * out != 1:
+        raise CheckFailure("closed-form inverse of 1 - z^%d in Q(zeta_%d) is wrong" % (c, n))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cot_unit(p: int, a: int) -> CycNum:
+    """(1 + z^a) / (1 - z^a) = 2 / (1 - z^a) - 1, which is i cot(a*pi/p)."""
+    return 2 * inv_one_minus_zeta(p, a) - 1
+
+
 @lru_cache(maxsize=None)
 def cot_product(p: int, a: int, b: int) -> CycNum:
     """-cot(a*pi/p) * cot(b*pi/p) as (1+z^a)(1+z^b) / ((1-z^a)(1-z^b))."""
@@ -373,9 +413,7 @@ def cot_product(p: int, a: int, b: int) -> CycNum:
     b %= p
     if a == 0 or b == 0:
         raise ValueError("cotangent pole: residue 0 mod %d" % p)
-    one = CycNum.rational(1)
-    za, zb = CycNum.zeta(p, a), CycNum.zeta(p, b)
-    return ((one + za) * (one + zb)) / ((one - za) * (one - zb))
+    return _cot_unit(p, a) * _cot_unit(p, b)
 
 
 @lru_cache(maxsize=None)
@@ -384,9 +422,7 @@ def csc_squared(p: int, c: int) -> CycNum:
     c %= p
     if c == 0:
         raise ValueError("cosecant pole: residue 0 mod %d" % p)
-    one = CycNum.rational(1)
-    zc, zmc = CycNum.zeta(p, c), CycNum.zeta(p, -c)
-    return CycNum.rational(4) / ((one - zc) * (one - zmc))
+    return inv_one_minus_zeta(p, c) * inv_one_minus_zeta(p, p - c) * 4
 
 
 def cos_angle(p: int, c: int) -> CycNum:

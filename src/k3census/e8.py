@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul, neg
 
 from . import linalg
 from .errors import CheckFailure
@@ -112,9 +112,14 @@ class LatticeVec:
 Root = LatticeVec  # a LatticeVec of norm 2
 
 
+def _dot(du: Doubled, dv: Doubled) -> int:
+    """Four times the pairing of two doubled tuples."""
+    return sum(map(mul, du, dv))
+
+
 def raw_inner(du: Doubled, dv: Doubled):
     """Pairing on raw doubled tuples: int if integral, else Fraction."""
-    q = sum(a * b for a, b in zip(du, dv))
+    q = _dot(du, dv)
     if q % 4 == 0:
         return q // 4
     return Fraction(q, 4)
@@ -165,9 +170,11 @@ def root_set() -> frozenset[Doubled]:
 
 def reflect(r: Root, x: LatticeVec) -> LatticeVec:
     """w_r(x) = x - (r, x) r, the reflection through the hyperplane r-perp."""
-    if not is_root(r):
+    if r.d not in root_set():
         raise ValueError("reflection axis must be a root")
     c = raw_inner(r.d, x.d)  # integer for lattice x
+    if not c:
+        return x
     return LatticeVec(tuple(xd - c * rd for xd, rd in zip(x.d, r.d)))
 
 
@@ -187,8 +194,10 @@ def standard_basis() -> tuple[Root, ...]:
     basis = tuple(fs)
     if not all(is_root(f) for f in basis):
         raise CheckFailure("a basis vector f_i is not a root")
-    if abs(linalg.det([[Fraction(x, 2) for x in f.d] for f in basis])) != 1:
-        raise CheckFailure("f1..f8 do not span the lattice")
+    # det(F)^2 = det(F^T F) = det C = 1 for the E8 Cartan matrix C
+    if gram(basis) != expected_cartan():
+        raise CheckFailure("f1..f8 do not span the lattice: their Gram matrix is not "
+                           "the E8 Cartan matrix")
     return basis
 
 
@@ -227,32 +236,39 @@ def expected_cartan() -> list[list[int]]:
 
 
 def _normalized_mod_sign(roots) -> list[Root]:
+    """The roots sorted by their doubled tuples, keeping the first of each
+    pair +-r."""
     seen = set()
     out = []
-    for r in sorted(roots):
-        if r.d in seen or tuple(-x for x in r.d) in seen:
+    for r in sorted(roots, key=attrgetter("d")):
+        d = r.d
+        if d in seen or tuple(map(neg, d)) in seen:
             continue
-        seen.add(r.d)
+        seen.add(d)
         out.append(r)
     return out
 
 
 def _find_a_chain(roots: list[Root], n: int, avoid=()) -> tuple[Root, ...] | None:
     """A subset realizing the A_n diagram: a path r1..rn with |(r_i,r_j)| = 1
-    for consecutive roots and 0 otherwise, all orthogonal to `avoid`."""
-    pool = [r for r in roots if all(inner(r, a) == 0 for a in avoid)]
+    for consecutive roots and 0 otherwise, all orthogonal to `avoid`.
+
+    Runs on the doubled tuples, where (r, s) = +-1 is |r.d . s.d| = 4 and
+    (r, s) = 0 is r.d . s.d = 0."""
+    avoid = [a.d for a in avoid]
+    by_d = {r.d: r for r in roots if not any(_dot(r.d, a) for a in avoid)}
+    pool = list(by_d)
 
     def extend(chain):
         if len(chain) == n:
-            return tuple(chain)
-        for r in pool:
-            if any(r.d == c.d for c in chain):
+            return tuple(by_d[d] for d in chain)
+        last = chain[-1]
+        for d in pool:
+            if d in chain or abs(_dot(last, d)) != 4:
                 continue
-            if abs(inner(chain[-1], r)) != 1:
+            if any(_dot(c, d) for c in chain[:-1]):
                 continue
-            if any(inner(c, r) != 0 for c in chain[:-1]):
-                continue
-            got = extend(chain + [r])
+            got = extend(chain + [d])
             if got:
                 return got
         return None
@@ -346,24 +362,23 @@ def apply_matrix(m, x: LatticeVec) -> LatticeVec:
 
 
 @lru_cache(maxsize=None)
-def _basis_matrix() -> list[list[Fraction]]:
-    """Columns are f1..f8 in e-coordinates."""
-    fs = standard_basis()
-    return [[fs[j].halves()[i] for j in range(8)] for i in range(8)]
-
-
-@lru_cache(maxsize=None)
 def _basis_inverse() -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(s, B) with B / s the inverse of the basis matrix and B integral."""
-    f = _basis_matrix()
-    n = 8
-    aug = [list(f[i]) + linalg.identity(n)[i] for i in range(n)]
-    red, pivots = linalg._echelon(aug)
-    if pivots != list(range(n)):
-        raise CheckFailure("f1..f8 are linearly dependent")
-    inv = [row[n:] for row in red]
-    s = lcm(*(x.denominator for row in inv for x in row))
-    return s, tuple(tuple(int(x * s) for x in row) for row in inv)
+    """(2, B) with B / 2 the inverse of the basis matrix F (columns f1..f8 in
+    e-coordinates) and B integral.
+
+    F^T F is the Cartan matrix C, which is unimodular, so F^-1 = C^-1 F^T.
+    C^-1 = v u comes from the integer Smith form u C v = I, and with D = 2F
+    the doubled coordinates, B = C^-1 D^T.  Certified by B D = 4 I."""
+    d, u, v = linalg.smith_normal_form(cartan_matrix())
+    if d != [[int(i == j) for j in range(8)] for i in range(8)]:
+        raise CheckFailure("the Cartan matrix has Smith form %r, not I" % (d,))
+    u_cols = list(zip(*u))
+    c_inv = [[sum(map(mul, row, col)) for col in u_cols] for row in v]
+    ds = [f.d for f in standard_basis()]  # the columns of D
+    b = tuple(tuple(sum(map(mul, row, col)) for col in zip(*ds)) for row in c_inv)
+    if any(_dot(row, dj) != 4 * (i == j) for i, row in enumerate(b) for j, dj in enumerate(ds)):
+        raise CheckFailure("B D is not 4 I: the Cartan inverse is wrong")
+    return 2, b
 
 
 def f_coordinates(v: LatticeVec) -> tuple[int, ...]:
@@ -408,26 +423,28 @@ def coxeter_matrix(simple_roots) -> list[list[Fraction]]:
     return word_matrix(list(simple_roots))
 
 
+@lru_cache(maxsize=None)
 def orthogonal_a4_pair() -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     """Two mutually orthogonal A4 chains inside the root system."""
     all_roots = list(enumerate_roots())
     first = _find_a_chain(_normalized_mod_sign(all_roots), 4)
     if first is None:
         raise CheckFailure("no A4 chain among the roots")
-    rest = [r for r in all_roots if all(inner(r, a) == 0 for a in first)]
+    rest = [r for r in all_roots if not any(_dot(r.d, a.d) for a in first)]
     second = _find_a_chain(_normalized_mod_sign(rest), 4)
     if second is None:
         raise CheckFailure("no A4 chain orthogonal to %r" % (first,))
     return first, second
 
 
+@lru_cache(maxsize=None)
 def orthogonal_a2_quadruple() -> tuple[tuple[Root, ...], ...]:
     """Four mutually orthogonal A2 chains inside the root system."""
     chains: list[tuple[Root, ...]] = []
-    pool = list(enumerate_roots())
+    pool = _normalized_mod_sign(enumerate_roots())
     for _ in range(4):
         avoid = tuple(r for c in chains for r in c)
-        nxt = _find_a_chain(_normalized_mod_sign(pool), 2, avoid=avoid)
+        nxt = _find_a_chain(pool, 2, avoid=avoid)
         if nxt is None:
             raise CheckFailure("no A2 chain orthogonal to %d earlier chains" % len(chains))
         chains.append(nxt)

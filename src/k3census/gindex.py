@@ -25,7 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CycNum, cot_product, csc_squared, csc_cot, cyc_make
+from .cyclotomic import (CycNum, cot_product, csc_squared, csc_cot, cyc_make,
+                         inv_one_minus_zeta)
 from .errors import CheckFailure
 from .record import record
 
@@ -179,8 +180,7 @@ def _point_term(p: int, a: int, b: int) -> CycNum:
     """mu^r / ((1 - mu^-a)(1 - mu^-b)) with 2 r + a + b = 0 mod p: the Dirac
     character contribution of an isolated point with rotation numbers (a, b)."""
     r = next(r for r in range(p) if (2 * r + a + b) % p == 0)
-    one = CycNum.rational(1)
-    return cyc_make(p, r) / ((one - cyc_make(p, -a)) * (one - cyc_make(p, -b)))
+    return cyc_make(p, r) * inv_one_minus_zeta(p, -a) * inv_one_minus_zeta(p, -b)
 
 
 def spin_value(data: FixedPointData) -> CycNum:

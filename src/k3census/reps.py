@@ -148,6 +148,16 @@ def norm_matrix(m, p: int) -> list[list[int]]:
     return [_unpack(x, n, bits) for x in norm]
 
 
+def _order_divides(m, p: int) -> bool:
+    """Whether g^p = 1 for the integer matrix g = m."""
+    n = len(m)
+    cols = list(zip(*m))
+    power = [list(row) for row in m]
+    for _ in range(p - 1):
+        power = [[sum(map(mul, row, col)) for col in cols] for row in power]
+    return power == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _lane_bits(bound: int) -> int:
     """Lane width in bits for signed entries of absolute value at most bound."""
     return bound.bit_length() + 1
@@ -282,18 +292,14 @@ def lift_summand(action, sub_basis, quotient_gen, kind: str | None = None) -> Li
         cond = [[action[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
         label = "fixed preimage"
     elif kind == "cyclotomic":
-        power = [row[:] for row in ident]
-        total = [[0] * n for _ in range(n)]
-        for _ in range(p):
-            total = [[total[i][j] + power[i][j] for j in range(n)] for i in range(n)]
-            power = [[sum(power[i][k] * action[k][j] for k in range(n)) for j in range(n)]
-                     for i in range(n)]
-        cond = total
+        if not _order_divides(action, p):
+            return LiftResult(kind, None, "the action does not have order %d on the lattice" % p)
+        cond = norm_matrix(action, p)
         label = "norm-annihilated preimage"
     else:
         raise ValueError("unknown summand kind %r" % kind)
 
-    rhs = [-x for x in ( [sum(cond[i][j] * quotient_gen[j] for j in range(n)) for i in range(n)] )]
+    rhs = [-sum(map(mul, row, quotient_gen)) for row in cond]
     if not sub_basis:
         if all(x == 0 for x in rhs):
             sol_vec = list(quotient_gen)

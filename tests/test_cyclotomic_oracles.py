@@ -2,7 +2,9 @@
 kernels, kept here and nowhere in the package.  Each pins an integer kernel
 (CycNum products, inverses and conjugates, the integer characteristic
 polynomial, the f-basis change, the reflection word product) to the rational
-polynomial or linear-algebra route it replaces."""
+polynomial or linear-algebra route it replaces.  The closed-form
+1 / (1 - z^c) is pinned to the generic Galois-norm inverse, and the cot, csc
+and Dirac point-term elements built on it to the `/` route they replaced."""
 
 import random
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from k3census import cyclotomic as cy, e8, linalg, reps
+from k3census import cli, cyclotomic as cy, e8, gindex, linalg, reps
 from k3census.cyclotomic import CycNum
 from k3census.sgnperm import SignedPerm
 
@@ -206,6 +208,68 @@ def test_trig_elements_match_reference():
                            ref_inverse(ref_mul(one_plus(a, -1, p), one_plus(-a, -1, p), p), p), p)
             assert cy.csc_squared(p, a).coeffs == csc2
             assert cy.csc_cot(p, a).coeffs == ref_mul(cy.cos_angle(p, a).coeffs, csc2, p)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 1 / (1 - z^c) against the generic inverse, and the
+# trigonometric elements against the division route they replaced
+#
+# These checks use pytest.fail, not the assert statement.
+
+DIVISION_PRIMES = (3, 5, 7, 11, 13)
+
+
+def test_closed_form_inverse_matches_generic_inverse():
+    for n in range(1, 61):
+        for c in range(1, n):
+            want = (1 - CycNum.zeta(n, c)).inverse()
+            if cy.inv_one_minus_zeta(n, c) != want:
+                pytest.fail("1 / (1 - z^%d) in Q(zeta_%d): closed form %r, inverse %r"
+                            % (c, n, cy.inv_one_minus_zeta(n, c), want))
+        for c in (0, n, -n):
+            with pytest.raises(ZeroDivisionError):
+                cy.inv_one_minus_zeta(n, c)
+
+
+def division_route(p):
+    """The cot, csc and point-term elements as quotients through `/`."""
+    one = CycNum.rational(1)
+
+    def z(k):
+        return CycNum.zeta(p, k)
+
+    def cot_product(a, b):
+        return ((one + z(a)) * (one + z(b))) / ((one - z(a)) * (one - z(b)))
+
+    def csc_squared(c):
+        return CycNum.rational(4) / ((one - z(c)) * (one - z(-c)))
+
+    def point_term(a, b):
+        r = next(r for r in range(p) if (2 * r + a + b) % p == 0)
+        return z(r) / ((one - z(-a)) * (one - z(-b)))
+
+    def cot_ratio(a, b):
+        return ((one + z(a)) * (one - z(b))) / ((one - z(a)) * (one + z(b)))
+
+    return cot_product, csc_squared, point_term, cot_ratio
+
+
+def test_trig_elements_match_division_route():
+    for p in DIVISION_PRIMES:
+        cot_product, csc_squared, point_term, cot_ratio = division_route(p)
+        for a in range(1, p):
+            for b in range(1, p):
+                checks = ((cy.cot_product(p, a, b), cot_product(a, b), "cot_product"),
+                          (gindex._point_term(p, a, b), point_term(a, b), "_point_term"),
+                          (cli._cot_ratio(p, a, b), cot_ratio(a, b), "_cot_ratio"))
+                for got, want, name in checks:
+                    if got != want or got.n != want.n:
+                        pytest.fail("%s(%d, %d, %d) = %r, division route %r"
+                                    % (name, p, a, b, got, want))
+            if cy.csc_squared(p, a) != csc_squared(a):
+                pytest.fail("csc_squared(%d, %d) differs from the division route" % (p, a))
+            if cy.csc_cot(p, a) != cy.cos_angle(p, a) * csc_squared(a):
+                pytest.fail("csc_cot(%d, %d) differs from the division route" % (p, a))
 
 
 def test_fold_table_rows_are_reduced_powers():

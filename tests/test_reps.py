@@ -104,6 +104,18 @@ def test_lift_cyclotomic_success():
     assert res.kind == "cyclotomic" and res.lifted
 
 
+def test_lift_cyclotomic_needs_the_order_on_the_lattice():
+    # g rotates U = <e1, e2> by a quarter turn and acts as -1 on L/U = <e3>:
+    # the quotient orbit closes after 2 steps, but g^2 = -1 on U, so the
+    # norm relation 1 + g is no cyclotomic condition; a failure value, no error
+    action = [[0, -1, 1], [1, 0, 0], [0, 0, -1]]
+    res = lift_summand(action, [[1, 0, 0], [0, 1, 0]], [0, 0, 1])
+    if res.kind != "cyclotomic" or res.lifted:
+        pytest.fail("expected a failed cyclotomic lift, got %r" % (res,))
+    if res.reason != "the action does not have order 2 on the lattice":
+        pytest.fail("reason %r" % (res.reason,))
+
+
 def test_charpoly_crosscheck_holds_on_witnesses():
     # decompose_matrix already asserts (x^p-1)^r Phi_p^s (x-1)^t internally;
     # run it over the full witness set once more for visibility
