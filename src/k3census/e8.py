@@ -356,11 +356,6 @@ def word_matrix(word) -> list[list[Fraction]]:
     return [[Fraction(x, 4) for x in row] for row in m4]
 
 
-def apply_matrix(m, x: LatticeVec) -> LatticeVec:
-    vals = linalg.mat_vec(m, list(x.halves()))
-    return LatticeVec.from_halves(vals)
-
-
 @lru_cache(maxsize=None)
 def _basis_inverse() -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(2, B) with B / 2 the inverse of the basis matrix F (columns f1..f8 in

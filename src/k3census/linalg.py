@@ -24,10 +24,6 @@ def frac_matrix(rows) -> Mat:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def zeros(n: int, m: int) -> Mat:
     return [[Fraction(0)] * m for _ in range(n)]
 
@@ -42,10 +38,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         for j in range(m):
             out[i][j] = sum(ai[l] * b[l][j] for l in range(k))
     return out
-
-
-def mat_vec(a: Mat, x) -> Vec:
-    return [sum(Fraction(a[i][j]) * x[j] for j in range(len(x))) for i in range(len(a))]
 
 
 def _echelon(a: Mat) -> tuple[Mat, list[int]]:
@@ -77,27 +69,6 @@ def rank(a: Mat) -> int:
     if not a:
         return 0
     return len(_echelon(frac_matrix(a))[1])
-
-
-def det(a: Mat) -> Fraction:
-    m = [list(map(Fraction, row)) for row in a]
-    n = len(m)
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        d *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d * sign
 
 
 def solve(a: Mat, b) -> Vec | None:

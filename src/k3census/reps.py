@@ -14,6 +14,11 @@ integral invariant:
 The rational system alone is singular (x^p - 1 = (x-1) Phi_p makes the
 characteristic polynomial blind to r vs s+t trades), hence the cokernel
 computation.
+
+An order-p element of the signed-permutation subgroup H is decomposed
+through its conjugacy class: conjugation by h in H is a Z[Z_p]-isomorphism,
+so decompose_element carries each element to its class representative by a
+conjugator checked at run time and decomposes each representative once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from . import e8, linalg
 from .cyclotomic import cyclotomic_polynomial, poly_mul
 from .errors import CheckFailure
 from .record import record
-from .sgnperm import SignedPerm
+from .sgnperm import SignedPerm, class_representative
 
 
 @record(frozen=True, order=True)
@@ -198,11 +203,35 @@ def _expected_charpoly(p: int, r: int, s: int, t: int) -> tuple[int, ...]:
 
 
 def decompose_element(g: SignedPerm, p: int) -> RepDecomp:
-    """Decomposition of the E8 lattice under an order-p signed permutation."""
-    if g.order() != p:
-        raise ValueError("element has order %d, expected %d" % (g.order(), p))
-    m = e8.matrix_in_f_basis(g.matrix_e())
-    return decompose_matrix(m, p, charpoly_hint=g.charpoly())
+    """Decomposition of the E8 lattice under an order-p signed permutation.
+
+    Conjugation by h in H, a subgroup of Aut(E8), is an isomorphism of
+    Z[Z_p]-modules from E8 under g to E8 under h g h^-1, so (r, s, t) is
+    constant on the conjugacy class of g in H.  g.class_conjugator() gives
+    that h and the signed cycle type; the product h g h^-1 is checked to be
+    the class representative (CheckFailure otherwise; the constructor of h
+    has checked its sign product, so h is in H), and the representative's
+    decomposition is computed once per class by decompose_matrix with all
+    its certificates.  ValueError if g does not have order p, or if all its
+    cycles have even length (its order is then even, and its class in H may
+    split)."""
+    ctype, h = g.class_conjugator()
+    rep = class_representative(ctype)
+    if rep.order() != p:
+        raise ValueError("element has order %d, expected %d" % (rep.order(), p))
+    if g.conjugated_by(h) != rep:
+        raise CheckFailure("the conjugator %r does not carry %r to the representative "
+                           "of its class" % (h, g))
+    return _class_decomposition(ctype, p)
+
+
+@lru_cache(maxsize=None)
+def _class_decomposition(ctype, p: int) -> RepDecomp:
+    """decompose_matrix on the f-basis matrix of class_representative(ctype);
+    H has at most four classes of order 3, 5 or 7."""
+    rep = class_representative(ctype)
+    m = e8.matrix_in_f_basis(rep.matrix_e())
+    return decompose_matrix(m, p, charpoly_hint=rep.charpoly())
 
 
 # ---------------------------------------------------------------------------

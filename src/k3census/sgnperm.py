@@ -43,8 +43,9 @@ def _ext(a: Img) -> Img:
 
 
 def _img_mul(a: Img, b: Img) -> Img:
-    """Raw composition (a then applied after b) on image tuples."""
-    return tuple(map(_ext(a).__getitem__, b))
+    """Raw composition (a then applied after b) on image tuples: entry i is
+    the signed image under a of the signed letter b[i]."""
+    return tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in b])
 
 
 def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -191,6 +192,51 @@ class SignedPerm:
         out.sort()
         return tuple(out)
 
+    def class_conjugator(self) -> tuple[tuple[tuple[int, int], ...], "SignedPerm"]:
+        """(cycle_type(), h) with h in H and h g h^-1 = class_representative
+        of that type, from one walk along the image tuple.
+
+        A cycle c_0 -> s_1 c_1 -> ... -> s_L c_0 of g is sent by h to the
+        letters a, a+1, ..., a+L-1 of its block in the representative, with
+        h(e_{c_k}) = t_k e_{a+k} and t_k = s_1 ... s_k: then h g = rep h on
+        every letter, the last one included because t_(L-1) s_L is the
+        cycle's sign product.  If h has an odd number of -1 entries, its
+        signs on one odd-length cycle of g are flipped; that is composing h
+        with -1 on the cycle's letters, which commutes with g, so h lands in
+        H.  With no odd-length cycle the class of g in H may split, and
+        ValueError is raised."""
+        image = self.image
+        todo = [True] * 8
+        cycles = []
+        for start in range(8):
+            if todo[start]:
+                members, sign, i = [], 1, start
+                while todo[i]:
+                    todo[i] = False
+                    members.append((i, sign))
+                    t = image[i]
+                    if t < 0:
+                        sign, t = -sign, -t
+                    i = t - 1
+                cycles.append((len(members), sign, members))
+        ctype = tuple(sorted(c[:2] for c in cycles))
+        cycles.sort(key=lambda c: (-c[0], -c[1]))  # the representative's block order
+        h, at, odd, negative = [0] * 8, 1, None, 0
+        for length, _, members in cycles:
+            for k, (i, sign) in enumerate(members):
+                h[i] = sign * (at + k)
+                negative += sign < 0
+            if length % 2 and odd is None:
+                odd = members
+            at += length
+        if odd is None:
+            raise ValueError("signed cycle type %s has no odd-length cycle; its class "
+                             "in H may split" % (ctype,))
+        if negative % 2:
+            for i, _ in odd:
+                h[i] = -h[i]
+        return ctype, SignedPerm(tuple(h))
+
     def order(self) -> int:
         return _type_order(self.cycle_type())
 
@@ -225,6 +271,21 @@ def _type_order(ctype: tuple[tuple[int, int], ...]) -> int:
 
 
 @lru_cache(maxsize=None)
+def class_representative(ctype: tuple[tuple[int, int], ...]) -> SignedPerm:
+    """The element of signed cycle type ctype that SignedPerm.class_conjugator
+    transports to: the cycles run over consecutive letters, longest first
+    (sign +1 before -1 at equal length), each e_a -> e_(a+1) -> ... ->
+    e_(a+L-1) -> s e_a with its sign product s on the last entry.  So
+    std_cycle(p) is its own representative."""
+    image, at = [], 1
+    for length, sign in sorted(ctype, reverse=True):
+        image += range(at + 1, at + length)
+        image.append(sign * at)
+        at += length
+    return SignedPerm(tuple(image))
+
+
+@lru_cache(maxsize=None)
 def _type_charpoly(ctype: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Product of x^L - s over the (L, s) in ctype, low degree first."""
     poly = [1]
@@ -234,11 +295,6 @@ def _type_charpoly(ctype: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
             new[i + length] += a
         poly = new
     return tuple(poly)
-
-
-def group_order() -> int:
-    """|H| = 2^7 * 8!."""
-    return 2**7 * prod(range(1, 9))
 
 
 # ---------------------------------------------------------------------------

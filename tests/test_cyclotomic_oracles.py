@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from k3census import cli, cyclotomic as cy, e8, gindex, linalg, reps
 from k3census.cyclotomic import CycNum
 from k3census.sgnperm import SignedPerm
+from test_linalg import identity
 
 CONDUCTORS = (1, 3, 4, 5, 7, 8, 10, 12, 14, 15)
 ORACLE = settings(derandomize=True, max_examples=80, deadline=None)
@@ -304,7 +305,7 @@ def fraction_charpoly(a):
     n = len(a)
     am = linalg.frac_matrix(a)
     coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = linalg.identity(n)
+    m = identity(n)
     for k in range(1, n + 1):
         m = [[sum(am[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
         c = -sum(m[i][i] for i in range(n)) / k
@@ -399,7 +400,7 @@ def test_word_matrix_matches_fraction_product():
     words = [list(ch) for ch in e8.orthogonal_a2_quadruple()] + list(map(list, e8.orthogonal_a4_pair()))
     words += [[rng.choice(roots) for _ in range(rng.randint(0, 6))] for _ in range(30)]
     for word in words:
-        want = linalg.identity(8)
+        want = identity(8)
         for r in word:
             want = linalg.mat_mul(want, e8.reflection_matrix(r))
         assert e8.word_matrix(word) == want

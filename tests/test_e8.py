@@ -5,6 +5,7 @@ import pytest
 
 from k3census import e8
 from k3census.e8 import LatticeVec, enumerate_roots, inner, is_root, reflect
+from test_linalg import det
 
 
 def doubled(*true_coords):
@@ -42,9 +43,8 @@ def test_inner_examples():
 
 def test_cartan_matrix_and_unimodularity():
     assert e8.cartan_matrix() == e8.expected_cartan()
-    from k3census import linalg
     fs = e8.standard_basis()
-    assert abs(linalg.det([[Fraction(x, 2) for x in v.d] for v in fs])) == 1
+    assert abs(det([[Fraction(x, 2) for x in v.d] for v in fs])) == 1
 
 
 def test_figure_adjacency_abs_one():
@@ -123,6 +123,13 @@ def test_witness_gram_is_a4_chain():
     assert g[0][2] == g[0][3] == g[1][3] == 0
 
 
+def apply_matrix(m, x: LatticeVec) -> LatticeVec:
+    """x under the matrix m on e-coordinates (entries Fraction or int)."""
+    halves = x.halves()
+    return LatticeVec.from_halves([sum(Fraction(a) * b for a, b in zip(row, halves))
+                                   for row in m])
+
+
 def test_matrix_round_trip():
     fs = e8.standard_basis()
     m = e8.reflection_matrix(fs[0])
@@ -130,7 +137,7 @@ def test_matrix_round_trip():
     assert all(isinstance(x, int) for row in mf for x in row)
     # the f-basis matrix acts on f-coordinates consistently
     for v in fs:
-        img = e8.apply_matrix(m, v)
+        img = apply_matrix(m, v)
         coords = e8.f_coordinates(v)
         want = e8.f_coordinates(img)
         got = tuple(sum(mf[i][j] * coords[j] for j in range(8)) for i in range(8))

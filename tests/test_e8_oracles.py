@@ -20,6 +20,7 @@ import pytest
 
 from k3census import e8, linalg, sgnperm as sp
 from k3census.e8 import inner
+from test_linalg import det, identity
 
 
 def ref_normalized_mod_sign(roots):
@@ -76,7 +77,7 @@ def ref_basis_inverse():
     """(s, B) with B / s the inverse of the basis matrix, by Fraction
     Gauss-Jordan on [F | I]."""
     fs = e8.standard_basis()
-    aug = [[fs[j].halves()[i] for j in range(8)] + linalg.identity(8)[i] for i in range(8)]
+    aug = [[fs[j].halves()[i] for j in range(8)] + identity(8)[i] for i in range(8)]
     red, pivots = linalg._echelon(aug)
     if pivots != list(range(8)):
         pytest.fail("f1..f8 are linearly dependent")
@@ -164,5 +165,5 @@ def test_span_check_is_the_cartan_matrix():
     if e8.cartan_matrix() != e8.expected_cartan():
         pytest.fail("the Gram matrix of f1..f8 is not the E8 Cartan matrix")
     f = [[Fraction(x, 2) for x in fv.d] for fv in e8.standard_basis()]
-    if abs(linalg.det(f)) != 1 or linalg.det(e8.expected_cartan()) != 1:
+    if abs(det(f)) != 1 or det(e8.expected_cartan()) != 1:
         pytest.fail("det F or det C is not +-1")

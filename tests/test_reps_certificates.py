@@ -13,6 +13,16 @@ from k3census import cli, reps, sgnperm as sp
 from k3census.errors import CheckFailure
 
 
+@pytest.fixture(autouse=True)
+def cold_class_decompositions():
+    """decompose_element computes each class decomposition once; clear that
+    cache around every test here, so the kernels under test really run and
+    no result computed under a broken kernel outlives its test."""
+    reps._class_decomposition.cache_clear()
+    yield
+    reps._class_decomposition.cache_clear()
+
+
 def narrow_lanes(bound):
     """One bit short: 2^(B-1) no longer exceeds the bound."""
     return bound.bit_length()

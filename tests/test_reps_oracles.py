@@ -1,12 +1,14 @@
 """Plain reference versions of the decomposition, fixed-root and Dirac
 character kernels, kept here and nowhere in the package.  Each pins an
-integer kernel (the norm-matrix SNF of decompose_matrix, the packed-lane
-norm powers, the diagonal-only elementary divisors, the byte-lane
-fixed_roots, the memoized isolated-point term of spin_value) to the route it
-replaces."""
+integer kernel (the norm-matrix SNF of decompose_matrix, the per-class
+transport of decompose_element, the packed-lane norm powers, the
+diagonal-only elementary divisors, the byte-lane fixed_roots, the memoized
+isolated-point term of spin_value) to the route it replaces."""
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -14,7 +16,7 @@ from k3census import census, e8, gindex as gi, linalg, reps, sgnperm as sp
 from k3census.cyclotomic import CycNum, csc_cot, cyc_make
 from k3census.reps import RepDecomp
 from k3census.sgnperm import SignedPerm
-from test_sgnperm_oracles import signed_cycle_type_representatives
+from test_sgnperm_oracles import partitions, signed_cycle_type_representatives
 
 
 def rand_element(rng) -> SignedPerm:
@@ -148,6 +150,51 @@ def test_decompose_rejects_wrong_order_block_sums():
         reps.decompose_matrix(block_sum(5, 1, 0, 1), 3)
     with pytest.raises(ValueError):
         reps.decompose_matrix(block_sum(3, 0, 0, 4), 3)
+
+
+# ---------------------------------------------------------------------------
+# class transport: decompose_element decomposes one representative per class;
+# each random conjugate is checked against its own f-basis matrix
+
+
+def order_p_types():
+    """{signed cycle type: order} for the types of H of order 3, 5 or 7,
+    from the partitions of 8 with every sign pattern of even parity (a cycle
+    of length L has order L with sign +1 and 2L with -1)."""
+    out = {}
+    for parts in partitions(8):
+        for signs in product((1, -1), repeat=len(parts)):
+            if signs.count(-1) % 2:
+                continue
+            order = lcm(*(length if s == 1 else 2 * length for length, s in zip(parts, signs)))
+            if order in (3, 5, 7):
+                out[tuple(sorted(zip(parts, signs)))] = order
+    return out
+
+
+def test_order_p_types_of_h():
+    assert sorted(order_p_types().values()) == [3, 3, 5, 7]
+
+
+def test_class_transport_matches_reference_on_random_conjugates():
+    rng = random.Random(3141)
+    for ctype, p in order_p_types().items():
+        rep = sp.class_representative(ctype)
+        assert rep.cycle_type() == ctype
+        for _ in range(200):
+            g = rep.conjugated_by(rand_element(rng))
+            got, h = g.class_conjugator()
+            assert got == ctype, g
+            assert sum(x < 0 for x in h.image) % 2 == 0, (g, h)
+            assert g.conjugated_by(h) == rep, (g, h)
+            m = e8.matrix_in_f_basis(g.matrix_e())
+            assert reps.decompose_element(g, p) == reference_decompose(m, p), g
+
+
+def test_standard_cycles_are_their_own_representatives():
+    for p in (3, 5, 7):
+        g = sp.std_cycle(p)
+        assert sp.class_representative(g.cycle_type()) == g
 
 
 # ---------------------------------------------------------------------------

@@ -546,3 +546,20 @@ def test_type_invariants_are_cached_per_type():
     n_types = len(signed_cycle_type_representatives())
     assert sp._type_order.cache_info().currsize == n_types
     assert sp._type_charpoly.cache_info().currsize == n_types
+
+
+# ---------------------------------------------------------------------------
+# products: the comprehension in _img_mul against the padded-tuple route
+
+
+def ext_route_mul(a, b):
+    """a after b through the 17-entry padding _ext(a), indexed by b."""
+    return tuple(map(sp._ext(a).__getitem__, b))
+
+
+def test_img_mul_matches_the_ext_route():
+    imgs = [g.image for g in seeded_elements(200, seed=2468)]
+    imgs += [SignedPerm.identity().image, SignedPerm.minus_one().image]
+    for a in imgs:
+        for b in imgs:
+            assert sp._img_mul(a, b) == ext_route_mul(a, b), (a, b)
