@@ -22,6 +22,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import linalg
+from .errors import CheckFailure
 from .record import record
 
 Gen = tuple  # ("E", e0, e1, e2, e3) or ("P", j, kappa, tau)
@@ -172,18 +173,17 @@ def verify_e8_bases() -> E8BasesReport:
     for name, g in (("first", g1), ("second", g2)):
         if g != target:
             bad = [(i + 1, j + 1) for i in range(8) for j in range(8) if g[i][j] != target[i][j]]
-            raise AssertionError("%s basis has wrong Gram entries at %s" % (name, bad))
+            raise CheckFailure("%s basis has wrong Gram entries at %s" % (name, bad))
     cross = all(pair(a, b) == 0 for a in first for b in second)
     tori = [fiber_class(j) for j in (1, 2, 3)]
     torus_orth = all(pair(f, t) == 0 for f in list(first) + list(second) for t in tori)
     torus_gram = all(pair(a, b) == 0 for a in tori for b in tori)
     allcls = list(first) + list(second) + tori
     gram = [[pair(a, b) for b in allcls] for a in allcls]
-    rk = linalg.rank(gram)
-    null = linalg.nullspace(gram)
-    # the radical must be spanned by the three torus coordinate vectors
-    radical_ok = len(null) == 3 and all(
-        all(v[i] == 0 for i in range(16)) for v in null)
+    rk = len(linalg.elementary_divisors(gram))
+    # the radical has dimension 19 - rk; when the last three columns vanish
+    # it contains e17, e18, e19, so at rank 16 it is exactly their span
+    radical_ok = rk == 16 and all(row[j] == 0 for row in gram for j in range(16, 19))
     return E8BasesReport(tuple(map(tuple, g1)), tuple(map(tuple, g2)),
                          cross, torus_orth, torus_gram, rk, radical_ok)
 

@@ -1,110 +1,30 @@
 """Exact linear algebra over Q and Z for small matrices.
 
-Everything here works on plain nested lists.  Rational routines use
-fractions.Fraction; integer routines (characteristic polynomial, Smith
-normal form, integer solutions) never leave Z.  One elimination loop,
-_smith_reduce, serves the Smith form: smith_normal_form and integer_solve
-carry the two unimodular transforms through it, elementary_divisors only
-reduces the matrix.  Matrix sizes in this package are at most 22x22, so no
-attempt is made at asymptotic cleverness.
+Everything here works on plain nested lists of integers (or, for solve,
+rationals).  One elimination loop, _smith_reduce, does all the work:
+smith_normal_form carries the two unimodular transforms through it,
+elementary_divisors only reduces the matrix, and the rank of a matrix is the
+number of its elementary divisors.  solve takes a rational system to an
+integer one by scaling each equation by the lcm of its denominators and
+reads its answer off the Smith form; integer_solve keeps that answer when it
+is integral.  charpoly is Faddeev-LeVerrier over Z.  Matrix sizes in this
+package are at most 22x22, so no attempt is made at asymptotic cleverness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import CheckFailure
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
 
-
-def frac_matrix(rows) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def zeros(n: int, m: int) -> Mat:
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError("shape mismatch: %d columns times %d rows" % (len(a[0]), k))
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        for j in range(m):
-            out[i][j] = sum(ai[l] * b[l][j] for l in range(k))
-    return out
-
-
-def _echelon(a: Mat) -> tuple[Mat, list[int]]:
-    """Row reduce a copy of `a`; return (rref, pivot column indices)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rank(a: Mat) -> int:
-    if not a:
-        return 0
-    return len(_echelon(frac_matrix(a))[1])
-
-
-def solve(a: Mat, b) -> Vec | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    For underdetermined systems the free variables are set to zero.
-    """
-    aug = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(a, b)]
-    red, pivots = _echelon(aug)
-    ncols = len(a[0])
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    # in rref each row is supported on its pivot and free columns only, so
-    # setting free variables to zero reads off a solution directly
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][ncols]
-    return x
-
-
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the rational kernel of A (as row vectors)."""
-    red, pivots = _echelon(frac_matrix(a))
-    ncols = len(a[0]) if a else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise ValueError("shape mismatch: %d columns times %d rows" % (len(a[0]), len(b)))
+    bcols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bcols] for row in a]
 
 
 def charpoly(a) -> list[int]:
@@ -226,21 +146,40 @@ def elementary_divisors(a) -> list[int]:
     return [m[i][i] for i in range(min(len(m), len(m[0]) if m else 0)) if m[i][i]]
 
 
+def solve(a, b) -> list[Fraction] | None:
+    """One exact solution of A x = b over Q, or None if inconsistent.
+
+    Each equation is scaled by the lcm of its denominators, which leaves the
+    solution set alone and makes the system integral.  With u A v = d from
+    smith_normal_form, x = v y where y_i = (u b)_i / d_i on the nonzero
+    diagonal and every free y_i is 0; a zero diagonal entry (or a row past
+    the diagonal) that meets a nonzero (u b)_i means there is no solution.
+    """
+    rows, rhs = [], []
+    for row, bv in zip(a, b):
+        s = lcm(bv.denominator, *(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        rhs.append(bv.numerator * (s // bv.denominator))
+    d, u, v = smith_normal_form(rows)
+    cols = len(v)
+    y = [Fraction(0)] * cols
+    for i, ub in enumerate(sum(map(mul, row, rhs)) for row in u):
+        di = d[i][i] if i < cols else 0
+        if di:
+            y[i] = Fraction(ub, di)
+        elif ub:
+            return None
+    return [sum(map(mul, row, y)) for row in v]
+
+
 def integer_solve(a, b) -> list[int] | None:
-    """One integer solution of A x = b, or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d, u, v = smith_normal_form(a)
-    ub = [sum(u[i][j] * b[j] for j in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(min(rows, cols)):
-        if d[i][i] != 0:
-            if ub[i] % d[i][i] != 0:
-                return None
-            y[i] = ub[i] // d[i][i]
-        elif ub[i] != 0:
-            return None
-    for i in range(min(rows, cols), rows):
-        if ub[i] != 0:
-            return None
-    return [sum(v[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+    """One integer solution of A x = b, or None if there is none.
+
+    This is solve's answer when it is integral, which is exact: v is
+    unimodular, and any integer solution x' gives an integral y' = v^-1 x'
+    that agrees with solve's y on the nonzero diagonal, so solve's y (free
+    coordinates 0), and with it x = v y, is integral too."""
+    x = solve(a, b)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    return [int(c) for c in x]

@@ -23,7 +23,6 @@ conjugator checked at run time and decomposes each representative once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
@@ -273,9 +272,7 @@ def lift_summand(action, sub_basis, quotient_gen, kind: str | None = None) -> Li
     def in_sub(vec):
         if not sub_basis:
             return all(x == 0 for x in vec)
-        sol = linalg.solve([[Fraction(sub_basis[r][c]) for r in range(len(sub_basis))]
-                            for c in range(n)], vec)
-        return sol is not None and all(x.denominator == 1 for x in sol)
+        return linalg.integer_solve([list(col) for col in zip(*sub_basis)], vec) is not None
 
     # invariance of U and torsion-freeness of the quotient
     for row in sub_basis:

@@ -108,10 +108,6 @@ class SignedPerm:
         return cls(tuple(eps[i] * (i + 1) for i in range(8)))
 
     @classmethod
-    def identity(cls) -> "SignedPerm":
-        return cls(tuple(range(1, 9)))
-
-    @classmethod
     @lru_cache(maxsize=None)
     def minus_one(cls) -> "SignedPerm":
         """The central element -1; every call returns the same instance."""
@@ -458,32 +454,6 @@ def is_4a_prime_shape(v: SignedPerm) -> bool:
     if moved == 0:
         return n_minus == 4
     return moved == 8 and n_minus % 4 == 0
-
-
-def all_involutions():
-    """Every involution in H except the central -1 (17038 elements).
-
-    Each image tuple is written down directly: a transposition (a b) with
-    sign s sends e_a to s e_b and e_b to s e_a, a fixed i with sign s sends
-    e_i to s e_i."""
-    minus = SignedPerm.minus_one().image
-    for n_trans in range(5):
-        for pairs in _pairings(tuple(range(8)), n_trans):
-            moved = [i for pr in pairs for i in pr]
-            fixed = [i for i in range(8) if i not in moved]
-            # signs: free on each transposition, even number of -1 on fixed
-            for pair_signs in product((1, -1), repeat=n_trans):
-                image = [0] * 8
-                for (a, b), s in zip(pairs, pair_signs):
-                    image[a], image[b] = s * (b + 1), s * (a + 1)
-                for fixed_signs in product((1, -1), repeat=len(fixed)):
-                    if fixed_signs.count(-1) % 2:
-                        continue
-                    for i, s in zip(fixed, fixed_signs):
-                        image[i] = s * (i + 1)
-                    img = tuple(image)
-                    if img != minus and img != _IDENT_IMG:
-                        yield SignedPerm(img)
 
 
 def _pairings(items: tuple[int, ...], k: int):

@@ -6,6 +6,12 @@ from pathlib import Path
 import pytest
 
 import k3census
+from k3census.sgnperm import SignedPerm
+
+
+def signed_identity():
+    """The identity element of H as a signed permutation."""
+    return SignedPerm(tuple(range(1, 9)))
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from k3census import cli, cyclotomic as cy, e8, gindex, linalg, reps
 from k3census.cyclotomic import CycNum
 from k3census.sgnperm import SignedPerm
+from test_e8_oracles import ref_basis_inverse
 from test_linalg import identity
 
 CONDUCTORS = (1, 3, 4, 5, 7, 8, 10, 12, 14, 15)
@@ -303,7 +304,7 @@ def test_minimal_polynomials_match_sympy():
 def fraction_charpoly(a):
     """Faddeev-LeVerrier over Fraction."""
     n = len(a)
-    am = linalg.frac_matrix(a)
+    am = [[Fraction(x) for x in row] for row in a]
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     m = identity(n)
     for k in range(1, n + 1):
@@ -316,13 +317,16 @@ def fraction_charpoly(a):
 
 
 def eight_solve_f_matrix(m_e):
-    """Column j is the solution of F x = M f_j, one rational solve each."""
+    """Column j is the solution x = F^-1 M f_j of F x = M f_j, with
+    F^-1 = B / s from sympy's exact inverse (independent of the Smith
+    elimination behind e8.matrix_in_f_basis)."""
+    s, b = ref_basis_inverse()
     fs = e8.standard_basis()
     f = [[fs[j].halves()[i] for j in range(8)] for i in range(8)]
     out = [[None] * 8 for _ in range(8)]
     for j in range(8):
         col = [sum(Fraction(m_e[i][k]) * f[k][j] for k in range(8)) for i in range(8)]
-        coords = linalg.solve(f, col)
+        coords = [sum(x * c for x, c in zip(row, col)) / s for row in b]
         for i in range(8):
             if coords[i].denominator != 1:
                 raise ValueError("matrix does not preserve the lattice")

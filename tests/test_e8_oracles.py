@@ -7,20 +7,22 @@ the routes it replaced: the same depth-first search over `inner` on
 `LatticeVec` objects, sorted with `LatticeVec.__lt__`.  They must visit
 the roots in the same order and so return identical witnesses.  The f-basis
 inverse, now C^-1 D^T from the Smith form of the Cartan matrix, is compared
-with a Fraction Gauss-Jordan inversion of the basis matrix.
+with sympy's exact inverse of the basis matrix.
 
 No check uses the assert statement, so the file keeps its meaning under
 `python -O`."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
+import sympy
 
-from k3census import e8, linalg, sgnperm as sp
+from k3census import e8, sgnperm as sp
 from k3census.e8 import inner
-from test_linalg import det, identity
+from test_linalg import det
 
 
 def ref_normalized_mod_sign(roots):
@@ -73,17 +75,17 @@ def ref_a2_quadruple():
     return tuple(chains)
 
 
+@lru_cache(maxsize=None)
 def ref_basis_inverse():
-    """(s, B) with B / s the inverse of the basis matrix, by Fraction
-    Gauss-Jordan on [F | I]."""
+    """(s, B) with B / s the inverse of the basis matrix, by sympy's exact
+    matrix inverse."""
     fs = e8.standard_basis()
-    aug = [[fs[j].halves()[i] for j in range(8)] + identity(8)[i] for i in range(8)]
-    red, pivots = linalg._echelon(aug)
-    if pivots != list(range(8)):
+    f = sympy.Matrix([[fs[j].halves()[i] for j in range(8)] for i in range(8)])
+    if f.rank() != 8:
         pytest.fail("f1..f8 are linearly dependent")
-    inv = [row[8:] for row in red]
-    s = lcm(*(x.denominator for row in inv for x in row))
-    return s, tuple(tuple(int(x * s) for x in row) for row in inv)
+    inv = f.inv()
+    s = lcm(*(int(x.q) for x in inv))
+    return s, tuple(tuple(int(inv[i, j] * s) for j in range(8)) for i in range(8))
 
 
 def fixed_root_sets():
@@ -152,7 +154,7 @@ def test_pair_and_quadruple_match_inner_route():
 def test_basis_inverse_matches_gauss_jordan():
     got, want = e8._basis_inverse(), ref_basis_inverse()
     if got != want:
-        pytest.fail("basis inverse %r, Gauss-Jordan %r" % (got, want))
+        pytest.fail("basis inverse %r, sympy inverse %r" % (got, want))
     s, b = got
     fs = e8.standard_basis()
     for i, row in enumerate(b):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+import sympy
 
 from k3census import kummer as km
+from k3census.errors import CheckFailure
 from k3census.kummer import exceptional, fiber_class, pair, transform
 
 
@@ -52,6 +54,28 @@ def test_verify_e8_bases():
     assert rep.cross_pairings_zero
     assert rep.torus_orthogonal
     assert rep.span_rank == 16 and rep.radical_is_torus_span
+
+
+def test_radical_of_the_19_classes_matches_sympy():
+    classes = list(km.e8_basis(1)) + list(km.e8_basis(-1)) + [fiber_class(j) for j in (1, 2, 3)]
+    gram = sympy.Matrix([[pair(a, b) for b in classes] for a in classes])
+    null = sympy.Matrix.hstack(*gram.nullspace())
+    assert gram.rank() == km.verify_e8_bases().span_rank == 16
+    # the radical is the span of e17, e18, e19
+    assert null[:16, :].is_zero_matrix and null[16:, :].rank() == 3
+
+
+def test_wrong_gram_raises_check_failure(monkeypatch):
+    genuine = km.e8_basis
+
+    def swapped(side):
+        b = list(genuine(side))
+        b[0], b[1] = b[1], b[0]
+        return tuple(b)
+
+    monkeypatch.setattr(km, "e8_basis", swapped)
+    with pytest.raises(CheckFailure, match="first basis has wrong Gram entries"):
+        km.verify_e8_bases()
 
 
 def test_sign_conventions_consistent():

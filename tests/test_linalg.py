@@ -33,24 +33,25 @@ def rand_int_matrix(rng, rows, cols, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_solve_and_nullspace():
+def test_solve():
     a = [[1, 2], [3, 4]]
     x = linalg.solve(a, [5, 11])
     assert x == [Fraction(1), Fraction(2)]
     assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None  # inconsistent
+    # underdetermined: any x with A x = b will do
     under = linalg.solve([[1, 1, 1]], [3])
     assert sum(under) == 3
-    ns = linalg.nullspace([[1, 1, 1]])
-    assert len(ns) == 2
-    for v in ns:
-        assert sum(v) == 0
+    # rational entries are scaled row by row to an integer system
+    half = [[Fraction(1, 2), Fraction(1, 3)], [1, -1]]
+    assert linalg.solve(half, [Fraction(5, 6), 0]) == [1, 1]
+    assert linalg.solve(half, [Fraction(1, 7), 0]) == [Fraction(6, 35)] * 2
 
 
 def test_det_and_rank():
     assert det([[2, 0], [0, 3]]) == 6
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[0, 1], [1, 0]]) == -1
-    assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert len(linalg.elementary_divisors([[1, 2], [2, 4]])) == 1
 
 
 def test_charpoly_companion():
@@ -89,3 +90,6 @@ def test_integer_solve():
     # underdetermined with a solution
     sol = linalg.integer_solve([[2, 3]], [1])
     assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1
+    # rationally solvable, but 2x + 4y is always even
+    assert linalg.solve([[2, 4]], [1]) is not None
+    assert linalg.integer_solve([[2, 4]], [1]) is None

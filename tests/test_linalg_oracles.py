@@ -1,9 +1,13 @@
-"""sympy's Smith normal form as an independent reference for the integer
-elimination in linalg."""
+"""sympy as an independent reference for linalg: its Smith normal form for
+the elementary divisors, its rank for consistency and uniqueness of rational
+systems, and the Smith forms of A and [A | b] for integer solvability."""
 
 import random
+from collections import Counter
+from fractions import Fraction
+from operator import mul
 
-from sympy import Matrix, ZZ
+from sympy import Matrix, Rational, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from k3census import linalg
@@ -55,3 +59,93 @@ def test_elementary_divisors_of_known_forms():
     assert linalg.elementary_divisors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
     assert linalg.elementary_divisors([[0, 0, 0], [0, 0, 0]]) == []
     assert linalg.elementary_divisors([[0, -3, 0], [0, 6, 0]]) == [3]
+
+
+def to_sympy(rows):
+    return Matrix([[Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def seeded_system(rng, rows, cols):
+    """A random system A x = b: A from seeded_matrix, scaled entrywise by
+    random Fractions one time in three; b the image of a random rational
+    vector (a consistent system) or a random rational vector (inconsistent
+    unless A has full row rank)."""
+    a = seeded_matrix(rng, rows, cols)
+    if rng.random() < 1 / 3:
+        a = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
+    if rng.random() < 1 / 2:
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
+        b = [sum(map(mul, row, x0)) for row in a]
+    else:
+        b = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2))) for _ in range(rows)]
+    return a, b
+
+
+def test_solve_matches_sympy_on_random_systems():
+    rng = random.Random(1968)
+    kinds = Counter()
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for _ in range(6):
+                a, b = seeded_system(rng, rows, cols)
+                sa, sb = to_sympy(a), to_sympy([[bv] for bv in b])
+                rank = sa.rank()
+                consistent = rank == sa.row_join(sb).rank()
+                x = linalg.solve(a, b)
+                assert (x is not None) == consistent, (a, b)
+                kinds["fraction entries"] += any(isinstance(v, Fraction) for v in a[0])
+                kinds["rank deficient"] += rank < min(rows, cols)
+                if not consistent:
+                    kinds["inconsistent"] += 1
+                    continue
+                assert [sum(map(mul, row, x)) for row in a] == b, (a, b, x)
+                if rank < cols:
+                    kinds["underdetermined"] += 1
+                    continue
+                kinds["unique"] += 1
+                want, _ = sa.gauss_jordan_solve(sb)
+                assert x == [Fraction(int(v.p), int(v.q)) for v in want], (a, b)
+    assert min(kinds.values()) > 20 and len(kinds) == 5, kinds
+
+
+def test_rank_is_the_number_of_elementary_divisors():
+    rng = random.Random(2246)
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            for _ in range(3):
+                a = seeded_matrix(rng, rows, cols)
+                assert len(linalg.elementary_divisors(a)) == Matrix(a).rank(), a
+    assert len(linalg.elementary_divisors([[1, 2], [2, 4]])) == Matrix([[1, 2], [2, 4]]).rank() == 1
+    # the kernel of [1 1 1] has dimension 3 - rank = 2
+    assert 3 - len(linalg.elementary_divisors([[1, 1, 1]])) == len(Matrix([[1, 1, 1]]).nullspace()) == 2
+
+
+def test_integer_solve_matches_smith_forms_of_a_and_a_b():
+    rng = random.Random(2718)
+    kinds = Counter()
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for _ in range(10):
+                a = seeded_matrix(rng, rows, cols)
+                kind = rng.choice(("image", "scaled column", "random"))
+                if kind == "random":
+                    b = [rng.randint(-9, 9) for _ in range(rows)]
+                else:
+                    x0 = [rng.randint(-5, 5) for _ in range(cols)]
+                    b = [sum(map(mul, row, x0)) for row in a]
+                if kind == "scaled column":
+                    # x0 / k in that coordinate still solves it over Q
+                    j, k = rng.randrange(cols), rng.choice((2, 3))
+                    for row in a:
+                        row[j] *= k
+                want = sympy_divisors(a) == sympy_divisors([row + [bv] for row, bv in zip(a, b)])
+                got = linalg.integer_solve(a, b)
+                assert (got is not None) == want, (a, b)
+                rational = linalg.solve(a, b) is not None
+                if got is None:
+                    kinds["rational only" if rational else "inconsistent"] += 1
+                    continue
+                kinds["integral"] += 1
+                assert all(type(v) is int for v in got)
+                assert [sum(map(mul, row, got)) for row in a] == b, (a, b, got)
+    assert min(kinds.values()) > 20 and len(kinds) == 3, kinds

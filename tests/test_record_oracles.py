@@ -18,6 +18,7 @@ from itertools import product
 import pytest
 
 from k3census import census, cli, e8, gindex, kummer, reps, sgnperm
+from conftest import signed_identity
 
 MODULES = (census, cli, e8, gindex, kummer, reps, sgnperm)
 
@@ -84,7 +85,7 @@ def _samples():
         sgnperm.Q8Report: [sgnperm.Q8Report((0, -4), ((0, 0, 0),), "ruled_out", 3),
                            sgnperm.Q8Report((0,), (), "ruled_out", 3)],
         e8.LatticeVec: list(e8.enumerate_roots()[::20]),
-        sgnperm.SignedPerm: elements + [sgnperm.SignedPerm.identity()],
+        sgnperm.SignedPerm: elements + [signed_identity()],
     }
 
 

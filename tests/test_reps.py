@@ -5,6 +5,7 @@ import pytest
 from k3census import e8, reps, sgnperm as sp
 from k3census.reps import RepDecomp, lemma45_census, lift_summand
 from k3census.sgnperm import SignedPerm
+from conftest import signed_identity
 
 
 def test_census_lists_match():
@@ -34,7 +35,7 @@ def test_decompose_standard_cycles():
 
 def test_decompose_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        reps.decompose_element(SignedPerm.identity(), 3)
+        reps.decompose_element(signed_identity(), 3)
     with pytest.raises(ValueError):
         reps.decompose_element(sp.std_cycle(5), 7)
 
@@ -87,6 +88,19 @@ def test_lift_trivial_and_regular():
     assert len(reg.generators) == 2
     ident = lift_summand([[1, 0], [0, 1]], [[1, 0]], [0, 1])
     assert ident.lifted and ident.kind == "trivial"
+
+
+def test_lift_from_a_spanning_set_matches_the_basis():
+    # U = <e1> is spanned by 2 e1 and 3 e1, which are no basis of U; the
+    # membership test must ask for any integer combination, not read one
+    # rational solution
+    for action, gen in (([[1, 1], [0, -1]], [0, 1]),
+                        ([[1, 0, 0], [0, -1, 0], [0, 0, 1]], [0, 0, 1]),
+                        ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], [0, 1, 0])):
+        pad = [0] * (len(action) - 1)
+        basis = [[1] + pad]
+        spanning = [[2] + pad, [3] + pad]
+        assert lift_summand(action, spanning, gen) == lift_summand(action, basis, gen)
 
 
 def test_lift_kind_override_and_validation():

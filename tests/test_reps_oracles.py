@@ -16,7 +16,9 @@ from k3census import census, e8, gindex as gi, linalg, reps, sgnperm as sp
 from k3census.cyclotomic import CycNum, csc_cot, cyc_make
 from k3census.reps import RepDecomp
 from k3census.sgnperm import SignedPerm
-from test_sgnperm_oracles import partitions, signed_cycle_type_representatives
+from conftest import signed_identity
+from test_sgnperm_oracles import (partitions, reference_all_involutions,
+                                  signed_cycle_type_representatives)
 
 
 def rand_element(rng) -> SignedPerm:
@@ -381,7 +383,7 @@ def reference_fixed_roots(gens):
 
 
 def special_elements():
-    out = [SignedPerm.identity(), SignedPerm.minus_one(), sp.w_f7_prime()]
+    out = [signed_identity(), SignedPerm.minus_one(), sp.w_f7_prime()]
     out += [sp.std_cycle(p) for p in range(2, 9)]
     out += [sp.w_f(i) for i in range(1, 8)]
     out += [SignedPerm.diagonal((-1, -1) + (1,) * 6), SignedPerm.diagonal((-1,) * 4 + (1,) * 4)]
@@ -395,7 +397,7 @@ def reflections_in_h():
 def test_fixed_roots_match_reference_on_single_elements():
     elements = special_elements() + reflections_in_h()
     elements += seeded_elements(600, seed=77)
-    elements += list(sp.all_involutions())[::97]
+    elements += list(reference_all_involutions())[::97]
     counts = set()
     for g in elements:
         got = sp.fixed_roots(g)
@@ -407,9 +409,9 @@ def test_fixed_roots_match_reference_on_single_elements():
 def test_fixed_roots_match_reference_on_generator_lists():
     rng = random.Random(31)
     specials = special_elements()
-    invs = list(sp.all_involutions())
+    invs = list(reference_all_involutions())
     refl = reflections_in_h()
-    lists = [[], [SignedPerm.identity()], specials[3:6], [sp.w_f(1), sp.w_f(3)],
+    lists = [[], [signed_identity()], specials[3:6], [sp.w_f(1), sp.w_f(3)],
              [sp.std_cycle(3), sp.w_f7_prime()], [sp.w_f(i) for i in range(1, 8)]]
     lists += [rng.sample(refl, k) for k in (2, 3, 4, 5) for _ in range(10)]
     lists += [rng.sample(invs, k) for k in (2, 2, 3, 3, 4) for _ in range(20)]
