@@ -19,8 +19,6 @@ spheres it meets.
 
 from __future__ import annotations
 
-from math import gcd
-
 from . import linalg
 from .errors import CheckFailure
 from .record import record
@@ -186,82 +184,3 @@ def verify_e8_bases() -> E8BasesReport:
     radical_ok = rk == 16 and all(row[j] == 0 for row in gram for j in range(16, 19))
     return E8BasesReport(tuple(map(tuple, g1)), tuple(map(tuple, g2)),
                          cross, torus_orth, torus_gram, rk, radical_ok)
-
-
-# ---------------------------------------------------------------------------
-# basic classes and the degree-triple rigidity argument
-
-
-@record(frozen=True)
-class BasicClass:
-    b: tuple[int, int, int]       # coefficients against 2 d_j [T_j]
-    degrees: tuple[int, int, int]
-    sw_coefficient: int           # coefficient in the invariant's expansion
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.b == (1, 1, 1)
-
-    def pairing_with_dual(self, i: int) -> int:
-        """Value against the dual class v_i (v_i . [T_j] = delta_ij)."""
-        return 2 * self.b[i] * self.degrees[i]
-
-
-def check_degree_triple(d) -> tuple[int, int, int]:
-    d = tuple(d)
-    if len(d) != 3 or not (1 < d[0] < d[1] < d[2]):
-        raise ValueError("degrees must satisfy 1 < d1 < d2 < d3")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if gcd(d[i], d[j]) != 1:
-                raise ValueError("degrees must be pairwise relatively prime")
-    return d
-
-
-def basic_classes(d) -> tuple[BasicClass, ...]:
-    """The 27 classes 2 sum b_j d_j [T_j], b_j in {-1,0,1}; the invariant's
-    coefficient at a class is (-1)^(number of nonzero b_j)."""
-    d = check_degree_triple(d)
-    out = []
-    for b1 in (-1, 0, 1):
-        for b2 in (-1, 0, 1):
-            for b3 in (-1, 0, 1):
-                b = (b1, b2, b3)
-                nz = sum(1 for x in b if x)
-                out.append(BasicClass(b, d, (-1) ** nz))
-    return tuple(out)
-
-
-@record(frozen=True)
-class RigidityResult:
-    compatible: bool
-    assignment: tuple[tuple[int, int], ...] | None  # (target j, sign) per source index
-    reason: str
-
-
-def rigidity_check(d, d_prime) -> RigidityResult:
-    """Divisibility argument: a diffeomorphism would match basic-class sets,
-    sending each 2 d'_j [T'_j] to some 2 sum b_k d_k [T_k]; pairing with the
-    dual classes shows d'_j divides every d_k with b_k nonzero, which by
-    coprimality pins exactly one k, and running the same argument backwards
-    forces d'_j = d_k.  Compatible iff the triples agree, with signs free."""
-    d = check_degree_triple(d)
-    dp = check_degree_triple(d_prime)
-    assignment = []
-    for j, dj in enumerate(dp):
-        targets = [k for k, dk in enumerate(d) if dk % dj == 0]
-        if len(targets) != 1:
-            return RigidityResult(False, None,
-                                  "degree %d divides %d target degrees" % (dj, len(targets)))
-        k = targets[0]
-        # reverse divisibility: d_k must divide some d'_l, and the ascending
-        # order then forces equality
-        back = [l for l, dl in enumerate(dp) if d[k] % dl == 0]
-        if d[k] != dj or back != [j]:
-            return RigidityResult(False, None,
-                                  "degree %d is not matched by %d" % (d[k], dj))
-        assignment.append((k, 1))
-    if [k for k, _ in assignment] != [0, 1, 2]:
-        return RigidityResult(False, None, "assignment is not a bijection")
-    return RigidityResult(True, tuple(assignment),
-                          "triples agree; fiber classes match up to sign")

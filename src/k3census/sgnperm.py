@@ -31,9 +31,20 @@ class SearchBudgetExceeded(RuntimeError):
 
 Img = tuple[int, ...]
 
-_LETTERS = frozenset(range(1, 9))
 _IDENT_IMG: Img = tuple(range(1, 9))
 _MINUS_IMG: Img = tuple(range(-1, -9, -1))
+
+
+class _LetterCodes(dict):
+    """code(+-j) = 2^(j-1) + 256 [sign -1] for the 16 signed letters, 512
+    for anything else (see SignedPerm)."""
+
+    def __missing__(self, key):
+        return 512
+
+
+_letter_code = _LetterCodes({s * j: (1 << (j - 1)) + (256 if s < 0 else 0)
+                             for j in range(1, 9) for s in (1, -1)}).__getitem__
 
 
 def _ext(a: Img) -> Img:
@@ -65,19 +76,37 @@ def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 class SignedPerm:
-    """Element of H.  Immutable; equality and hash are those of the tuple
-    (image,)."""
+    """Element of H.  Immutable; equality, hash, repr and pickling are those
+    of the image tuple alone.
 
-    __slots__ = ("image",)
+    The constructor checks the image in one pass: it sums code(t) over the
+    entries t, with code(+-j) = 2^(j-1) + 256 [sign -1] for the letters
+    j = 1..8 and 512 for anything else.  For exactly 8 entries the low byte
+    of the sum is 255 exactly when the entries are 8 distinct signed
+    letters.  A code of 512 leaves the low byte alone, so it is the low byte
+    of L, the sum of the powers 2^(j-1) over the letter entries; L <= 1024,
+    so a low byte of 255 means L is 255, 511, 767 or 1023.  A sum of k
+    powers of two has at most k binary ones, and exactly k only when they
+    are distinct (no carries); these four have 8, 9, 9 and 10 ones, so L is
+    255, the sum of 8 distinct powers, and no entry lies outside the
+    letters.  The sum is then 255 + 256 n with n the number of -1 signs, so
+    bit 8 is the parity of the sign product.
+
+    The slot _ctype caches cycle_type(): the constructor sets it to None and
+    the first call fills it through the slot descriptor, so order(),
+    charpoly() and classify_order4 share one walk.  The cached tuple is the
+    one shared by every element of that type."""
+
+    __slots__ = ("image", "_ctype")
 
     def __init__(self, image: Img):
         # image[i] = signed 1-based index of v(e_i)
-        if len(image) != 8 or set(map(abs, image)) != _LETTERS:
+        if len(image) != 8 or (code := sum(map(_letter_code, image))) & 255 != 255:
             raise ValueError("not a signed permutation of 8 letters")
-        # the product of the entries is +-8! with the sign product's sign
-        if prod(image) < 0:
+        if code & 256:
             raise ValueError("sign product must be +1 (lattice preservation)")
-        object.__setattr__(self, "image", image)
+        _set_image(self, image)
+        _set_ctype(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("SignedPerm is immutable")
@@ -169,8 +198,12 @@ class SignedPerm:
 
     def cycle_type(self) -> tuple[tuple[int, int], ...]:
         """Sorted (length, sign product) pairs over the cycles of the
-        underlying permutation, from one walk along the image tuple.  Order
-        and characteristic polynomial depend on nothing else."""
+        underlying permutation, from one walk along the image tuple, made on
+        the first call and cached.  Order and characteristic polynomial
+        depend on nothing else."""
+        out = self._ctype
+        if out is not None:
+            return out
         image = self.image
         todo = [True] * 8
         out = []
@@ -186,7 +219,10 @@ class SignedPerm:
                     length += 1
                 out.append((length, sign))
         out.sort()
-        return tuple(out)
+        out = tuple(out)
+        out = _signed_types.setdefault(out, out)
+        _set_ctype(self, out)
+        return out
 
     def class_conjugator(self) -> tuple[tuple[tuple[int, int], ...], "SignedPerm"]:
         """(cycle_type(), h) with h in H and h g h^-1 = class_representative
@@ -257,6 +293,13 @@ class SignedPerm:
 
     def __repr__(self):
         return "SignedPerm(%s)" % (self.image,)
+
+
+# one tuple per signed cycle type met (H has 95 types), shared by every
+# element that caches it, so the cache costs an element one slot
+_signed_types: dict = {}
+_set_image = SignedPerm.image.__set__
+_set_ctype = SignedPerm._ctype.__set__
 
 
 @lru_cache(maxsize=None)
@@ -418,20 +461,20 @@ def involution_class(v: SignedPerm) -> InvolutionClass:
     """Conjugacy class of an involution, by eigenvalue count and root-pairing
     parity.  The count l(v) of -1 eigenvalues is normalized to <= 4 by
     passing to -v; at l = 4 the class is 4A' exactly when every root pairs
-    evenly with its image, and 4A when an odd witness exists."""
+    evenly with its image, and 4A when an odd witness exists.  The witness
+    is read off v itself: (-v(r), r) = -(v(r), r), so v and -v have the same
+    roots with odd pairing, and the same first one."""
     if not v.is_involution():
         raise ValueError("element is not an involution")
-    if v == SignedPerm.minus_one():
+    if v.image == _MINUS_IMG:
         raise ValueError("central element -1 is excluded")
     lv = (8 - v.trace()) // 2
-    negated = False
-    if lv > 4:
-        v = SignedPerm.minus_one() * v
+    negated = lv > 4
+    if negated:
         lv = 8 - lv
-        negated = True
-    if lv <= 3:
-        return InvolutionClass(_L_LABELS[lv], lv, negated, parity_witness(v))
     w = parity_witness(v)
+    if lv <= 3:
+        return InvolutionClass(_L_LABELS[lv], lv, negated, w)
     return InvolutionClass("4A" if w is not None else "4A'", 4, negated, w)
 
 

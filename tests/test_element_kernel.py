@@ -1,0 +1,201 @@
+"""The H element kernel against the routes it replaced: the constructor's
+one-pass letter-code check against the old set-and-product check, the
+cached signed cycle type against a fresh walk, and involution_class against
+classifying -v through the product minus_one() * v.
+
+They check with pytest.raises and pytest.fail, never with the assert
+statement, so they keep their meaning under `python -O -m pytest`."""
+
+import pickle
+import random
+from math import prod
+
+import pytest
+
+from k3census import sgnperm as sp
+from k3census.sgnperm import InvolutionClass, SignedPerm
+from test_sgnperm_oracles import (reference_all_involutions, reference_signed_cycles,
+                                  seeded_elements)
+
+LETTERS = frozenset(range(1, 9))
+NOT_LETTERS = "not a signed permutation of 8 letters"
+ODD_SIGNS = "sign product must be +1 (lattice preservation)"
+
+
+def reference_check(image):
+    """The constructor's old check: the error message it raised, or None."""
+    if len(image) != 8 or set(map(abs, image)) != LETTERS:
+        return NOT_LETTERS
+    if prod(image) < 0:
+        return ODD_SIGNS
+    return None
+
+
+def constructor_outcome(image):
+    try:
+        SignedPerm(image)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def compare_checks(cases):
+    """(number of cases, number accepted, count per message); fails on the
+    first tuple where the constructor and the reference disagree."""
+    accepted = 0
+    seen = {NOT_LETTERS: 0, ODD_SIGNS: 0}
+    for image in cases:
+        want = reference_check(image)
+        got = constructor_outcome(image)
+        if got != want:
+            pytest.fail("%r: constructor says %r, reference %r" % (image, got, want))
+        if want is None:
+            accepted += 1
+        else:
+            seen[want] += 1
+    return accepted, seen
+
+
+def test_constructor_matches_the_old_check_on_random_tuples():
+    rng = random.Random(1515)
+    cases = [tuple(rng.randint(-10, 10) for _ in range(rng.randint(7, 9)))
+             for _ in range(200_000)]
+    accepted, seen = compare_checks(cases)
+    # a uniform length-8 tuple is a signed permutation with odds 8! 2^8 / 21^8
+    if accepted == 0 or 0 in seen.values():
+        pytest.fail("cases do not reach every outcome: %d accepted, %r" % (accepted, seen))
+
+
+def test_constructor_matches_the_old_check_on_substitutions():
+    """Every entry of 3000 seeded elements replaced in turn by each value in
+    -10..10: one repeated letter, a letter out of range, a zero, a flipped
+    sign, or the entry itself."""
+    cases = []
+    for g in seeded_elements(3000, seed=1516):
+        image = g.image
+        for i in range(8):
+            for x in range(-10, 11):
+                cases.append(image[:i] + (x,) + image[i + 1:])
+    if len(cases) != 504_000:
+        pytest.fail("%d substitutions" % len(cases))
+    accepted, seen = compare_checks(cases)
+    # x = image[i] gives the element back, x = -image[i] flips one sign
+    if accepted != 24_000 or seen[ODD_SIGNS] != 24_000:
+        pytest.fail("%d accepted, %r" % (accepted, seen))
+
+
+def test_constructor_rejects_other_lengths_and_non_letters():
+    cases = [(), (1,) * 8, tuple(range(1, 8)), tuple(range(1, 10)), (0, 2, 3, 4, 5, 6, 7, 8),
+             (1, 2, 3, 4, 5, 6, 7, 9), (1, 2, 3, 4, 5, 6, 7, 7), (1, 2, 3, 4, 5, 6, 7, -7),
+             (1, 2, 4, 4, 5, 6, 8, 8), (128, 2, 3, 4, 5, 6, 7, 8), (256, 2, 3, 4, 5, 6, 7, 8),
+             (-1, 2, 3, 4, 5, 6, 7, 8)]
+    compare_checks(cases)
+    with pytest.raises(TypeError):
+        SignedPerm(None)
+
+
+# ---------------------------------------------------------------------------
+# the cached signed cycle type
+
+
+def reference_walk(g):
+    """Sorted (length, sign product) over the cycles of the permutation part
+    of g, from the reference decomposition into signed cycles."""
+    return tuple(sorted((len(cyc), sign) for cyc, sign in reference_signed_cycles(g)))
+
+
+def kernel_inputs():
+    """10^4 seeded elements with the product, inverse and conjugate of
+    neighbours, each freshly constructed."""
+    gs = seeded_elements(10_000, seed=1517)
+    out = list(gs)
+    for g, h in zip(gs, gs[1:] + gs[:1]):
+        out += [g * h, g.inverse(), g.conjugated_by(h)]
+    return out
+
+
+def test_cached_cycle_type_matches_a_fresh_walk():
+    shared = {}
+    for g in kernel_inputs():
+        if g._ctype is not None:
+            pytest.fail("%r has a cycle type before the first call" % (g,))
+        ctype = g.cycle_type()
+        if ctype != reference_walk(g):
+            pytest.fail("%r: cycle type %r, walk %r" % (g, ctype, reference_walk(g)))
+        if g._ctype is not ctype or g.cycle_type() is not ctype:
+            pytest.fail("%r: the cycle type is not cached" % (g,))
+        if shared.setdefault(ctype, ctype) is not ctype:
+            pytest.fail("%r: its cached type is not the tuple shared by its type" % (g,))
+    # the seeded inputs meet 88 of the 95 signed cycle types of H
+    if len(shared) != 88 or len(sp._signed_types) > 95:
+        pytest.fail("%d types met, %d interned" % (len(shared), len(sp._signed_types)))
+
+
+def test_order_and_charpoly_share_the_walk():
+    for g in seeded_elements(200, seed=1518):
+        order = g.order()
+        ctype = g._ctype
+        if ctype is None or ctype != reference_walk(g):
+            pytest.fail("%r: order() left the cache at %r" % (g, ctype))
+        if g.charpoly() != sp._type_charpoly(ctype) or order != sp._type_order(ctype):
+            pytest.fail("%r: order or charpoly disagree with the cached type" % (g,))
+        if g._ctype is not ctype:
+            pytest.fail("%r: charpoly() walked again" % (g,))
+
+
+def test_slots_cannot_be_assigned_from_outside():
+    g = seeded_elements(1, seed=1519)[0]
+    g.cycle_type()
+    for name, value in (("image", tuple(range(1, 9))), ("_ctype", ((8, 1),)), ("_ctype", None)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(AttributeError):
+        g.other = 1
+    if g.cycle_type() != reference_walk(g):
+        pytest.fail("a refused assignment changed the cycle type")
+
+
+def test_pickle_eq_hash_and_repr_ignore_the_cache():
+    for g in seeded_elements(300, seed=1520):
+        fresh = SignedPerm(g.image)
+        g.cycle_type()
+        if g != fresh or hash(g) != hash(fresh) or hash(g) != hash((g.image,)):
+            pytest.fail("%r: eq or hash depends on the cache" % (g,))
+        if repr(g) != repr(fresh) or g.__reduce__() != fresh.__reduce__():
+            pytest.fail("%r: repr or reduce depends on the cache" % (g,))
+        back = pickle.loads(pickle.dumps(g))
+        if back != g or back._ctype is not None or back.cycle_type() != g.cycle_type():
+            pytest.fail("%r: pickle round trip gives %r" % (g, back))
+
+
+# ---------------------------------------------------------------------------
+# involution classes without the -1 product
+
+
+def reference_involution_class(v):
+    """The old route: at l(v) > 4 classify -v = minus_one() * v instead,
+    witness included."""
+    lv = (8 - v.trace()) // 2
+    negated = False
+    if lv > 4:
+        v = SignedPerm.minus_one() * v
+        lv = 8 - lv
+        negated = True
+    w = sp.parity_witness(v)
+    if lv <= 3:
+        return InvolutionClass({1: "1A'", 2: "2A", 3: "3A"}[lv], lv, negated, w)
+    return InvolutionClass("4A" if w is not None else "4A'", 4, negated, w)
+
+
+def test_involution_class_matches_the_minus_one_route():
+    n = negated = 0
+    for v in reference_all_involutions():
+        got, want = sp.involution_class(v), reference_involution_class(v)
+        if got != want:
+            pytest.fail("%r: %r, the -1 route gives %r" % (v, got, want))
+        n += 1
+        negated += want.negated
+    if (n, negated) != (17038, 5124):
+        pytest.fail("%d involutions, %d negated" % (n, negated))

@@ -1,9 +1,9 @@
 """`k3census.record` against the standard library's dataclasses.
 
-Every record class of the package, and the two hand-written value types
-`LatticeVec` and `SignedPerm`, is compared with a twin that
-`dataclasses.make_dataclass` builds from the same fields, defaults,
-`frozen` and `order` flags: equality, hash, repr, ordering, frozen
+Every record class of the package and of the Kummer tests, and the two
+hand-written value types `LatticeVec` and `SignedPerm`, is compared with a
+twin that `dataclasses.make_dataclass` builds from the same fields,
+defaults, `frozen` and `order` flags: equality, hash, repr, ordering, frozen
 assignment and the TypeError on a missing or extra argument must agree on
 sample instances, and every instance must survive a pickle round trip.
 """
@@ -19,6 +19,7 @@ import pytest
 
 from k3census import census, cli, e8, gindex, kummer, reps, sgnperm
 from conftest import signed_identity
+import test_kummer
 
 MODULES = (census, cli, e8, gindex, kummer, reps, sgnperm)
 
@@ -35,14 +36,19 @@ RECORDS = {
     gindex.SpinVector: (True, False),
     gindex.KsResult: (True, False),
     kummer.E8BasesReport: (True, False),
-    kummer.BasicClass: (True, False),
-    kummer.RigidityResult: (True, False),
     reps.RepDecomp: (True, True),
     reps.LiftResult: (True, False),
     sgnperm.InvolutionClass: (True, False),
     sgnperm.Order4Shape: (True, False),
     sgnperm.Z24Report: (True, False),
     sgnperm.Q8Report: (True, False),
+}
+
+# record classes the tests define for themselves: the Seiberg-Witten
+# degree-triple argument has no caller in the package
+TEST_RECORDS = {
+    test_kummer.BasicClass: (True, False),
+    test_kummer.RigidityResult: (True, False),
 }
 
 # hand-written __slots__ classes: (fields, frozen, order, repr is custom)
@@ -71,9 +77,9 @@ def _samples():
         gindex.SpinVector: [gindex.spin_number(d) for d in data],
         gindex.KsResult: [gindex.KsResult(0, -8, 8, 0, True), gindex.KsResult(1, 0, 8, 8, False)],
         kummer.E8BasesReport: [kummer.verify_e8_bases()],
-        kummer.BasicClass: list(kummer.basic_classes((2, 3, 5))[:6]),
-        kummer.RigidityResult: [kummer.rigidity_check((2, 3, 5), d) for d in
-                                ((2, 3, 5), (2, 3, 7))],
+        test_kummer.BasicClass: list(test_kummer.basic_classes((2, 3, 5))[:6]),
+        test_kummer.RigidityResult: [test_kummer.rigidity_check((2, 3, 5), d) for d in
+                                     ((2, 3, 5), (2, 3, 7))],
         reps.RepDecomp: list(reps.lemma45_census(3) + reps.lemma45_census(5)),
         reps.LiftResult: [reps.LiftResult("trivial", ((1, 0),), ""),
                           reps.LiftResult("regular", None, "no lift")],
@@ -97,7 +103,7 @@ def samples():
 def _spec(cls):
     if cls in VALUE_TYPES:
         return VALUE_TYPES[cls]
-    frozen, order = RECORDS[cls]
+    frozen, order = {**RECORDS, **TEST_RECORDS}[cls]
     return tuple(cls.__annotations__), frozen, order, False
 
 
@@ -127,7 +133,7 @@ def test_every_record_class_is_covered():
     assert found == set(RECORDS)
 
 
-CLASSES = sorted([*RECORDS, *VALUE_TYPES], key=lambda c: (c.__module__, c.__name__))
+CLASSES = sorted([*RECORDS, *TEST_RECORDS, *VALUE_TYPES], key=lambda c: (c.__module__, c.__name__))
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

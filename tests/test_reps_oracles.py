@@ -11,6 +11,8 @@ from itertools import product
 from math import lcm
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from k3census import census, e8, gindex as gi, linalg, reps, sgnperm as sp
 from k3census.cyclotomic import CycNum, csc_cot, cyc_make
@@ -36,14 +38,16 @@ def seeded_elements(n=3000, seed=1729):
 
 
 # ---------------------------------------------------------------------------
-# reference decomposition: saturated kernel basis, Fraction solves, SNF of
-# the coordinate matrix
+# reference decomposition: saturated kernel basis, rational solves, invariant
+# factors of the coordinate matrix, all from sympy
 
 
 def reference_decompose(m, p):
-    """The kernel-basis route: a saturated basis of ker(g - 1) from the SNF of
-    g - 1, each N(e_j) written in that basis by one Fraction solve, and t read
-    off the elementary divisors of the coordinate matrix."""
+    """The kernel-basis route, on sympy rather than linalg: a saturated basis
+    of ker(g - 1) from the last columns of V in sympy's Smith decomposition
+    U (g - 1) V = D, the columns N(e_j) written in that basis by one
+    Matrix.solve, and t read off the invariant factors of the coordinate
+    matrix."""
     n = len(m)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     power = ident
@@ -53,19 +57,13 @@ def reference_decompose(m, p):
         power = [[sum(power[i][k] * m[k][j] for k in range(n)) for j in range(n)]
                  for i in range(n)]
     assert power == ident
-    g_minus_1 = [[m[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    d, _, v = linalg.smith_normal_form(g_minus_1)
-    rk = sum(1 for i in range(n) if d[i][i] != 0)
-    basis = [[v[i][j] for i in range(n)] for j in range(rk, n)]
-    fix_rank = len(basis)
-    cols = []
-    for j in range(n):
-        coords = linalg.solve([[Fraction(basis[k][i]) for k in range(fix_rank)]
-                               for i in range(n)], [norm[i][j] for i in range(n)])
-        assert coords is not None and all(c.denominator == 1 for c in coords)
-        cols.append([int(c) for c in coords])
-    rel = [[cols[j][i] for j in range(n)] for i in range(fix_rank)]
-    divisors = linalg.elementary_divisors(rel)
+    d, _, v = smith_normal_decomp(sympy.Matrix(m) - sympy.eye(n), domain=sympy.ZZ)
+    rk = sum(1 for i in range(n) if d[i, i] != 0)
+    basis = v[:, rk:]
+    fix_rank = basis.cols
+    coords = basis.solve(sympy.Matrix(norm)) if fix_rank else sympy.zeros(0, n)
+    assert all(c.is_integer for c in coords)
+    divisors = [int(x) for x in invariant_factors(coords, domain=sympy.ZZ) if x != 0]
     assert len(divisors) == fix_rank and set(divisors) <= {1, p}
     t = divisors.count(p)
     r = fix_rank - t

@@ -1,4 +1,5 @@
-"""`gindex.rochlin` against an independent plumbing computation.
+"""`gindex.rochlin` against an independent plumbing computation and the
+eta-invariant formula.
 
 The oracle expands p/q as a negative continued fraction with `Fraction`
 arithmetic, writes out the dense intersection form Q of the linear plumbing,
@@ -10,9 +11,13 @@ elimination.
 
 The orientation check feeds the oracle the plumbing of p/(p - q), a
 different chain from the one `gindex.rochlin` builds for p/q, and compares
-mu(L(p, p - q)) = -mu(L(p, q)) for every odd p <= 31.  Kirby and Melvin's
-Dedekind-sum formula (Math. Ann. 1994) would be a third route; it is not used
-here.  No check uses `assert`, so the file also runs under `python -O`.
+mu(L(p, p - q)) = -mu(L(p, q)) for every odd p <= 31.
+
+The third route needs no plumbing: for every odd p <= 51 (542 lens spaces),
+-(def(1, q) + 8 sum_k I(k, k q)) / p, from the point signature defect and the
+Dirac character term of `gindex`, must be an integer congruent to
+mu(L(p, q)) mod 16.  No check uses `assert`, so the file also runs under
+`python -O`.
 """
 
 from fractions import Fraction
@@ -22,6 +27,7 @@ from math import ceil, gcd
 import pytest
 
 from k3census import gindex as gi
+from k3census.cyclotomic import CycNum
 
 ODD_P = range(3, 32, 2)
 
@@ -150,3 +156,40 @@ def test_values_are_even_residues_mod_16():
 def test_rejects_even_or_non_coprime_input(p, q):
     with pytest.raises(ValueError):
         gi.rochlin(p, q)
+
+
+# ---------------------------------------------------------------------------
+# a third route: the eta-invariant form of the Rochlin invariant
+# (Atiyah-Patodi-Singer II, Math. Proc. Cambridge Philos. Soc. 78, 1975)
+
+ETA_P = range(3, 52, 2)
+
+
+def eta_mu(p: int, q: int) -> Fraction:
+    """-(def(1, q) + 8 sum_{k=1}^{p-1} I(k, k q)) / p, with def the signature
+    defect of a point and I its Dirac character term, both from gindex; an
+    integer congruent to mu(L(p, q)) mod 16."""
+    total = CycNum.rational(0)
+    for k in range(1, p):
+        total = total + gi._point_term(p, k, k * q)
+    spin = total.as_rational()
+    if spin is None:
+        pytest.fail("the Dirac sum for L(%d,%d) is not rational" % (p, q))
+    return -(gi.point_defect(p, 1, q) + 8 * spin) / p
+
+
+def test_eta_route_covers_542_lens_spaces():
+    n = sum(len(coprime(p)) for p in ETA_P)
+    if n != 542:
+        pytest.fail("%d lens spaces L(p, q) with odd p <= 51, not 542" % n)
+
+
+@pytest.mark.parametrize("p", ETA_P)
+def test_eta_invariant_formula(p):
+    for q in coprime(p):
+        value = eta_mu(p, q)
+        if value.denominator != 1:
+            pytest.fail("L(%d,%d): the eta route gives %s, not an integer" % (p, q, value))
+        if value.numerator % 16 != gi.rochlin(p, q):
+            pytest.fail("L(%d,%d): the eta route gives %d mod 16, the plumbing %d"
+                        % (p, q, value.numerator % 16, gi.rochlin(p, q)))
