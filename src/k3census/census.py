@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
+from operator import mul
 
 from . import e8, gindex, reps
 from .cyclotomic import CycNum, embed_str
@@ -72,10 +73,16 @@ def group_spin(p: int, typ: str, k: int) -> CycNum:
 
 @lru_cache(maxsize=None)
 def group_defect(p: int, typ: str) -> Fraction:
-    """Total signature defect of one group (k-independent)."""
+    """Total signature defect of one group (k-independent), certified as the
+    Galois trace of its signature contribution at k = 1 (the parameters k
+    are the powers of g, whose contributions are the conjugates)."""
     d = group_data(p, typ, 1)
     total = sum((gindex.point_defect(p, a, b) for a, b in d.isolated), Fraction(0))
     total += sum((gindex.surface_defect(p, si) for _, si, _ in d.surfaces), Fraction(0))
+    trace = gindex.galois_trace(delta_values(p)[typ][1], p)
+    if total != trace:
+        raise CheckFailure("p=%d type %s: defects sum to %s, the trace of its signature is %s"
+                           % (p, typ, total, trace))
     return total
 
 
@@ -190,17 +197,21 @@ def nontrivial_profiles(p: int) -> tuple[ThetaProfile, ...]:
 def stage1(profile: ThetaProfile) -> tuple[tuple[int, ...], ...]:
     """Group counts n_t >= 0, one per type of GROUP_TYPES[p], with
     sum n_t chi_t = chi(F) (Lefschetz) and sum n_t def_t = 16 - p fix
-    (averaged signature with Sign(M) = -16 and Sign(M/G) = -fix)."""
+    (averaged signature with Sign(M) = -16 and Sign(M/G) = -fix).  Both
+    sides of the signature equation are scaled by the lcm of the defects'
+    denominators, so it is compared in integers."""
     p = profile.p
     *euler, last = [group_data(p, t, 1).euler_characteristic() for t in GROUP_TYPES[p]]
     defect = [group_defect(p, t) for t in GROUP_TYPES[p]]
+    den = lcm(*(d.denominator for d in defect))
+    scaled = [d.numerator * (den // d.denominator) for d in defect]
     chi = profile.lefschetz_total()
-    rhs = 16 - p * (profile.first.fixed_rank() + profile.second.fixed_rank())
+    rhs = den * (16 - p * (profile.first.fixed_rank() + profile.second.fixed_rank()))
     out = []
     for head in product(*(range(chi // e + 1) for e in euler)):
-        rest = chi - sum(map(int.__mul__, head, euler))  # left for the last type
+        rest = chi - sum(map(mul, head, euler))  # left for the last type
         n = head + (rest // last,)
-        if rest >= 0 and rest % last == 0 and sum(map(Fraction.__mul__, defect, n)) == rhs:
+        if rest >= 0 and rest % last == 0 and sum(map(mul, scaled, n)) == rhs:
             out.append(n)
     return tuple(out)
 
@@ -294,8 +305,8 @@ def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
     """Fang and Furuta on every candidate; Kirby-Siebenmann on the pseudofree
     ones both leave alive, as its congruence presumes the action exists."""
     data = cand.fixed_point_data()
-    spin = gindex.spin_number(data, ind_dirac=2)
     spin_exact = gindex.spin_value(data)
+    spin = gindex.spin_number(data, spin_exact, ind_dirac=2)
     fang = gindex.fang_test(spin, b2plus=3)
     audits.append(Audit(cand.cid, "fang", fang, "spin=%s (%s), d=%s"
                         % (spin_exact, decimal(spin_exact, digits), spin.d)))
@@ -381,7 +392,8 @@ def _structure_p5(cands, survivors, stages) -> dict:
         "sl2_core_family": sorted([c.cid for c in cands if not c.profile.in_elimination_table()]
                                   + [c.cid for c in alive if c.chain_groups()]),
         "max_tori": {c.cid: c.profile.max_tori() for c in cands},
-        "max_chain_groups": max(chain_groups(5, n) for _, sols in stages for n in sols),
+        "max_chain_groups": max((chain_groups(5, n) for _, sols in stages for n in sols),
+                                default=0),
     }
 
 

@@ -157,7 +157,7 @@ def enumerate_roots() -> tuple[Root, ...]:
     for signs in product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
             roots.add(signs)
-    out = tuple(sorted(LatticeVec(d) for d in roots))
+    out = tuple(map(LatticeVec, sorted(roots)))  # LatticeVec order is tuple order
     if len(out) != 240:
         raise CheckFailure("found %d roots, not 240" % len(out))
     return out
@@ -421,12 +421,13 @@ def coxeter_matrix(simple_roots) -> list[list[Fraction]]:
 @lru_cache(maxsize=None)
 def orthogonal_a4_pair() -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     """Two mutually orthogonal A4 chains inside the root system."""
-    all_roots = list(enumerate_roots())
-    first = _find_a_chain(_normalized_mod_sign(all_roots), 4)
+    pool = _normalized_mod_sign(enumerate_roots())
+    first = _find_a_chain(pool, 4)
     if first is None:
         raise CheckFailure("no A4 chain among the roots")
-    rest = [r for r in all_roots if not any(_dot(r.d, a.d) for a in first)]
-    second = _find_a_chain(_normalized_mod_sign(rest), 4)
+    # orthogonality is blind to sign, so filtering the normalized pool gives
+    # the normalized pool of the orthogonal roots
+    second = _find_a_chain(_orthogonal_to(pool, first), 4)
     if second is None:
         raise CheckFailure("no A4 chain orthogonal to %r" % (first,))
     return first, second
@@ -438,9 +439,14 @@ def orthogonal_a2_quadruple() -> tuple[tuple[Root, ...], ...]:
     chains: list[tuple[Root, ...]] = []
     pool = _normalized_mod_sign(enumerate_roots())
     for _ in range(4):
-        avoid = tuple(r for c in chains for r in c)
-        nxt = _find_a_chain(pool, 2, avoid=avoid)
+        nxt = _find_a_chain(pool, 2)
         if nxt is None:
             raise CheckFailure("no A2 chain orthogonal to %d earlier chains" % len(chains))
         chains.append(nxt)
+        pool = _orthogonal_to(pool, nxt)
     return tuple(chains)
+
+
+def _orthogonal_to(pool: list[Root], chain) -> list[Root]:
+    """The roots of pool orthogonal to every root of chain, in pool order."""
+    return [r for r in pool if not any(_dot(r.d, c.d) for c in chain)]

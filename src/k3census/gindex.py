@@ -2,7 +2,9 @@
 
 Inputs are fixed-point data: isolated points carry a pair of rotation
 numbers (a, b) mod p, fixed surfaces carry (genus, self-intersection,
-normal rotation number c).  Everything is evaluated exactly in Q(mu_p).
+normal rotation number c).  Everything is evaluated exactly in Q(mu_p);
+the rational traces (signature defects of points, the eta form of the
+Rochlin invariant) are summed as integers through Dedekind sums instead.
 
 Two conventions coexist.  For the signature formulas the pair (a, b) only
 matters up to order and simultaneous sign.  For the Dirac character the
@@ -98,47 +100,78 @@ def signature_g(data: FixedPointData) -> CycNum:
     return total
 
 
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """The Dedekind sum s(h, k) = sum_{j=1}^{k-1} ((j/k)) ((hj/k)) for k >= 1,
+    with ((x)) = x - floor(x) - 1/2 off the integers and 0 on them.
+
+    For 0 < j < k, ((j/k)) = (2j - k)/(2k), so the sum is taken over the
+    integers (2j - k)(2r - k) with r = hj mod k, skipping r = 0, and divided
+    by 4k^2 once at the end."""
+    if k < 1:
+        raise ValueError("need k >= 1, got %d" % k)
+    total = 0
+    for j in range(1, k):
+        r = h * j % k
+        if r:
+            total += (2 * j - k) * (2 * r - k)
+    return Fraction(total, 4 * k * k)
+
+
 def signature_defect(p: int, q: int) -> Fraction:
     """def_m for the local representation (z1, z2) -> (mu^k z1, mu^kq z2):
-    sum over k of (1+mu^k)(1+mu^kq) / ((1-mu^k)(1-mu^kq)); always rational."""
+    sum over k of (1+mu^k)(1+mu^kq) / ((1-mu^k)(1-mu^kq)), which is the
+    rational -4 p s(q, p) (Hirzebruch-Zagier, "The Atiyah-Singer theorem and
+    elementary number theory", 1974); the field sum is the test oracle."""
     if q % p == 0:
         raise ValueError("q must be nonzero mod p")
-    total = CycNum.rational(0)
-    for k in range(1, p):
-        total = total + cot_product(p, k, k * q)
-    val = total.as_rational()
-    if val is None:
-        raise CheckFailure("defect of I_%d_%d failed to be rational" % (p, q))
-    return val
+    return -4 * p * dedekind_sum(q, p)
 
 
 def point_defect(p: int, a: int, b: int) -> Fraction:
     """Signature defect of an isolated point with rotation numbers (a, b);
     equals signature_defect(p, a^-1 b)."""
-    total = CycNum.rational(0)
-    for k in range(1, p):
-        total = total + cot_product(p, k * a, k * b)
-    val = total.as_rational()
-    if val is None:
-        raise CheckFailure("defect of the point (%d, %d) mod %d failed to be rational"
-                           % (a, b, p))
-    return val
+    if a % p == 0:
+        raise ValueError("rotation numbers must be nonzero mod p")
+    return signature_defect(p, b * pow(a, -1, p) % p)
 
 
 def surface_defect(p: int, selfint: int) -> Fraction:
     return Fraction((p * p - 1), 3) * selfint
 
 
+def galois_trace(x: CycNum, p: int) -> Fraction:
+    """Tr(x) from Q(zeta_p) to Q for prime p, the sum of the p - 1 Galois
+    conjugates of x: Tr(zeta^i) = p - 1 for i = 0 and -1 for 0 < i < p - 1,
+    so on the power basis Tr(x) = p c_0 - (c_0 + ... + c_(p-2))."""
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise ValueError("need a prime, got %d" % p)
+    if x.n == 1:
+        return (p - 1) * x.as_rational()
+    if x.n != p:
+        raise ValueError("conductor %d is not %d" % (x.n, p))
+    c = x.coeffs
+    return p * c[0] - sum(c)
+
+
 def orbifold_signature(p: int, sign_m: int, data: FixedPointData) -> Fraction:
-    """Sign(M/G) from the averaged signature formula:
-    |G| Sign(M/G) = Sign(M) + sum def_m + sum def_Y.  Raises CheckFailure
-    unless the result is an integer."""
-    total = Fraction(sign_m)
+    """Sign(M/G) from the averaged signature formula for G of prime order p:
+    |G| Sign(M/G) = Sign(M) + sum def_m + sum def_Y.
+
+    The defects (Dedekind sums) are certified against the field: g^k acts
+    on the same fixed set with its rotation numbers times k, so
+    Sign(g^k, M) is the Galois conjugate of Sign(g, M) = signature_g(data),
+    and the defects must sum to its trace.  Raises CheckFailure if they do
+    not, or unless the result is an integer."""
+    total = Fraction(0)
     for a, b in data.isolated:
         total += point_defect(p, a, b)
     for _, selfint, c in data.surfaces:
         total += surface_defect(p, selfint)
-    out = total / p
+    trace = galois_trace(signature_g(data), p)
+    if total != trace:
+        raise CheckFailure("defects of %r sum to %s, the trace of Sign(g, M) is %s"
+                           % (data, total, trace))
+    out = (sign_m + total) / p
     if out.denominator != 1:
         raise CheckFailure("averaged signature %s is not an integer" % out)
     return out
@@ -199,13 +232,12 @@ def spin_value(data: FixedPointData) -> CycNum:
     return total
 
 
-def spin_number(data: FixedPointData, ind_dirac: int = 2) -> SpinVector:
-    """The character as an integer vector (d_0, ..., d_{p-1}); the vector is
-    only defined up to adding multiples of (1, ..., 1), and the stated total
-    index of the Dirac operator (2 for K3-type input, i.e. -Sign/8) fixes
-    the normalization."""
+def spin_number(data: FixedPointData, val: CycNum, ind_dirac: int = 2) -> SpinVector:
+    """The character val = spin_value(data) as an integer vector
+    (d_0, ..., d_{p-1}); the vector is only defined up to adding multiples
+    of (1, ..., 1), and the stated total index of the Dirac operator (2 for
+    K3-type input, i.e. -Sign/8) fixes the normalization."""
     p = data.p
-    val = spin_value(data)
     if val.n == 1:
         coeffs = [val.coeffs[0]] + [Fraction(0)] * (p - 2)
     elif val.n == p:
@@ -252,6 +284,23 @@ class KsResult:
     smoothable: bool
 
 
+def point_spin_trace(p: int, q: int) -> Fraction:
+    """T(p, q) = sum_{k=1}^{p-1} I(k, kq), the Dirac character terms of a
+    point with rotation numbers (1, q) summed over the nontrivial powers of
+    g, for odd p coprime to q.
+
+    With r = k t, t = -(1 + q)/2 mod p, and 1/(1 - x) = -(1/p) sum_j j x^j
+    for x != 1, x^p = 1, the sum over k of the double sum in i, j keeps
+    p i j where i = t - q j mod p and loses the k = 0 term (sum_j j)^2:
+    T = (p sum_{j<p} j ((t - q j) mod p) - (p(p-1)/2)^2) / p^2, a
+    Fourier-Dedekind sum (Beck-Robins, "Computing the Continuous
+    Discretely", ch. 8).  The sum of field elements is the test oracle."""
+    t = -(1 + q) * pow(2, -1, p) % p
+    total = sum(j * ((t - q * j) % p) for j in range(1, p))
+    return Fraction(p * total - (p * (p - 1) // 2) ** 2, p * p)
+
+
+@lru_cache(maxsize=None)
 def rochlin(p: int, q: int) -> int:
     """Rochlin invariant mu(L(p, q)) mod 16 for odd p, with the unique spin
     structure (Neumann, "An invariant of plumbed homology spheres", 1980).
@@ -260,7 +309,12 @@ def rochlin(p: int, q: int) -> int:
     p/q = a_1 - 1/(a_2 - ... - 1/a_n) with every a_i >= 2.  Its form Q is
     tridiagonal with det Q = +-p odd, so exactly one 0/1 vector w solves
     Q w = diag Q over F_2 (the characteristic class), and
-    mu(L(p, q)) = sign(P) - w.w mod 16."""
+    mu(L(p, q)) = sign(P) - w.w mod 16.
+
+    The plumbing value is certified against the eta-invariant form
+    mu = -(-4 p s(q, p) + 8 T(p, q)) / p mod 16 (Atiyah-Patodi-Singer II,
+    1975), from signature_defect and point_spin_trace; CheckFailure if that
+    value is not an integer or disagrees mod 16.  Memoized per (p, q)."""
     if p < 1 or p % 2 == 0 or gcd(p, q) != 1:
         raise ValueError("need odd p >= 1 coprime to q, got L(%d,%d)" % (p, q))
     if p == 1:
@@ -290,7 +344,12 @@ def rochlin(p: int, q: int) -> int:
     if abs(minors[-1]) != p or 0 in minors:
         raise CheckFailure("plumbing of L(%d,%d) has minors %r" % (p, q, minors))
     negative = sum(1 for x, y in zip(minors, minors[1:]) if x * y < 0)
-    return (len(a) - 2 * negative - square) % 16
+    mu = (len(a) - 2 * negative - square) % 16
+    eta = -(signature_defect(p, q) + 8 * point_spin_trace(p, q)) / p
+    if eta.denominator != 1 or eta.numerator % 16 != mu:
+        raise CheckFailure("L(%d,%d): the plumbing gives mu = %d but the eta form gives %s"
+                           % (p, q, mu, eta))
+    return mu
 
 
 def lens_space(p: int, a: int, b: int) -> tuple[int, int]:

@@ -1,12 +1,18 @@
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import k3census
+from k3census import gindex
+from k3census.cyclotomic import CycNum, cot_product
 from k3census.sgnperm import SignedPerm
+
+# the lens spaces L(p, q) with odd p <= 51: 542 of them
+LENS_P = range(3, 52, 2)
 
 
 def signed_identity():
@@ -26,3 +32,27 @@ def run_optimized():
                               capture_output=True, text=True, timeout=300)
 
     return run
+
+
+def field_trace(p: int, terms):
+    """The sum of the given elements of Q(zeta_p), which must be rational."""
+    total = CycNum.rational(0)
+    for t in terms:
+        total = total + t
+    value = total.as_rational()
+    if value is None:
+        pytest.fail("a Galois trace over Q(zeta_%d) is not rational" % p)
+    return value
+
+
+@pytest.fixture(scope="session")
+def lens_field_traces():
+    """{(p, q): (def, T)} over the 542 lens spaces L(p, q), odd p <= 51, both
+    summed as p - 1 elements of Q(zeta_p): the point signature defect
+    def = sum_k cot(k pi/p) cot(k q pi/p) from cot_product, and the Dirac
+    trace T = sum_k I(k, k q) from gindex._point_term.  These field sums
+    are the routes the package's Dedekind-sum forms replaced; computed once
+    per session and shared by every test that checks against them."""
+    return {(p, q): (field_trace(p, (cot_product(p, k, k * q) for k in range(1, p))),
+                     field_trace(p, (gindex._point_term(p, k, k * q) for k in range(1, p))))
+            for p in LENS_P for q in range(1, p) if gcd(p, q) == 1}

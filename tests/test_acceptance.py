@@ -126,7 +126,7 @@ def test_criterion_06_spin_numbers():
         val = gi.spin_value(data)
         if rational is not None:
             assert val.as_rational() == rational
-        sv = gi.spin_number(data, ind_dirac=2)
+        sv = gi.spin_number(data, val, ind_dirac=2)
         assert sv.d == dvec
         assert sv.d[0] % 2 == 0
         assert all(sv.d[k] == sv.d[5 - k] for k in range(1, 5))

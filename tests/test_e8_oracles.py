@@ -75,6 +75,25 @@ def ref_a2_quadruple():
     return tuple(chains)
 
 
+def avoid_a4_pair():
+    """The A4 pair as e8 searched it before filtering the normalized pool:
+    the second chain from a fresh normalization of every root orthogonal
+    to the first."""
+    roots = list(e8.enumerate_roots())
+    first = e8._find_a_chain(e8._normalized_mod_sign(roots), 4)
+    rest = [r for r in roots if not any(e8._dot(r.d, a.d) for a in first)]
+    return first, e8._find_a_chain(e8._normalized_mod_sign(rest), 4)
+
+
+def avoid_a2_quadruple():
+    """The A2 quadruple as e8 searched it before filtering its pool per
+    chain: each chain tests the whole pool against every earlier root."""
+    chains, pool = [], e8._normalized_mod_sign(e8.enumerate_roots())
+    for _ in range(4):
+        chains.append(e8._find_a_chain(pool, 2, avoid=tuple(r for c in chains for r in c)))
+    return tuple(chains)
+
+
 @lru_cache(maxsize=None)
 def ref_basis_inverse():
     """(s, B) with B / s the inverse of the basis matrix, by sympy's exact
@@ -149,6 +168,20 @@ def test_pair_and_quadruple_match_inner_route():
         pytest.fail("the A4 pair is not memoized")
     if e8.orthogonal_a2_quadruple() is not e8.orthogonal_a2_quadruple():
         pytest.fail("the A2 quadruple is not memoized")
+
+
+def test_first_call_searches_match_the_avoid_route():
+    e8.orthogonal_a4_pair.cache_clear()
+    e8.orthogonal_a2_quadruple.cache_clear()
+    e8.enumerate_roots.cache_clear()
+    roots = e8.enumerate_roots()
+    if list(roots) != sorted(roots) or len(set(roots)) != 240:
+        pytest.fail("the roots are not 240 in LatticeVec order")
+    if e8.orthogonal_a4_pair() != avoid_a4_pair():
+        pytest.fail("A4 pair %r, avoid route %r" % (e8.orthogonal_a4_pair(), avoid_a4_pair()))
+    if e8.orthogonal_a2_quadruple() != avoid_a2_quadruple():
+        pytest.fail("A2 quadruple %r, avoid route %r"
+                    % (e8.orthogonal_a2_quadruple(), avoid_a2_quadruple()))
 
 
 def test_basis_inverse_matches_gauss_jordan():

@@ -89,15 +89,17 @@ def test_spin_vector_invariants():
 def test_spin_numbers_census_cases():
     # fourteen-point survivor
     pts = [(1, 2), (-1, 4), (-1, 4)] * 2 + [(2, 2), (-2, 6), (-2, 6), (-2, 6)] * 2
-    d = gi.spin_number(FixedPointData(5, tuple(pts)))
+    data = FixedPointData(5, tuple(pts))
+    d = gi.spin_number(data, gi.spin_value(data))
     assert d.d == (-2, 0, 2, 2, 0)
     # the ruled-out symmetric case (four three-point groups, two isolated
     # points): value -3
     pts_a = [(1, 2), (-1, 4), (-1, 4)] * 2 + [(2, 4), (-2, 3), (-2, 3)] * 2 \
         + [(1, -1), (2, -2)]
-    da = gi.spin_number(FixedPointData(5, tuple(pts_a)))
+    data_a = FixedPointData(5, tuple(pts_a))
+    da = gi.spin_number(data_a, gi.spin_value(data_a))
     assert da.d == (-2, 1, 1, 1, 1)
-    assert gi.spin_value(FixedPointData(5, tuple(pts_a))).as_rational() == -3
+    assert gi.spin_value(data_a).as_rational() == -3
 
 
 def test_chain_group_spin_vanishes():

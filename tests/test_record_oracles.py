@@ -74,7 +74,7 @@ def _samples():
                                    ([], [(1, 0), (1, 0)], [(0, -2), (1, 0)], [(2, 2)])],
         cli.RunConfig: [cli.RunConfig(), cli.RunConfig(digits=3, fmt="json")],
         gindex.FixedPointData: data + [gindex.FixedPointData(5)],
-        gindex.SpinVector: [gindex.spin_number(d) for d in data],
+        gindex.SpinVector: [gindex.spin_number(d, gindex.spin_value(d)) for d in data],
         gindex.KsResult: [gindex.KsResult(0, -8, 8, 0, True), gindex.KsResult(1, 0, 8, 8, False)],
         kummer.E8BasesReport: [kummer.verify_e8_bases()],
         test_kummer.BasicClass: list(test_kummer.basic_classes((2, 3, 5))[:6]),

@@ -15,9 +15,10 @@ mu(L(p, p - q)) = -mu(L(p, q)) for every odd p <= 31.
 
 The third route needs no plumbing: for every odd p <= 51 (542 lens spaces),
 -(def(1, q) + 8 sum_k I(k, k q)) / p, from the point signature defect and the
-Dirac character term of `gindex`, must be an integer congruent to
-mu(L(p, q)) mod 16.  No check uses `assert`, so the file also runs under
-`python -O`.
+Dirac character term summed over Q(zeta_p), must be an integer congruent to
+mu(L(p, q)) mod 16.  (`gindex.rochlin` checks the same identity at run time
+on its Dedekind-sum forms; the field sums here are independent of those.)
+No check uses `assert`, so the file also runs under `python -O`.
 """
 
 from fractions import Fraction
@@ -26,10 +27,11 @@ from math import ceil, gcd
 
 import pytest
 
+from conftest import LENS_P
 from k3census import gindex as gi
-from k3census.cyclotomic import CycNum
 
 ODD_P = range(3, 32, 2)
+ETA_P = LENS_P
 
 
 def continued_fraction(p: int, q: int) -> list[int]:
@@ -162,32 +164,26 @@ def test_rejects_even_or_non_coprime_input(p, q):
 # a third route: the eta-invariant form of the Rochlin invariant
 # (Atiyah-Patodi-Singer II, Math. Proc. Cambridge Philos. Soc. 78, 1975)
 
-ETA_P = range(3, 52, 2)
-
-
-def eta_mu(p: int, q: int) -> Fraction:
+def eta_mu(traces, p: int, q: int) -> Fraction:
     """-(def(1, q) + 8 sum_{k=1}^{p-1} I(k, k q)) / p, with def the signature
-    defect of a point and I its Dirac character term, both from gindex; an
-    integer congruent to mu(L(p, q)) mod 16."""
-    total = CycNum.rational(0)
-    for k in range(1, p):
-        total = total + gi._point_term(p, k, k * q)
-    spin = total.as_rational()
-    if spin is None:
-        pytest.fail("the Dirac sum for L(%d,%d) is not rational" % (p, q))
-    return -(gi.point_defect(p, 1, q) + 8 * spin) / p
+    defect of a point and I its Dirac character term, both summed over
+    Q(zeta_p) (the lens_field_traces fixture); an integer congruent to
+    mu(L(p, q)) mod 16."""
+    defect, spin = traces[p, q]
+    return -(defect + 8 * spin) / p
 
 
-def test_eta_route_covers_542_lens_spaces():
+def test_eta_route_covers_542_lens_spaces(lens_field_traces):
     n = sum(len(coprime(p)) for p in ETA_P)
-    if n != 542:
-        pytest.fail("%d lens spaces L(p, q) with odd p <= 51, not 542" % n)
+    if n != 542 or len(lens_field_traces) != 542:
+        pytest.fail("%d lens spaces L(p, q) with odd p <= 51 (%d traced), not 542"
+                    % (n, len(lens_field_traces)))
 
 
 @pytest.mark.parametrize("p", ETA_P)
-def test_eta_invariant_formula(p):
+def test_eta_invariant_formula(p, lens_field_traces):
     for q in coprime(p):
-        value = eta_mu(p, q)
+        value = eta_mu(lens_field_traces, p, q)
         if value.denominator != 1:
             pytest.fail("L(%d,%d): the eta route gives %s, not an integer" % (p, q, value))
         if value.numerator % 16 != gi.rochlin(p, q):
