@@ -302,8 +302,11 @@ def candidate_id(profile: ThetaProfile, counts, residues=None) -> str:
 
 
 def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
-    """Fang and Furuta on every candidate; Kirby-Siebenmann on the pseudofree
-    ones both leave alive, as its congruence presumes the action exists."""
+    """A verdict of each filter on every candidate.  Fang and Furuta run on
+    all of them.  Kirby-Siebenmann runs on the pseudofree ones both leave
+    alive, as its congruence presumes the action exists and needs isolated
+    fixed points only; every other candidate gets the verdict
+    "not_applicable" with the reason."""
     data = cand.fixed_point_data()
     spin_exact = gindex.spin_value(data)
     spin = gindex.spin_number(data, spin_exact, ind_dirac=2)
@@ -314,7 +317,13 @@ def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
     furuta = gindex.furuta_test(spin.d[0], cand.profile.quotient_b2plus(), b2m)
     audits.append(Audit(cand.cid, "furuta", furuta,
                         "ind D = d0 = %d, window (-%d, %d)" % (spin.d[0], b2m, 3)))
-    if fang == furuta == "survives" and data.is_pseudofree():
+    if not data.is_pseudofree():
+        audits.append(Audit(cand.cid, "ks_rochlin", "not_applicable",
+                            "not pseudofree (fixed surfaces: %d)" % len(data.surfaces)))
+    elif fang != "survives" or furuta != "survives":
+        audits.append(Audit(cand.cid, "ks_rochlin", "not_applicable",
+                            "ruled out by %s" % ("fang" if fang != "survives" else "furuta")))
+    else:
         lens = sorted(gindex.lens_space(data.p, a, b) for a, b in data.isolated)
         sign_n = int(gindex.orbifold_signature(data.p, -16, data))
         ks = gindex.ks_rochlin_test(lens, sign_n)
@@ -357,12 +366,20 @@ def run_census(p: int, digits: int = 5) -> CensusRun:
              "refinement": {"in": n_solutions, "assignments": scanned, "out": len(cands)}}
     alive = cands
     for name in FILTERS:
-        left = [c for c in alive if verdicts.get((c.cid, name), "survives") == "survives"]
+        left = []
+        for c in alive:
+            try:
+                verdict = verdicts[c.cid, name]
+            except KeyError:
+                raise CheckFailure("candidate %s has no %s verdict" % (c.cid, name)) from None
+            if verdict != "ruled_out":
+                left.append(c)
         stats[name] = {"in": len(alive), "out": len(left)}
         alive = left
     stats["audits"] = {}
     for a in audits:
-        stats["audits"].setdefault(a.filter_name, {"survives": 0, "ruled_out": 0})[a.verdict] += 1
+        counts = stats["audits"].setdefault(a.filter_name, {"survives": 0, "ruled_out": 0})
+        counts[a.verdict] = counts.get(a.verdict, 0) + 1
     survivors = tuple(c.cid for c in alive if c.profile.in_elimination_table())
     structure = STRUCTURE[p](cands, survivors, stages)
     return CensusRun(p, digits, stages, tuple(cands), tuple(audits), survivors, structure, stats)

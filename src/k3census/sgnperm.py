@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import factorial, lcm, prod
-from operator import eq, getitem, ne, neg
+from operator import getitem, ne, neg
 
 from . import e8
 from .e8 import LatticeVec
@@ -92,8 +92,20 @@ class SignedPerm:
     letters.  The sum is then 255 + 256 n with n the number of -1 signs, so
     bit 8 is the parity of the sign product.
 
-    The slot _ctype caches cycle_type(): the constructor sets it to None and
-    the first call fills it through the slot descriptor, so order(),
+    Products and inverses skip that check: they are built by _trusted, which
+    only fills the two slots.  This is sound by induction over how an
+    instance comes about.  Every instance is made either by the checking
+    constructor (directly, through from_eps_perm, diagonal or from_cycles,
+    or by unpickling, which calls it through __reduce__) or as a product or
+    inverse of instances.  If a and b are 8 distinct signed letters with
+    sign product +1, the product's entries a(b_i) are again 8 distinct
+    signed letters, and its sign product is that of a times that of b, +1;
+    the inverse's entries are the signed positions of a's, with the same
+    signs.  So every instance holds an element of H, and every entry point
+    that takes outside input still checks it.
+
+    The slot _ctype caches cycle_type(): every construction sets it to None
+    and the first call fills it through the slot descriptor, so order(),
     charpoly() and classify_order4 share one walk.  The cached tuple is the
     one shared by every element of that type."""
 
@@ -167,15 +179,20 @@ class SignedPerm:
     # -- group operations ---------------------------------------------------
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
-        """Composition: (self * other)(x) = self(other(x))."""
-        return SignedPerm(_img_mul(self.image, other.image))
+        """Composition: (self * other)(x) = self(other(x)).  H is closed
+        under products, so the result is not checked again (see the class
+        docstring)."""
+        return _trusted(_img_mul(self.image, other.image))
 
     def inverse(self) -> "SignedPerm":
+        """The inverse, unchecked like a product (see the class docstring)."""
         out = [0] * 8
-        for i, t in enumerate(self.image):
-            j = abs(t) - 1
-            out[j] = (i + 1) if t > 0 else -(i + 1)
-        return SignedPerm(tuple(out))
+        for i, t in enumerate(self.image, 1):
+            if t > 0:
+                out[t - 1] = i
+            else:
+                out[-t - 1] = -i
+        return _trusted(tuple(out))
 
     def conjugated_by(self, h: "SignedPerm") -> "SignedPerm":
         return h * self * h.inverse()
@@ -186,13 +203,6 @@ class SignedPerm:
             j = abs(t) - 1
             d[j] = x.d[i] if t > 0 else -x.d[i]
         return LatticeVec(tuple(d))
-
-    def apply_doubled(self, xd: tuple[int, ...]) -> tuple[int, ...]:
-        d = [0] * 8
-        for i, t in enumerate(self.image):
-            j = abs(t) - 1
-            d[j] = xd[i] if t > 0 else -xd[i]
-        return tuple(d)
 
     # -- invariants -----------------------------------------------------
 
@@ -273,8 +283,9 @@ class SignedPerm:
         return _type_order(self.cycle_type())
 
     def trace(self) -> int:
-        image = self.image
-        return sum(map(eq, image, _IDENT_IMG)) - sum(map(eq, image, _MINUS_IMG))
+        """Fixed letters minus negated letters, as one sum over the image
+        entries (see _trace_rows)."""
+        return sum(map(getitem, _trace_rows(), self.image))
 
     def charpoly(self) -> tuple[int, ...]:
         """Characteristic polynomial as a product of (x^L - s) over signed
@@ -300,6 +311,29 @@ class SignedPerm:
 _signed_types: dict = {}
 _set_image = SignedPerm.image.__set__
 _set_ctype = SignedPerm._ctype.__set__
+_new = object.__new__
+
+
+def _trusted(image: Img) -> SignedPerm:
+    """The SignedPerm with this image, unchecked: only for images that are
+    products or inverses of elements of H (see the SignedPerm docstring)."""
+    g = _new(SignedPerm)
+    _set_image(g, image)
+    _set_ctype(g, None)
+    return g
+
+
+@lru_cache(maxsize=None)
+def _trace_rows() -> tuple[tuple[int, ...], ...]:
+    """rows[i][t] is the diagonal entry the image entry t = image[i] puts at
+    position i: +1 for t = i + 1, -1 for t = -(i + 1), 0 otherwise; negative
+    t index from the end, as in _ext."""
+    rows = []
+    for i in range(8):
+        row = [0] * 17
+        row[i + 1], row[-(i + 1)] = 1, -1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -379,15 +413,21 @@ def fixed_roots(gens) -> tuple[LatticeVec, ...]:
 
     g(r) = r exactly when sum_i (s_i d_i - d_pi(i))^2 = 0 in doubled
     coordinates; the sum is taken for all 240 roots at once, one root per
-    byte of an integer (see _fixed_lanes), and OR-ed over the generators."""
+    byte of an integer (see _fixed_lanes), and OR-ed over the generators.
+    Translating its bytes by _ZERO_BYTE turns them into the selectors of
+    the fixed roots."""
     if isinstance(gens, SignedPerm):
         gens = [gens]
     lanes = _fixed_lanes()
     moved = 0
     for g in gens:
         moved |= sum(map(getitem, lanes, g.image))
-    return tuple(r for r, b in zip(e8.enumerate_roots(), moved.to_bytes(240, "little"))
-                 if not b)
+    return tuple(compress(e8.enumerate_roots(),
+                          moved.to_bytes(240, "little").translate(_ZERO_BYTE)))
+
+
+# byte translation table: 0 -> 1, every other byte -> 0
+_ZERO_BYTE = b"\x01" + bytes(255)
 
 
 @lru_cache(maxsize=None)
@@ -463,19 +503,30 @@ def involution_class(v: SignedPerm) -> InvolutionClass:
     passing to -v; at l = 4 the class is 4A' exactly when every root pairs
     evenly with its image, and 4A when an odd witness exists.  The witness
     is read off v itself: (-v(r), r) = -(v(r), r), so v and -v have the same
-    roots with odd pairing, and the same first one."""
+    roots with odd pairing, and the same first one.
+
+    The record depends on the trace and the witness alone, so it comes from
+    _involution_record, which makes one per key: equal inputs share one
+    frozen record."""
     if not v.is_involution():
         raise ValueError("element is not an involution")
     if v.image == _MINUS_IMG:
         raise ValueError("central element -1 is excluded")
-    lv = (8 - v.trace()) // 2
+    return _involution_record(v.trace(), parity_witness(v))
+
+
+@lru_cache(maxsize=None)
+def _involution_record(trace: int, witness: LatticeVec | None) -> InvolutionClass:
+    """The class record of an involution other than +-1 with this trace
+    (one of the 7 even values in -6..6) and parity witness (None or one of
+    the 240 roots), so the cache holds at most 7 * 241 records."""
+    lv = (8 - trace) // 2
     negated = lv > 4
     if negated:
         lv = 8 - lv
-    w = parity_witness(v)
     if lv <= 3:
-        return InvolutionClass(_L_LABELS[lv], lv, negated, w)
-    return InvolutionClass("4A" if w is not None else "4A'", 4, negated, w)
+        return InvolutionClass(_L_LABELS[lv], lv, negated, witness)
+    return InvolutionClass("4A" if witness is not None else "4A'", 4, negated, witness)
 
 
 def is_4a_prime_shape(v: SignedPerm) -> bool:

@@ -20,6 +20,15 @@ def signed_identity():
     return SignedPerm(tuple(range(1, 9)))
 
 
+def apply_doubled(g, xd):
+    """g applied to a vector given by its doubled coordinates xd: the image
+    entry image[i] = +-(j+1) sends coordinate i to +-coordinate j."""
+    d = [0] * 8
+    for i, t in enumerate(g.image):
+        d[abs(t) - 1] = xd[i] if t > 0 else -xd[i]
+    return tuple(d)
+
+
 @pytest.fixture
 def run_optimized():
     """Run `python -O <args>` in a new process with this package importable;

@@ -8,6 +8,7 @@ from k3census import census as cs
 from k3census import gindex as gi
 from k3census.census import Candidate, ThetaProfile
 from k3census.cyclotomic import CycNum
+from k3census.errors import CheckFailure
 
 
 def profile(rts1, rts2, p=5):
@@ -165,7 +166,9 @@ def test_run_p5_survivors_and_labels():
     furuta = {a.candidate_id: a.verdict for a in run.audits if a.filter_name == "furuta"}
     assert furuta == dict.fromkeys(fang, "survives")
     ks = {a.candidate_id: a.verdict for a in run.audits if a.filter_name == "ks_rochlin"}
-    assert ks == {"c": "survives", "base": "survives"}
+    assert ks == {"a": "not_applicable", "b": "not_applicable", "c": "survives",
+                  "d": "not_applicable", "base": "survives", "i": "not_applicable",
+                  "ii": "not_applicable", "iii": "not_applicable"}
     assert run.structure["fourteen_points"] == ["c"]
     assert run.structure["sl2_core_family"] == ["base", "i", "iii"]
 
@@ -301,19 +304,65 @@ def test_ks_filter_runs_for_both_primes():
     # leave alive gets a KS verdict, none is skipped
     base = {a.candidate_id: a for a in cs.run_p5().audits if a.filter_name == "ks_rochlin"}
     assert base["base"].detail == "Sign(N)=0, boundary=[(5, 4), (5, 4), (5, 4), (5, 4)], ks=0"
+    assert base["i"].detail == "not pseudofree (fixed surfaces: 2)"
+    assert base["a"].detail == "ruled out by fang"
     run7 = cs.solve_p7()
-    (ks,) = [a for a in run7.audits if a.filter_name == "ks_rochlin"]
-    assert ks.verdict == "survives" and ks.detail.startswith("Sign(N)=-4,")
     (survivor,) = [c for c in run7.candidates if c.cid in run7.survivors]
+    (ks,) = [a for a in run7.audits
+             if a.filter_name == "ks_rochlin" and a.candidate_id == survivor.cid]
+    assert ks.verdict == "survives" and ks.detail.startswith("Sign(N)=-4,")
     lens = [gi.lens_space(7, a, b) for a, b in survivor.fixed_point_data().isolated]
     assert sum(gi.rochlin(p, q) for p, q in lens) == 52
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_census_verdicts_are_survives_or_ruled_out(p):
-    rep = cs.report(cs.run_census(p))
-    assert {f["verdict"] for f in rep["filters"]} <= {"survives", "ruled_out"}
+def test_census_verdicts_are_survives_ruled_out_or_not_applicable(p):
+    # every candidate gets one verdict from each filter; only KS may find
+    # itself not applicable
+    run = cs.run_census(p)
+    rep = cs.report(run)
+    verdicts = {(f["filter"], f["verdict"]) for f in rep["filters"]}
+    assert {v for _, v in verdicts} <= {"survives", "ruled_out", "not_applicable"}
+    assert {f for f, v in verdicts if v == "not_applicable"} == {"ks_rochlin"}
     assert set(rep["stats"]["audits"]) == {"exact_signature", *cs.FILTERS}
+    for name in cs.FILTERS:
+        assert sorted(a.candidate_id for a in run.audits if a.filter_name == name) \
+            == sorted(c.cid for c in run.candidates)
+
+
+def drop_ks_audit(cid):
+    """census._filter with the KS audit of candidate cid left out."""
+    genuine = cs._filter
+
+    def broken(cand, digits, audits):
+        genuine(cand, digits, audits)
+        if cand.cid == cid:
+            audits.pop()
+    return broken
+
+
+@pytest.mark.parametrize("cid", ["c", "i"])
+def test_missing_ks_audit_raises(monkeypatch, cid):
+    # "c" is pseudofree and "i" is not; both reach the KS filter alive
+    monkeypatch.setattr(cs, "_filter", drop_ks_audit(cid))
+    with pytest.raises(CheckFailure, match="candidate %s has no ks_rochlin verdict" % cid):
+        cs.run_p5()
+
+
+def test_missing_ks_audit_fails_under_optimized_python(run_optimized):
+    res = run_optimized("-c", "import sys\n"
+                        "from k3census import census as cs, cli\n"
+                        "genuine = cs._filter\n"
+                        "def broken(cand, digits, audits):\n"
+                        "    genuine(cand, digits, audits)\n"
+                        "    if cand.cid == 'i':\n"
+                        "        audits.pop()\n"
+                        "cs._filter = broken\n"
+                        "sys.exit(cli.main(['census', 'p5']))")
+    if res.returncode != 1 or res.stdout or "Traceback" in res.stderr:
+        pytest.fail("exit %r, output %r / %r" % (res.returncode, res.stdout, res.stderr))
+    if "candidate i has no ks_rochlin verdict" not in res.stderr:
+        pytest.fail("the failure is not the missing audit: %r" % res.stderr)
 
 
 def test_stats_count_every_stage():
@@ -327,7 +376,7 @@ def test_stats_count_every_stage():
         "audits": {"exact_signature": {"survives": 7, "ruled_out": 5},
                    "fang": {"survives": 4, "ruled_out": 4},
                    "furuta": {"survives": 8, "ruled_out": 0},
-                   "ks_rochlin": {"survives": 2, "ruled_out": 0}},
+                   "ks_rochlin": {"survives": 2, "ruled_out": 0, "not_applicable": 6}},
     }
     assert s7["refinement"] == {"in": 3, "assignments": 216, "out": 2}
     assert s7["ks_rochlin"] == {"in": 1, "out": 1}

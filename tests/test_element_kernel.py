@@ -1,7 +1,10 @@
 """The H element kernel against the routes it replaced: the constructor's
 one-pass letter-code check against the old set-and-product check, the
-cached signed cycle type against a fresh walk, and involution_class against
-classifying -v through the product minus_one() * v.
+cached signed cycle type against a fresh walk, involution_class against
+classifying -v through the product minus_one() * v and against the record
+built field by field, unchecked products and inverses against the checking
+constructor, the lane trace against two scans, and the compress-selected
+fixed roots against a generator over the lane bytes.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
@@ -9,13 +12,14 @@ statement, so they keep their meaning under `python -O -m pytest`."""
 import pickle
 import random
 from math import prod
+from operator import eq, getitem
 
 import pytest
 
-from k3census import sgnperm as sp
+from k3census import e8, sgnperm as sp
 from k3census.sgnperm import InvolutionClass, SignedPerm
 from test_sgnperm_oracles import (reference_all_involutions, reference_signed_cycles,
-                                  seeded_elements)
+                                  seeded_elements, signed_cycle_type_representatives)
 
 LETTERS = frozenset(range(1, 9))
 NOT_LETTERS = "not a signed permutation of 8 letters"
@@ -199,3 +203,119 @@ def test_involution_class_matches_the_minus_one_route():
         negated += want.negated
     if (n, negated) != (17038, 5124):
         pytest.fail("%d involutions, %d negated" % (n, negated))
+
+
+def reference_record(v):
+    """The record of an involution built field by field from its trace and
+    parity witness, as involution_class built it before records were shared."""
+    lv = (8 - v.trace()) // 2
+    negated = lv > 4
+    if negated:
+        lv = 8 - lv
+    w = sp.parity_witness(v)
+    if lv <= 3:
+        return InvolutionClass({1: "1A'", 2: "2A", 3: "3A"}[lv], lv, negated, w)
+    return InvolutionClass("4A" if w is not None else "4A'", 4, negated, w)
+
+
+def test_involution_class_matches_the_field_by_field_record():
+    for v in reference_all_involutions():
+        got, want = sp.involution_class(v), reference_record(v)
+        if got != want:
+            pytest.fail("%r: %r, field by field %r" % (v, got, want))
+
+
+def test_involution_records_are_shared_per_key():
+    shared = {}
+    for v in reference_all_involutions():
+        got = sp.involution_class(v)
+        if shared.setdefault((v.trace(), sp.parity_witness(v)), got) is not got:
+            pytest.fail("%r: equal keys give two records" % (v,))
+    size = sp._involution_record.cache_info().currsize
+    if not len(shared) <= size <= 7 * 241:
+        pytest.fail("%d keys met, %d records cached" % (len(shared), size))
+    with pytest.raises(AttributeError):
+        got.label = "2A"
+
+
+# ---------------------------------------------------------------------------
+# products and inverses trusted by closure, lane traces, fixed roots
+
+
+def reference_product(g, h):
+    return SignedPerm(sp._img_mul(g.image, h.image))
+
+
+def reference_inverse(g):
+    """The inverse through the checking constructor: e_j goes back to
+    +-e_i where g sends e_i to +-e_j."""
+    out = [0] * 8
+    for i, t in enumerate(g.image):
+        out[abs(t) - 1] = (i + 1) if t > 0 else -(i + 1)
+    return SignedPerm(tuple(out))
+
+
+def expect_checked(got, want, what):
+    """got must equal the checked want, be a plain SignedPerm with a tuple
+    image, and leave its cycle type for the first call."""
+    if got != want or got.image != want.image or type(got) is not SignedPerm \
+            or type(got.image) is not tuple:
+        pytest.fail("%s: %r, checked route %r" % (what, got, want))
+    if got._ctype is not None:
+        pytest.fail("%s: %r has a cycle type before the first call" % (what, got))
+
+
+def test_products_inverses_and_conjugates_match_the_checking_constructor():
+    xs = kernel_inputs()
+    for g, h in zip(xs, xs[1:] + xs[:1]):
+        g.cycle_type()  # a filled cache on a factor must not reach the result
+        expect_checked(g * h, reference_product(g, h), "%r * %r" % (g, h))
+        expect_checked(g.inverse(), reference_inverse(g), "%r inverse" % (g,))
+        want = reference_product(reference_product(h, g), reference_inverse(h))
+        expect_checked(g.conjugated_by(h), want, "%r conjugated by %r" % (g, h))
+
+
+def class_representatives():
+    """The element built for each of the 95 signed cycle types, and the
+    class_representative of its type."""
+    built = signed_cycle_type_representatives()
+    out = built + [sp.class_representative(g.cycle_type()) for g in built]
+    if len({g.cycle_type() for g in built}) != 95:
+        pytest.fail("%d signed cycle types" % len(built))
+    return out
+
+
+def reference_trace(g):
+    """Fixed letters minus negated letters, in two scans."""
+    image = g.image
+    return sum(map(eq, image, sp._IDENT_IMG)) - sum(map(eq, image, sp._MINUS_IMG))
+
+
+def test_lane_trace_matches_two_scans():
+    for g in kernel_inputs() + class_representatives():
+        if g.trace() != reference_trace(g):
+            pytest.fail("%r: trace %d, two scans %d" % (g, g.trace(), reference_trace(g)))
+
+
+def reference_fixed_roots(gens):
+    """The roots whose byte of the packed lane sum is 0, picked by a
+    generator over the bytes."""
+    lanes = sp._fixed_lanes()
+    moved = 0
+    for g in gens:
+        moved |= sum(map(getitem, lanes, g.image))
+    return tuple(r for r, b in zip(e8.enumerate_roots(), moved.to_bytes(240, "little"))
+                 if not b)
+
+
+def test_fixed_roots_match_the_generator_route():
+    order_p = [g for g in seeded_elements(20_000, seed=1902) if g.order() in (3, 5, 7)]
+    reps = class_representatives()
+    if {g.order() for g in order_p} != {3, 5, 7}:
+        pytest.fail("the sample misses an order")
+    for g in order_p + reps:
+        if sp.fixed_roots(g) != reference_fixed_roots([g]):
+            pytest.fail("%r: fixed roots differ from the generator route" % (g,))
+    for gens in zip(reps, reps[1:]):
+        if sp.fixed_roots(gens) != reference_fixed_roots(gens):
+            pytest.fail("%r: fixed roots differ from the generator route" % (gens,))

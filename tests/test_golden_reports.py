@@ -23,8 +23,8 @@ GOLDEN = {
     "verify lemma-6.5": "b214c5193c08542863e34451cfa05f4a8f181f7dc0a55060a1687bcc6a273560",
     "verify remark-4.7": "5338cdfaf5e1d83c882cccfe81eb20eda15fe277d2e1c39cc9872e370c6409f4",
     "verify theorem-1.7": "132837fd618f33cce6f76adb21fe5a96ee38986e4e3bc234f4ff7a315a6096c3",
-    "census p5": "bb68c1241556f6dd25a9a2c29f49eb45038edbc435214b425ad3e04b693767fa",
-    "census p7": "4e56094fa1fbe17a96869b24c30c32733119f1da91f5c4bd2bc37a3fe405ccbc",
+    "census p5": "0afb908e8de2e1b7246e4eaea20919927586402ab685ef33e370b8de8584184e",
+    "census p7": "cdf350a3fe0ad6f482a8f92739d70828eae88bfa686046b6659df7d2e50a6573",
     "census q8": "f72f0138acad8ea9a2de007f1ecfb27dd5acf1b99b6da137f3bfd735014ffe19",
     "census involution": "42b4b0cc007620006ca9ec7eceb7b41c95bc8aa20aa4f1a6a720627983d1d836",
     "defect-table": "0234f2c27ce1b1f4e497278c45268cb312f7883e270d177caaeca1a26f19bf7d",

@@ -18,7 +18,7 @@ from k3census import census, e8, gindex as gi, linalg, reps, sgnperm as sp
 from k3census.cyclotomic import CycNum, csc_cot, cyc_make
 from k3census.reps import RepDecomp
 from k3census.sgnperm import SignedPerm
-from conftest import signed_identity
+from conftest import apply_doubled, signed_identity
 from test_sgnperm_oracles import (partitions, reference_all_involutions,
                                   signed_cycle_type_representatives)
 
@@ -377,7 +377,7 @@ def reference_fixed_roots(gens):
     if isinstance(gens, SignedPerm):
         gens = [gens]
     return tuple(r for r in e8.enumerate_roots()
-                 if all(g.apply_doubled(r.d) == r.d for g in gens))
+                 if all(apply_doubled(g, r.d) == r.d for g in gens))
 
 
 def special_elements():

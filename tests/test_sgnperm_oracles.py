@@ -13,7 +13,7 @@ import pytest
 from k3census import e8, sgnperm as sp
 from k3census.errors import CheckFailure
 from k3census.sgnperm import Q8Report, SignedPerm, Z24Report
-from conftest import signed_identity
+from conftest import apply_doubled, signed_identity
 
 D0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1))
 PPERM = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
@@ -48,7 +48,7 @@ def reference_parity_witness(v):
     """First root, in enumerate_roots order, whose pairing with its image is
     odd, through the lattice action and the exact pairing."""
     for r in e8.enumerate_roots():
-        if e8.raw_inner(v.apply_doubled(r.d), r.d) % 2:
+        if e8.raw_inner(apply_doubled(v, r.d), r.d) % 2:
             return r
     return None
 
