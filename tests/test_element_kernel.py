@@ -208,7 +208,7 @@ def test_involution_class_matches_the_minus_one_route():
 def reference_record(v):
     """The record of an involution built field by field from its trace and
     parity witness, as involution_class built it before records were shared."""
-    lv = (8 - v.trace()) // 2
+    lv = (8 - reference_trace(v)) // 2
     negated = lv > 4
     if negated:
         lv = 8 - lv
