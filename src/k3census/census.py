@@ -138,24 +138,12 @@ class ThetaProfile:
     first: RepDecomp
     second: RepDecomp
 
-    @classmethod
-    def from_rts(cls, p: int, rts1, rts2) -> "ThetaProfile":
-        r1, t1, s1 = rts1
-        r2, t2, s2 = rts2
-        return cls(p, RepDecomp(p, r1, s1, t1), RepDecomp(p, r2, s2, t2))
-
     def __post_init__(self):
         allowed = set(reps.lemma45_census(self.p))
         allowed.add(RepDecomp(self.p, 0, 0, 8))  # degenerate (trivial) factor
         for dec in (self.first, self.second):
             if dec not in allowed:
                 raise ValueError("%r is not an admissible factor representation" % (dec,))
-
-    def is_degenerate(self) -> bool:
-        """True when a factor acts trivially; such profiles are accepted by
-        the solvers but fall outside the nontrivial-on-both-factors census."""
-        trivial = RepDecomp(self.p, 0, 0, 8)
-        return self.first == trivial or self.second == trivial
 
     def in_elimination_table(self) -> bool:
         """Some factor has a regular summand (else the profile is the base)."""

@@ -340,9 +340,6 @@ class CycNum:
     def conjugate(self) -> "CycNum":
         return self.galois(-1 % self.n) if self.n > 1 else self
 
-    def is_real(self) -> bool:
-        return self == self.conjugate()
-
     def as_rational(self) -> Fraction | None:
         """The rational value, or None if the element is irrational."""
         if any(self._num[1:]):

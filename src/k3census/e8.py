@@ -77,17 +77,6 @@ class LatticeVec:
             return self.d >= other.d
         return NotImplemented
 
-    @classmethod
-    def from_halves(cls, halves) -> "LatticeVec":
-        """Build from true coordinates given as ints/Fractions."""
-        d = []
-        for h in halves:
-            v = Fraction(h) * 2
-            if v.denominator != 1:
-                raise ValueError("coordinate %s is not half-integral" % h)
-            d.append(int(v))
-        return cls(tuple(d))
-
     def __add__(self, other: "LatticeVec") -> "LatticeVec":
         return LatticeVec(tuple(a + b for a, b in zip(self.d, other.d)))
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
 from math import factorial, lcm, prod
-from operator import getitem, ne, neg
+from operator import getitem, itemgetter, ne
 
 from . import e8
 from .e8 import LatticeVec
@@ -48,15 +48,23 @@ _letter_code = _LetterCodes({s * j: (1 << (j - 1)) + (256 if s < 0 else 0)
 
 
 def _ext(a: Img) -> Img:
-    """a padded to 17 entries so that index t in -8..8 reads the signed image
-    of e_|t|: entry t is a[t-1] and entry -t (counted from the end) is -a[t-1]."""
-    return (0, *a, *map(neg, reversed(a)))
+    """The signed table of the 8-entry image a: 17 entries, so that index t
+    in -8..8 reads the signed image of the signed letter t: entry 0 is 0,
+    entry t is a[t-1] and entry -t (counted from the end) is -a[t-1]."""
+    a1, a2, a3, a4, a5, a6, a7, a8 = a
+    return (0, a1, a2, a3, a4, a5, a6, a7, a8, -a8, -a7, -a6, -a5, -a4, -a3, -a2, -a1)
 
 
-def _img_mul(a: Img, b: Img) -> Img:
-    """Raw composition (a then applied after b) on image tuples: entry i is
-    the signed image under a of the signed letter b[i]."""
-    return tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in b])
+# the 17 signed letters in table order: the table of the identity
+_LETTERS: Img = _ext(_IDENT_IMG)
+_by_letter = itemgetter(*_LETTERS)
+
+
+def _scatter(letters: Img, values: Img) -> Img:
+    """The table that sends letters[k] to values[k], for letters a table (a
+    permutation of the 17 signed letters): one gather, in table order, from
+    the dictionary of the pairs."""
+    return _by_letter(dict(zip(letters, values)))
 
 
 def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -92,24 +100,38 @@ class SignedPerm:
     letters.  The sum is then 255 + 256 n with n the number of -1 signs, so
     bit 8 is the parity of the sign product.
 
-    Products and inverses skip that check: they are built by _trusted, which
-    only fills the two slots.  This is sound by induction over how an
-    instance comes about.  Every instance is made either by the checking
-    constructor (directly, through from_eps_perm, diagonal or from_cycles,
-    or by unpickling, which calls it through __reduce__) or as a product or
-    inverse of instances.  If a and b are 8 distinct signed letters with
-    sign product +1, the product's entries a(b_i) are again 8 distinct
-    signed letters, and its sign product is that of a times that of b, +1;
-    the inverse's entries are the signed positions of a's, with the same
-    signs.  So every instance holds an element of H, and every entry point
+    Beside the image the element keeps its signed table _e = _ext(image),
+    the image of each of the 17 signed letters -8..8 (0 included, sent to
+    0), indexed by the letter itself.  A table is a bijection of the 17
+    letters that commutes with negation, and composing two of them is one
+    gather: the table of a * b is itemgetter(*b._e)(a._e), since entry t of
+    it is a._e[b._e[t]] = a(b(t)), and b(t) is again a signed letter, so it
+    indexes a's table.  The image is entries 1..8 of the table.
+
+    Products and inverses skip the check: they are built by _from_table,
+    which fills the slots from a table.  This is sound by induction over
+    how an instance comes about.  Every instance is made either by the
+    checking constructor (directly, through from_eps_perm, diagonal or
+    from_cycles, or by unpickling, which calls it through __reduce__) or as
+    a product, inverse or conjugate of instances.  If a and b are 8 distinct
+    signed letters with sign product +1, the product's entries a(b_i) are
+    again 8 distinct signed letters, and its sign product is that of a
+    times that of b, +1; the inverse's entries are the signed positions of
+    a's, with the same signs.  The gather of two tables is again a bijection
+    of the 17 letters that commutes with negation and fixes 0, so it is the
+    table of its own entries 1..8; inverting a table (each letter sent back
+    to the one that maps to it) keeps these properties too.  So every
+    instance holds an element of H with its table, and every entry point
     that takes outside input still checks it.
 
     The slot _ctype caches cycle_type(): every construction sets it to None
-    and the first call fills it through the slot descriptor, so order(),
-    charpoly() and classify_order4 share one walk.  The cached tuple is the
-    one shared by every element of that type."""
+    and the first call fills it through the slot descriptor.  The cached
+    value is the type record shared by every element of that type
+    (_SignedType), which also carries the order, characteristic polynomial
+    and trace, so order(), charpoly() and trace() after the walk are reads
+    of the record."""
 
-    __slots__ = ("image", "_ctype")
+    __slots__ = ("image", "_e", "_ctype")
 
     def __init__(self, image: Img):
         # image[i] = signed 1-based index of v(e_i)
@@ -118,6 +140,7 @@ class SignedPerm:
         if code & 256:
             raise ValueError("sign product must be +1 (lattice preservation)")
         _set_image(self, image)
+        _set_e(self, _ext(image))
         _set_ctype(self, None)
 
     def __setattr__(self, *a):
@@ -179,23 +202,21 @@ class SignedPerm:
     # -- group operations ---------------------------------------------------
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
-        """Composition: (self * other)(x) = self(other(x)).  H is closed
-        under products, so the result is not checked again (see the class
-        docstring)."""
-        return _trusted(_img_mul(self.image, other.image))
+        """Composition: (self * other)(x) = self(other(x)), one gather of
+        the two tables.  H is closed under products, so the result is not
+        checked again (see the class docstring)."""
+        return _from_table(itemgetter(*other._e)(self._e))
 
     def inverse(self) -> "SignedPerm":
-        """The inverse, unchecked like a product (see the class docstring)."""
-        out = [0] * 8
-        for i, t in enumerate(self.image, 1):
-            if t > 0:
-                out[t - 1] = i
-            else:
-                out[-t - 1] = -i
-        return _trusted(tuple(out))
+        """The inverse, unchecked like a product (see the class docstring):
+        letter t goes back to the letter that self sends to t."""
+        return _from_table(_scatter(self._e, _LETTERS))
 
     def conjugated_by(self, h: "SignedPerm") -> "SignedPerm":
-        return h * self * h.inverse()
+        """h self h^-1, unchecked like a product: the table of h self, read
+        at the letter h(t) for each letter t."""
+        e = h._e
+        return _from_table(_scatter(e, itemgetter(*self._e)(e)))
 
     def apply(self, x: LatticeVec) -> LatticeVec:
         d = [0] * 8
@@ -209,8 +230,9 @@ class SignedPerm:
     def cycle_type(self) -> tuple[tuple[int, int], ...]:
         """Sorted (length, sign product) pairs over the cycles of the
         underlying permutation, from one walk along the image tuple, made on
-        the first call and cached.  Order and characteristic polynomial
-        depend on nothing else."""
+        the first call and cached.  Order, characteristic polynomial and
+        trace depend on nothing else; the value is the shared _SignedType
+        record of the type, which carries them."""
         out = self._ctype
         if out is not None:
             return out
@@ -230,9 +252,11 @@ class SignedPerm:
                 out.append((length, sign))
         out.sort()
         out = tuple(out)
-        out = _signed_types.setdefault(out, out)
-        _set_ctype(self, out)
-        return out
+        record = _signed_types.get(out)
+        if record is None:
+            record = _signed_types[out] = _SignedType(out)
+        _set_ctype(self, record)
+        return record
 
     def class_conjugator(self) -> tuple[tuple[tuple[int, int], ...], "SignedPerm"]:
         """(cycle_type(), h) with h in H and h g h^-1 = class_representative
@@ -280,21 +304,25 @@ class SignedPerm:
         return ctype, SignedPerm(tuple(h))
 
     def order(self) -> int:
-        return _type_order(self.cycle_type())
+        return (self._ctype or self.cycle_type()).order
 
     def trace(self) -> int:
-        """Fixed letters minus negated letters, as one sum over the image
-        entries (see _trace_rows)."""
+        """Fixed letters minus negated letters: read off the type record
+        once the cycle type is known, else one sum over the image entries
+        (see _trace_rows)."""
+        ctype = self._ctype
+        if ctype is not None:
+            return ctype.trace
         return sum(map(getitem, _trace_rows(), self.image))
 
     def charpoly(self) -> tuple[int, ...]:
         """Characteristic polynomial as a product of (x^L - s) over signed
         cycles; integer coefficients, low degree first."""
-        return _type_charpoly(self.cycle_type())
+        return (self._ctype or self.cycle_type()).charpoly
 
     def is_involution(self) -> bool:
-        image = self.image
-        return image != _IDENT_IMG and _img_mul(image, image) == _IDENT_IMG
+        e = self._e
+        return e != _LETTERS and itemgetter(*e)(e) == _LETTERS
 
     def matrix_e(self) -> list[list[int]]:
         m = [[0] * 8 for _ in range(8)]
@@ -306,19 +334,35 @@ class SignedPerm:
         return "SignedPerm(%s)" % (self.image,)
 
 
-# one tuple per signed cycle type met (H has 95 types), shared by every
-# element that caches it, so the cache costs an element one slot
+class _SignedType(tuple):
+    """A signed cycle type with the invariants that depend on it alone:
+    order, charpoly (low degree first) and trace, the sum of the signs of
+    the cycles of length 1.  It is equal and hash-equal to the plain tuple
+    of (length, sign) pairs, so it serves as the same key."""
+
+    def __init__(self, pairs):
+        self.order = _type_order(self)
+        self.charpoly = _type_charpoly(self)
+        self.trace = sum(sign for length, sign in self if length == 1)
+
+
+# one record per signed cycle type met (H has 95 types), keyed by the plain
+# tuple and shared by every element that caches it, so the cache costs an
+# element one slot
 _signed_types: dict = {}
 _set_image = SignedPerm.image.__set__
+_set_e = SignedPerm._e.__set__
 _set_ctype = SignedPerm._ctype.__set__
 _new = object.__new__
 
 
-def _trusted(image: Img) -> SignedPerm:
-    """The SignedPerm with this image, unchecked: only for images that are
-    products or inverses of elements of H (see the SignedPerm docstring)."""
+def _from_table(e: Img) -> SignedPerm:
+    """The SignedPerm with signed table e, unchecked: only for tables of
+    products, inverses or conjugates of elements of H (see the SignedPerm
+    docstring)."""
     g = _new(SignedPerm)
-    _set_image(g, image)
+    _set_image(g, e[1:9])
+    _set_e(g, e)
     _set_ctype(g, None)
     return g
 
@@ -336,7 +380,6 @@ def _trace_rows() -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def _type_order(ctype: tuple[tuple[int, int], ...]) -> int:
     """Order of an element of signed cycle type ctype: a cycle of length L
     has order L with sign product +1 and 2L with -1."""
@@ -358,7 +401,6 @@ def class_representative(ctype: tuple[tuple[int, int], ...]) -> SignedPerm:
     return SignedPerm(tuple(image))
 
 
-@lru_cache(maxsize=None)
 def _type_charpoly(ctype: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Product of x^L - s over the (L, s) in ctype, low degree first."""
     poly = [1]
@@ -473,7 +515,11 @@ def parity_witness(v: SignedPerm) -> LatticeVec | None:
     integer sum is not 0 mod 8.  The sum is taken for all 240 roots at once,
     one root per byte of an integer (see _pairing_lanes)."""
     lanes, low_bits = _pairing_lanes()
-    odd = sum(map(getitem, lanes, v.image)) & low_bits
+    return _first_odd_root(sum(map(getitem, lanes, v.image)) & low_bits)
+
+
+def _first_odd_root(odd: int) -> LatticeVec | None:
+    """The root of the lowest nonzero byte of odd, None if odd is 0."""
     if not odd:
         return None
     return e8.enumerate_roots()[((odd & -odd).bit_length() - 1) >> 3]
@@ -484,7 +530,11 @@ def _pairing_lanes() -> tuple[tuple[tuple[int, ...], ...], int]:
     """lanes[i][t] packs s d_i d_j mod 8 over the roots d (doubled, in
     enumerate_roots order), one root per byte, for the image entry t = s(j+1);
     negative t index from the end, as in _ext.  A sum of 8 entries stays below
-    256 in every byte, so its bytes masked by low_bits are the sums mod 8."""
+    256 in every byte, so its bytes masked by low_bits are the sums mod 8.
+
+    Byte 240 holds 1 + the diagonal entry t puts at position i (s when
+    j = i, else 0), so byte 240 of the sum is the trace plus 8, at most 16;
+    low_bits leaves it out."""
     ds = [r.d for r in e8.enumerate_roots()]
     lanes = []
     for i in range(8):
@@ -492,7 +542,7 @@ def _pairing_lanes() -> tuple[tuple[tuple[int, ...], ...], int]:
         for j in range(8):
             for s in (1, -1):
                 row[s * (j + 1)] = int.from_bytes(
-                    bytes([s * d[i] * d[j] % 8 for d in ds]), "little")
+                    bytes([s * d[i] * d[j] % 8 for d in ds] + [1 + s * (j == i)]), "little")
         lanes.append(tuple(row))
     return tuple(lanes), int.from_bytes(b"\x07" * len(ds), "little")
 
@@ -505,14 +555,17 @@ def involution_class(v: SignedPerm) -> InvolutionClass:
     is read off v itself: (-v(r), r) = -(v(r), r), so v and -v have the same
     roots with odd pairing, and the same first one.
 
-    The record depends on the trace and the witness alone, so it comes from
-    _involution_record, which makes one per key: equal inputs share one
-    frozen record."""
+    The trace and the witness come from one sum over the pairing lanes
+    (byte 240 carries the trace, see _pairing_lanes).  The record depends on
+    them alone, so it comes from _involution_record, which makes one per
+    key: equal inputs share one frozen record."""
     if not v.is_involution():
         raise ValueError("element is not an involution")
     if v.image == _MINUS_IMG:
         raise ValueError("central element -1 is excluded")
-    return _involution_record(v.trace(), parity_witness(v))
+    lanes, low_bits = _pairing_lanes()
+    total = sum(map(getitem, lanes, v.image))
+    return _involution_record((total >> 1920) - 8, _first_odd_root(total & low_bits))
 
 
 @lru_cache(maxsize=None)
@@ -753,11 +806,18 @@ def _conjugators() -> tuple[Img, ...]:
     return tuple(out)
 
 
+def _commute(a: Img, b: Img) -> bool:
+    """Whether the elements with signed tables a and b commute: the two
+    gathers of their tables agree."""
+    return itemgetter(*b)(a) == itemgetter(*a)(b)
+
+
 def centralizer_generators(c: Img) -> list[Img]:
     """The _conjugators that commute with c.  They generate a subgroup of
     the centralizer of c in H, perhaps a proper one: its orbits are then
     finer, which only costs a few more representatives."""
-    return [g for g in _conjugators() if _img_mul(g, c) == _img_mul(c, g)]
+    ec = _ext(c)
+    return [g for g in _conjugators() if _commute(_ext(g), ec)]
 
 
 def conjugation_orbits(points, gens, center: Img) -> list[list[Img]]:
@@ -765,32 +825,37 @@ def conjugation_orbits(points, gens, center: Img) -> list[list[Img]]:
     by the group the image tuples `gens` generate, found by closure.  Each
     orbit lists its first point (in the order of `points`) first.
 
+    The closure runs on signed tables: the conjugate g y g^-1 of the table
+    y is the gather of g's table at y(g^-1(t)), which is itself the gather
+    of y's table by g^-1's.
+
     Certificates: every generator commutes with `center`, so the group lies
     in its centralizer, and every conjugate met lies in `points`, so the set
     is closed under the group.  Either failing raises CheckFailure."""
+    ec = _ext(center)
     conj = []
     for g in gens:
-        if _img_mul(g, center) != _img_mul(center, g):
+        eg = _ext(g)
+        if not _commute(eg, ec):
             raise CheckFailure("generator %r does not commute with %r" % (g, center))
-        conj.append((_ext(g).__getitem__, SignedPerm(g).inverse().image))
-    point_set = set(points)
+        conj.append((eg, itemgetter(*SignedPerm(g).inverse()._e)))
+    point_of = {_ext(x): x for x in points}
     seen: set[Img] = set()
     orbits = []
-    for x in points:
-        if x in seen:
+    for ex in point_of:
+        if ex in seen:
             continue
-        seen.add(x)
-        orbit = [x]
+        seen.add(ex)
+        orbit = [ex]
         for y in orbit:
-            ext_y = _ext(y).__getitem__
-            for ext_g, g_inv in conj:
-                z = tuple(map(ext_g, map(ext_y, g_inv)))
+            for eg, by_g_inv in conj:
+                z = itemgetter(*by_g_inv(y))(eg)
                 if z not in seen:
-                    if z not in point_set:
-                        raise CheckFailure("conjugate %r leaves the point set" % (z,))
+                    if z not in point_of:
+                        raise CheckFailure("conjugate %r leaves the point set" % (z[1:9],))
                     seen.add(z)
                     orbit.append(z)
-        orbits.append(orbit)
+        orbits.append([point_of[z] for z in orbit])
     return orbits
 
 
@@ -930,18 +995,20 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     later elements that commute with the new one.
 
     Every element that gets multiplied is an atom or the identity, so the
-    elements are interned as indices (atoms first, then the identity, then
-    any other product met) and each product of two indices is computed once
-    and kept in a table for the rest of the call.  Every product asked for
-    is still charged one unit of budget, and so is every commutation test."""
+    elements are interned as indices of their signed tables (atoms first,
+    then the identity, then any other product met) and each product of two
+    indices is computed once, as one gather, and kept in a table for the
+    rest of the call.  Every product asked for is still charged one unit of
+    budget, and so is every commutation test."""
     avg = Fraction(8 + 15 * 0, 16)
     starts = even_pairing_starts()
-    elts = [v.image for v in four_a_prime_elements()]
-    n_atoms = len(elts)
-    elts.append(_IDENT_IMG)
+    atoms = four_a_prime_elements()
+    n_atoms = len(atoms)
+    elts = [v._e for v in atoms]
+    elts.append(_LETTERS)
     n_elts = len(elts)
-    index = {img: k for k, img in enumerate(elts)}
-    ext = [_ext(a).__getitem__ for a in elts]
+    index = {e: k for k, e in enumerate(elts)}
+    gather = [itemgetter(*e) for e in elts]
     table: dict[int, int] = {}
 
     def mul(i: int, j: int) -> int:
@@ -949,7 +1016,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
         key = i * n_elts + j
         k = table.get(key)
         if k is None:
-            k = table[key] = index.setdefault(tuple(map(ext[i], elts[j])), len(index))
+            k = table[key] = index.setdefault(gather[j](elts[i]), len(index))
         return k
 
     counter = [0]
@@ -986,7 +1053,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
             best_pair = (gens[0], gens[1])
         if len(gens) == 4:
             raise CheckFailure("found an all-even-pairing (Z2)^4: %r"
-                               % ([elts[g] for g in gens],))
+                               % ([atoms[g].image for g in gens],))
         for idx, h in enumerate(pool):
             new_elts = closed_extension(subgroup, h)
             if new_elts is None:
@@ -996,21 +1063,21 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
 
     n_orbits = []
     for start in starts:
-        g1 = index[start]
+        g1 = index[_ext(start)]
         level1 = [h for h in range(n_atoms) if h != g1 and commutes(g1, h)
                   and closed_extension([g1], h) is not None]
-        orbits = conjugation_orbits([elts[h] for h in level1],
+        orbits = conjugation_orbits([atoms[h].image for h in level1],
                                     centralizer_generators(start), start)
         n_orbits.append(len(orbits))
         for orbit in orbits:
-            h = index[orbit[0]]
+            h = index[_ext(orbit[0])]
             grow([n_atoms, g1, h, mul(g1, h)], [g1, h],
                  [h2 for h2 in level1 if h2 != h and commutes(h2, h)])
 
     if best_pair is None:
         raise CheckFailure("no commuting pair of even-pairing involutions")
     return Z24Report(avg, "no (Z2)^4 with all involutions of even-pairing type",
-                     max_rank, (SignedPerm(elts[best_pair[0]]), SignedPerm(elts[best_pair[1]])),
+                     max_rank, (atoms[best_pair[0]], atoms[best_pair[1]]),
                      counter[0], tuple(n_orbits))
 
 

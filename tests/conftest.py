@@ -8,7 +8,9 @@ import pytest
 
 import k3census
 from k3census import gindex
+from k3census.census import ThetaProfile
 from k3census.cyclotomic import CycNum, cot_product
+from k3census.reps import RepDecomp
 from k3census.sgnperm import SignedPerm
 
 # the lens spaces L(p, q) with odd p <= 51: 542 of them
@@ -18,6 +20,25 @@ LENS_P = range(3, 52, 2)
 def signed_identity():
     """The identity element of H as a signed permutation."""
     return SignedPerm(tuple(range(1, 9)))
+
+
+def profile_from_rts(p: int, rts1, rts2) -> ThetaProfile:
+    """The profile whose factors have the (r, t, s) counts rts1 and rts2."""
+    r1, t1, s1 = rts1
+    r2, t2, s2 = rts2
+    return ThetaProfile(p, RepDecomp(p, r1, s1, t1), RepDecomp(p, r2, s2, t2))
+
+
+def is_degenerate(profile: ThetaProfile) -> bool:
+    """True when a factor acts trivially; such profiles are accepted by the
+    solvers but fall outside the nontrivial-on-both-factors census."""
+    trivial = RepDecomp(profile.p, 0, 0, 8)
+    return profile.first == trivial or profile.second == trivial
+
+
+def is_real(x: CycNum) -> bool:
+    """Whether x is fixed by complex conjugation."""
+    return x == x.conjugate()
 
 
 def apply_doubled(g, xd):

@@ -14,6 +14,7 @@ from k3census import cyclotomic as cy
 from k3census import e8, gindex as gi, kummer as km, reps, sgnperm as sp
 from k3census.gindex import FixedPointData, SpinVector
 from k3census.sgnperm import SignedPerm
+from conftest import profile_from_rts
 
 
 def _ok(num, msg):
@@ -87,9 +88,9 @@ def _family(u0, v0):
 
 def test_criterion_05_p5_census():
     start = time.perf_counter()
-    pr1 = cs.ThetaProfile.from_rts(5, (1, 3, 0), (1, 3, 0))
-    prm = cs.ThetaProfile.from_rts(5, (1, 3, 0), (0, 0, 2))
-    pr0 = cs.ThetaProfile.from_rts(5, (0, 0, 2), (0, 0, 2))
+    pr1 = profile_from_rts(5, (1, 3, 0), (1, 3, 0))
+    prm = profile_from_rts(5, (1, 3, 0), (0, 0, 2))
+    pr0 = profile_from_rts(5, (0, 0, 2), (0, 0, 2))
     assert set(cs.stage1(pr1)) == _family(2, 4)   # (2-w+A, 4-w-2A)
     assert set(cs.stage1(prm)) == _family(3, 2)   # (3-w+A, 2-w-2A)
     assert cs.stage1(pr0) == ((4, 0, 0, 0),)

@@ -6,13 +6,14 @@ import pytest
 
 from k3census import census as cs
 from k3census import gindex as gi
-from k3census.census import Candidate, ThetaProfile
+from k3census.census import Candidate
 from k3census.cyclotomic import CycNum
 from k3census.errors import CheckFailure
+from conftest import is_degenerate, profile_from_rts
 
 
 def profile(rts1, rts2, p=5):
-    return ThetaProfile.from_rts(p, rts1, rts2)
+    return profile_from_rts(p, rts1, rts2)
 
 
 PR1 = profile((1, 3, 0), (1, 3, 0))
@@ -42,22 +43,22 @@ def xyz(res):
 
 def test_theta_profile_validation():
     with pytest.raises(ValueError):
-        ThetaProfile.from_rts(5, (1, 1, 0), (1, 3, 0))
+        profile_from_rts(5, (1, 1, 0), (1, 3, 0))
     pr = profile((1, 3, 0), (0, 0, 2))
     assert pr.sign_target() == -1
     assert pr.lefschetz_total() == 9
     assert pr.quotient_b2minus() == 7
     assert pr.max_tori() == 1
-    assert not pr.is_degenerate()
+    assert not is_degenerate(pr)
 
 
 def test_degenerate_profile_accepted_and_flagged():
     pr = profile((1, 3, 0), (0, 8, 0))
-    assert pr.is_degenerate()
+    assert is_degenerate(pr)
     # the linear system still solves; the flag, not the solver, records the
     # hypothesis failure
     assert cs.stage1(pr)
-    assert all(not p.is_degenerate() for p in cs.nontrivial_profiles(5))
+    assert all(not is_degenerate(p) for p in cs.nontrivial_profiles(5))
 
 
 def test_stage1_families_match_closed_forms():
@@ -219,10 +220,10 @@ def test_order7_trace_bound():
     # a homologically nontrivial order-7 action forces middle-homology trace
     # exactly 8, hence a fixed set of Euler characteristic 10; one trivial
     # factor only raises it
-    both = cs.ThetaProfile.from_rts(7, (1, 1, 0), (1, 1, 0))
+    both = profile_from_rts(7, (1, 1, 0), (1, 1, 0))
     assert both.lefschetz_total() - 2 == 8
     assert gi.lefschetz(both.lefschetz_total() - 2) == 10
-    one = cs.ThetaProfile.from_rts(7, (1, 1, 0), (0, 8, 0))
+    one = profile_from_rts(7, (1, 1, 0), (0, 8, 0))
     assert one.lefschetz_total() - 2 == 15
     # three isolated fixed points would need trace 1: impossible
     assert gi.lefschetz(8) > 3

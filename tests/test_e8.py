@@ -123,11 +123,21 @@ def test_witness_gram_is_a4_chain():
     assert g[0][2] == g[0][3] == g[1][3] == 0
 
 
+def from_halves(halves) -> LatticeVec:
+    """The vector with true coordinates halves (ints or Fractions)."""
+    d = []
+    for h in halves:
+        v = Fraction(h) * 2
+        if v.denominator != 1:
+            raise ValueError("coordinate %s is not half-integral" % h)
+        d.append(int(v))
+    return LatticeVec(tuple(d))
+
+
 def apply_matrix(m, x: LatticeVec) -> LatticeVec:
     """x under the matrix m on e-coordinates (entries Fraction or int)."""
     halves = x.halves()
-    return LatticeVec.from_halves([sum(Fraction(a) * b for a, b in zip(row, halves))
-                                   for row in m])
+    return from_halves([sum(Fraction(a) * b for a, b in zip(row, halves)) for row in m])
 
 
 def test_matrix_round_trip():

@@ -1,10 +1,14 @@
 """The H element kernel against the routes it replaced: the constructor's
 one-pass letter-code check against the old set-and-product check, the
-cached signed cycle type against a fresh walk, involution_class against
-classifying -v through the product minus_one() * v and against the record
-built field by field, unchecked products and inverses against the checking
-constructor, the lane trace against two scans, and the compress-selected
-fixed roots against a generator over the lane bytes.
+cached signed cycle type against a fresh walk, the type record's order,
+charpoly and trace against the type functions and the lane trace,
+involution_class against classifying -v through the product
+minus_one() * v and against the record built field by field, products,
+inverses and conjugates (gathers of signed tables, unchecked) against the
+image comprehension and the checking constructor, the signed table against
+the image on every construction route, the lane trace against two scans,
+and the compress-selected fixed roots against a generator over the lane
+bytes.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
@@ -19,7 +23,8 @@ import pytest
 from k3census import e8, sgnperm as sp
 from k3census.sgnperm import InvolutionClass, SignedPerm
 from test_sgnperm_oracles import (reference_all_involutions, reference_signed_cycles,
-                                  seeded_elements, signed_cycle_type_representatives)
+                                  seeded_elements, signed_cycle_type_representatives,
+                                  tuple_product)
 
 LETTERS = frozenset(range(1, 9))
 NOT_LETTERS = "not a signed permutation of 8 letters"
@@ -150,15 +155,16 @@ def test_order_and_charpoly_share_the_walk():
 def test_slots_cannot_be_assigned_from_outside():
     g = seeded_elements(1, seed=1519)[0]
     g.cycle_type()
-    for name, value in (("image", tuple(range(1, 9))), ("_ctype", ((8, 1),)), ("_ctype", None)):
+    for name, value in (("image", tuple(range(1, 9))), ("_e", sp._LETTERS),
+                        ("_ctype", ((8, 1),)), ("_ctype", None)):
         with pytest.raises(AttributeError):
             setattr(g, name, value)
         with pytest.raises(AttributeError):
             delattr(g, name)
     with pytest.raises(AttributeError):
         g.other = 1
-    if g.cycle_type() != reference_walk(g):
-        pytest.fail("a refused assignment changed the cycle type")
+    if g.cycle_type() != reference_walk(g) or g._e != sp._ext(g.image):
+        pytest.fail("a refused assignment changed the cycle type or the table")
 
 
 def test_pickle_eq_hash_and_repr_ignore_the_cache():
@@ -172,6 +178,22 @@ def test_pickle_eq_hash_and_repr_ignore_the_cache():
         back = pickle.loads(pickle.dumps(g))
         if back != g or back._ctype is not None or back.cycle_type() != g.cycle_type():
             pytest.fail("%r: pickle round trip gives %r" % (g, back))
+
+
+def test_eq_hash_repr_and_pickle_ignore_the_table():
+    """An element given a wrong table through the slot descriptor compares,
+    hashes, prints and pickles as the element of its image."""
+    for g in seeded_elements(300, seed=2001):
+        odd = object.__new__(SignedPerm)
+        sp._set_image(odd, g.image)
+        sp._set_e(odd, sp._LETTERS)
+        sp._set_ctype(odd, None)
+        if odd != g or hash(odd) != hash(g) or repr(odd) != repr(g):
+            pytest.fail("%r: eq, hash or repr reads the table" % (g,))
+        if pickle.dumps(odd) != pickle.dumps(SignedPerm(g.image)):
+            pytest.fail("%r: the pickle holds the table" % (g,))
+        if pickle.loads(pickle.dumps(odd))._e != g._e:
+            pytest.fail("%r: unpickling does not rebuild the table" % (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +228,9 @@ def test_involution_class_matches_the_minus_one_route():
 
 
 def reference_record(v):
-    """The record of an involution built field by field from its trace and
-    parity witness, as involution_class built it before records were shared."""
+    """The record of an involution built field by field from its two-scan
+    trace and its parity_witness, as involution_class built it before
+    records were shared and before one lane sum gave trace and witness."""
     lv = (8 - reference_trace(v)) // 2
     negated = lv > 4
     if negated:
@@ -243,7 +266,7 @@ def test_involution_records_are_shared_per_key():
 
 
 def reference_product(g, h):
-    return SignedPerm(sp._img_mul(g.image, h.image))
+    return SignedPerm(tuple_product(g.image, h.image))
 
 
 def reference_inverse(g):
@@ -256,10 +279,11 @@ def reference_inverse(g):
 
 
 def expect_checked(got, want, what):
-    """got must equal the checked want, be a plain SignedPerm with a tuple
-    image, and leave its cycle type for the first call."""
-    if got != want or got.image != want.image or type(got) is not SignedPerm \
-            or type(got.image) is not tuple:
+    """got must equal the checked want, with its signed table, be a plain
+    SignedPerm with a tuple image, and leave its cycle type for the first
+    call."""
+    if got != want or got.image != want.image or got._e != want._e \
+            or type(got) is not SignedPerm or type(got.image) is not tuple:
         pytest.fail("%s: %r, checked route %r" % (what, got, want))
     if got._ctype is not None:
         pytest.fail("%s: %r has a cycle type before the first call" % (what, got))
@@ -273,6 +297,153 @@ def test_products_inverses_and_conjugates_match_the_checking_constructor():
         expect_checked(g.inverse(), reference_inverse(g), "%r inverse" % (g,))
         want = reference_product(reference_product(h, g), reference_inverse(h))
         expect_checked(g.conjugated_by(h), want, "%r conjugated by %r" % (g, h))
+
+
+def old_inverse(image):
+    """The inverse image tuple by the loop the package used before inverses
+    became a gather of the signed table."""
+    out = [0] * 8
+    for i, t in enumerate(image, 1):
+        if t > 0:
+            out[t - 1] = i
+        else:
+            out[-t - 1] = -i
+    return tuple(out)
+
+
+def test_gathers_match_the_image_comprehension():
+    """Product, inverse and conjugate images against the comprehension and
+    loop they replaced, on kernel_inputs() and on 10^4 further seeded
+    elements."""
+    xs = kernel_inputs() + seeded_elements(10_000, seed=2002)
+    for g, h in zip(xs, xs[1:] + xs[:1]):
+        a, b = g.image, h.image
+        if (g * h).image != tuple_product(a, b):
+            pytest.fail("%r * %r: %r" % (g, h, g * h))
+        if g.inverse().image != old_inverse(a):
+            pytest.fail("%r: inverse %r" % (g, g.inverse()))
+        if g.conjugated_by(h).image != tuple_product(tuple_product(b, a), old_inverse(b)):
+            pytest.fail("%r conjugated by %r: %r" % (g, h, g.conjugated_by(h)))
+
+
+def test_is_involution_matches_the_image_route():
+    """is_involution (one gather of the table with itself) against the
+    image test it replaced, on kernel_inputs(), every involution of H but
+    +-1, and +-1 themselves."""
+    ident = tuple(range(1, 9))
+    xs = kernel_inputs() + list(reference_all_involutions())
+    xs += [SignedPerm(ident), SignedPerm.minus_one()]
+    n = 0
+    for g in xs:
+        want = g.image != ident and tuple_product(g.image, g.image) == ident
+        if g.is_involution() != want:
+            pytest.fail("%r: is_involution() is %r" % (g, g.is_involution()))
+        n += want
+    if SignedPerm(ident).is_involution() or not SignedPerm.minus_one().is_involution():
+        pytest.fail("+-1 misjudged")
+    if n < 17039:
+        pytest.fail("only %d involutions met" % n)
+
+
+def test_conjugation_orbits_under_an_element_of_order_three():
+    """conjugation_orbits against orbits closed by image products, with a
+    generator that is not its own inverse: the 3-cycle (1 2 3) acting on
+    the conjugates of seeded elements (its centralizer holds the center
+    diag(1, 1, 1, -1, -1, 1, 1, 1))."""
+    g = SignedPerm.from_cycles([(1, 2, 3)])
+    g_inv = g.inverse().image
+    center = (1, 2, 3, -4, -5, 6, 7, 8)
+    points = []
+    for x in seeded_elements(40, seed=2005):
+        y = x.image
+        for _ in range(3):
+            if y not in points:
+                points.append(y)
+            y = tuple_product(tuple_product(g.image, y), g_inv)
+    want, seen = [], set()
+    for x in points:
+        if x not in seen:
+            orbit, y = [], x
+            while y not in orbit:
+                orbit.append(y)
+                y = tuple_product(tuple_product(g.image, y), g_inv)
+            seen.update(orbit)
+            want.append(orbit)
+    if sp.conjugation_orbits(points, [g.image], center) != want:
+        pytest.fail("orbits under (1 2 3) differ from the product closure")
+    # a generator that is no element of H is refused by the constructor
+    ident = tuple(range(1, 9))
+    for bad in ((1, 1, 3, 4, 5, 6, 7, 8), (-1, 2, 3, 4, 5, 6, 7, 8)):
+        with pytest.raises(ValueError):
+            sp.conjugation_orbits([ident], [bad], ident)
+
+
+def expect_table(g, what):
+    """g._e must be a 17-tuple reading 0 at 0 and +-image[t-1] at +-t."""
+    e, image = g._e, g.image
+    if type(e) is not tuple or len(e) != 17 or e[0] != 0:
+        pytest.fail("%s: %r has table %r" % (what, g, e))
+    for t in range(1, 9):
+        if e[t] != image[t - 1] or e[-t] != -image[t - 1]:
+            pytest.fail("%s: %r has table %r" % (what, g, e))
+
+
+def test_signed_table_matches_the_image_on_every_route():
+    gs = seeded_elements(2000, seed=2003)
+    rng = random.Random(2004)
+    for g, h in zip(gs, gs[1:] + gs[:1]):
+        perm, eps = g.perm(), g.eps()
+        expect_table(SignedPerm(g.image), "constructor")
+        expect_table(SignedPerm(list(g.image)), "constructor on a list")
+        expect_table(SignedPerm.from_eps_perm(eps, perm), "from_eps_perm")
+        signs = [rng.choice((1, -1)) for _ in range(8)]
+        signs[7] *= prod(signs)
+        expect_table(SignedPerm.diagonal(signs), "diagonal")
+        cycles = [tuple(j + 1 for j in cyc) for cyc in sp._cycles(perm)]
+        expect_table(SignedPerm.from_cycles(cycles, eps), "from_cycles")
+        expect_table(pickle.loads(pickle.dumps(g)), "unpickling")
+        expect_table(g * h, "product")
+        expect_table(g.inverse(), "inverse")
+        expect_table(g.conjugated_by(h), "conjugate")
+        if g.order() % 2:
+            expect_table(g.class_conjugator()[1], "class_conjugator")
+    for g in (SignedPerm.minus_one(), *sp.four_a_prime_elements(),
+              *sp.square_roots(SignedPerm(sp._D0))):
+        expect_table(g, "package element")
+
+
+def test_type_records_carry_order_charpoly_and_trace():
+    """On the 95 class representatives (built and class_representative):
+    the record's fields equal the type functions and the lane trace, the
+    record is the one interned for its type, and it is equal, hash-equal
+    and repr-equal to the plain tuple."""
+    rows = sp._trace_rows()
+    for g in class_representatives():
+        ctype = g.cycle_type()
+        plain = tuple(ctype)
+        if type(ctype) is not sp._SignedType or sp._signed_types[plain] is not ctype:
+            pytest.fail("%r: %r is not the interned record" % (g, ctype))
+        if ctype != plain or hash(ctype) != hash(plain) or repr(ctype) != repr(plain):
+            pytest.fail("%r: the record differs from the plain tuple" % (g,))
+        lane = sum(map(getitem, rows, g.image))
+        if (ctype.order, ctype.charpoly, ctype.trace) != \
+                (sp._type_order(plain), sp._type_charpoly(plain), lane):
+            pytest.fail("%r: record %r, %r, %r" % (g, ctype.order, ctype.charpoly, ctype.trace))
+        if (g.order(), g.charpoly(), g.trace()) != (ctype.order, ctype.charpoly, lane):
+            pytest.fail("%r: a walked element does not read its record" % (g,))
+
+
+def test_pairing_lanes_carry_the_trace_in_byte_240():
+    """One sum over the pairing lanes gives the trace (byte 240, minus 8)
+    and, under low_bits, the parity sums: on kernel_inputs() the trace is
+    the two-scan trace and the witness is parity_witness's."""
+    lanes, low_bits = sp._pairing_lanes()
+    for g in kernel_inputs():
+        total = sum(map(getitem, lanes, g.image))
+        if (total >> 1920) - 8 != reference_trace(g):
+            pytest.fail("%r: byte 240 reads %d" % (g, total >> 1920))
+        if sp._first_odd_root(total & low_bits) != sp.parity_witness(g):
+            pytest.fail("%r: the fused witness differs" % (g,))
 
 
 def class_representatives():

@@ -139,8 +139,10 @@ def reference_all_involutions():
 
 
 def tuple_product(a, b):
-    """Image tuple of a * b, by reading a's signed images off b's entries."""
-    return tuple(a[t - 1] if t > 0 else -a[-t - 1] for t in b)
+    """Image tuple of a * b, by reading a's signed images off b's entries:
+    the comprehension the package composed image tuples with before every
+    product became one gather of signed tables."""
+    return tuple([a[t - 1] if t > 0 else -a[-t - 1] for t in b])
 
 
 def reference_search_z2_4(budget=20_000_000):
@@ -534,17 +536,24 @@ def test_order_charpoly_trace_match_signed_cycle_reference():
 
 
 def test_type_invariants_are_cached_per_type():
-    sp._type_order.cache_clear()
-    sp._type_charpoly.cache_clear()
+    """order, charpoly and trace of a walked element are the fields of its
+    type record, one record per type, computed from the type alone."""
+    records = {}
     for g in invariant_inputs():
-        g.order(), g.charpoly()
-    n_types = len(signed_cycle_type_representatives())
-    assert sp._type_order.cache_info().currsize == n_types
-    assert sp._type_charpoly.cache_info().currsize == n_types
+        ctype = g.cycle_type()
+        if records.setdefault(ctype, ctype) is not ctype:
+            pytest.fail("%r: its type record is not shared" % (g,))
+        if (g.order(), g.charpoly(), g.trace()) != (ctype.order, ctype.charpoly, ctype.trace):
+            pytest.fail("%r: order, charpoly or trace is not read off the record" % (g,))
+        if (ctype.order, ctype.charpoly) != (sp._type_order(ctype), sp._type_charpoly(ctype)):
+            pytest.fail("%r: the record disagrees with the type" % (g,))
+    if len(records) != len(signed_cycle_type_representatives()):
+        pytest.fail("%d records" % len(records))
 
 
 # ---------------------------------------------------------------------------
-# products: the comprehension in _img_mul against the padded-tuple route
+# products: the comprehension the package used against the padded-tuple
+# route and the gather of signed tables
 
 
 def ext_route_mul(a, b):
@@ -557,4 +566,7 @@ def test_img_mul_matches_the_ext_route():
     imgs += [signed_identity().image, SignedPerm.minus_one().image]
     for a in imgs:
         for b in imgs:
-            assert sp._img_mul(a, b) == ext_route_mul(a, b), (a, b)
+            want = tuple_product(a, b)
+            got = SignedPerm(a) * SignedPerm(b)
+            if ext_route_mul(a, b) != want or got.image != want or got._e != sp._ext(want):
+                pytest.fail("%r * %r: %r, the comprehension gives %r" % (a, b, got, want))
