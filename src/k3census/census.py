@@ -294,7 +294,8 @@ def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
     all of them.  Kirby-Siebenmann runs on the pseudofree ones both leave
     alive, as its congruence presumes the action exists and needs isolated
     fixed points only; every other candidate gets the verdict
-    "not_applicable" with the reason."""
+    "not_applicable" with the reason.  Its residue Sign(N) + sum roc must
+    first be 8 d_0 mod 16 (d_0 the first Dirac entry), else CheckFailure."""
     data = cand.fixed_point_data()
     spin_exact = gindex.spin_value(data)
     spin = gindex.spin_number(data, spin_exact, ind_dirac=2)
@@ -314,6 +315,9 @@ def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
     else:
         lens = sorted(gindex.lens_space(data.p, a, b) for a, b in data.isolated)
         sign_n = int(gindex.orbifold_signature(data.p, -16, data))
+        total = sign_n + sum(gindex.rochlin(p, q) for p, q in lens)
+        if (total - 8 * spin.d[0]) % 16:
+            raise CheckFailure("%s: Sign(N) + sum roc = %d, not 8 d0 mod 16" % (cand.cid, total))
         ks = gindex.ks_rochlin_test(lens, sign_n)
         audits.append(Audit(cand.cid, "ks_rochlin", "survives" if ks.smoothable else "ruled_out",
                             "Sign(N)=%d, boundary=%s, ks=%d" % (sign_n, lens, ks.ks)))

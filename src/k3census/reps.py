@@ -207,28 +207,28 @@ def decompose_element(g: SignedPerm, p: int) -> RepDecomp:
     Conjugation by h in H, a subgroup of Aut(E8), is an isomorphism of
     Z[Z_p]-modules from E8 under g to E8 under h g h^-1, so (r, s, t) is
     constant on the conjugacy class of g in H.  g.class_conjugator() gives
-    that h and the signed cycle type; the product h g h^-1 is checked to be
-    the class representative (CheckFailure otherwise; the constructor of h
-    has checked its sign product, so h is in H), and the representative's
+    the class key and that h; the product h g h^-1 is checked to be the
+    key's representative (CheckFailure otherwise; the constructor of h has
+    checked its sign product, so h is in H), and the representative's
     decomposition is computed once per class by decompose_matrix with all
     its certificates.  ValueError if g does not have order p, or if all its
-    cycles have even length (its order is then even, and its class in H may
-    split)."""
-    ctype, h = g.class_conjugator()
-    rep = class_representative(ctype)
-    if rep.order() != p:
-        raise ValueError("element has order %d, expected %d" % (rep.order(), p))
-    if g.conjugated_by(h) != rep:
+    cycles have even length (an odd p has an odd-length cycle)."""
+    key, h = g.class_conjugator()
+    if key[0].order != p:
+        raise ValueError("element has order %d, expected %d" % (key[0].order, p))
+    if p % 2 == 0 and not any(length % 2 for length, _ in key[0]):
+        raise ValueError("signed cycle type %s has no odd-length cycle" % (key[0],))
+    if g.conjugated_by(h) != class_representative(key):
         raise CheckFailure("the conjugator %r does not carry %r to the representative "
                            "of its class" % (h, g))
-    return _class_decomposition(ctype, p)
+    return _class_decomposition(key, p)
 
 
 @lru_cache(maxsize=None)
-def _class_decomposition(ctype, p: int) -> RepDecomp:
-    """decompose_matrix on the f-basis matrix of class_representative(ctype);
+def _class_decomposition(key, p: int) -> RepDecomp:
+    """decompose_matrix on the f-basis matrix of class_representative(key);
     H has at most four classes of order 3, 5 or 7."""
-    rep = class_representative(ctype)
+    rep = class_representative(key)
     m = e8.matrix_in_f_basis(rep.matrix_e())
     return decompose_matrix(m, p, charpoly_hint=rep.charpoly())
 

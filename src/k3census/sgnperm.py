@@ -13,6 +13,7 @@ permutations preserving the lattice.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
@@ -125,7 +126,7 @@ class SignedPerm:
     that takes outside input still checks it.
 
     The slot _ctype caches cycle_type(): every construction sets it to None
-    and the first call fills it through the slot descriptor.  The cached
+    and the first walk (cycle_type or class_conjugator) fills it.  The cached
     value is the type record shared by every element of that type
     (_SignedType), which also carries the order, characteristic polynomial
     and trace, so order(), charpoly() and trace() after the walk are reads
@@ -251,57 +252,58 @@ class SignedPerm:
                     length += 1
                 out.append((length, sign))
         out.sort()
-        out = tuple(out)
-        record = _signed_types.get(out)
-        if record is None:
-            record = _signed_types[out] = _SignedType(out)
+        record = _intern(tuple(out))
         _set_ctype(self, record)
         return record
 
-    def class_conjugator(self) -> tuple[tuple[tuple[int, int], ...], "SignedPerm"]:
-        """(cycle_type(), h) with h in H and h g h^-1 = class_representative
-        of that type, from one walk along the image tuple.
+    def class_conjugator(self) -> tuple[tuple["_SignedType", int], "SignedPerm"]:
+        """(key, h) with h in H and h g h^-1 = class_representative(key).
 
-        A cycle c_0 -> s_1 c_1 -> ... -> s_L c_0 of g is sent by h to the
-        letters a, a+1, ..., a+L-1 of its block in the representative, with
-        h(e_{c_k}) = t_k e_{a+k} and t_k = s_1 ... s_k: then h g = rep h on
-        every letter, the last one included because t_(L-1) s_L is the
-        cycle's sign product.  If h has an odd number of -1 entries, its
-        signs on one odd-length cycle of g are flipped; that is composing h
-        with -1 on the cycle's letters, which commutes with g, so h lands in
-        H.  With no odd-length cycle the class of g in H may split, and
-        ValueError is raised."""
-        image = self.image
-        todo = [True] * 8
-        cycles = []
-        for start in range(8):
+        The key (cycle_type(), split) names the H-class of g.  The split bit
+        is 0 unless every cycle has even length and sign +1 (types 8, 6+2,
+        4+4, 4+2+2 and 2+2+2+2): there the W(B8)-class splits in two
+        (Carter, "Conjugacy classes in the Weyl group", 1972).
+
+        One walk along the signed table lists each cycle as the signed
+        letters x_0 = c_0, x_(k+1) = g(x_k), until g returns to s c_0 with s
+        the cycle's sign (an element not yet walked caches its type from
+        it).  Laid out in the representative's block order (longest first,
+        sign +1 first), the lists are the image of h^-1 for an h in W(B8)
+        with h g h^-1 = rep: h sends x_k to the letter a+k of its block, and
+        g(x_(L-1)) = s c_0 to s e_a.  An odd h is composed with an odd
+        element that commutes with rep: -1 on an odd-length block (its
+        entries negated), or rep restricted to a block of sign -1 (the
+        block rotated, its last entry negated to the front).  A split type
+        has none, so its W(B8) centralizer lies in H and the parity of h,
+        the bit, is a class invariant; negating the entry of h^-1 at letter
+        1 makes h even."""
+        e, todo, cycles = self._e, [True] * 17, []
+        for start in range(1, 9):
             if todo[start]:
-                members, sign, i = [], 1, start
-                while todo[i]:
-                    todo[i] = False
-                    members.append((i, sign))
-                    t = image[i]
-                    if t < 0:
-                        sign, t = -sign, -t
-                    i = t - 1
-                cycles.append((len(members), sign, members))
-        ctype = tuple(sorted(c[:2] for c in cycles))
-        cycles.sort(key=lambda c: (-c[0], -c[1]))  # the representative's block order
-        h, at, odd, negative = [0] * 8, 1, None, 0
-        for length, _, members in cycles:
-            for k, (i, sign) in enumerate(members):
-                h[i] = sign * (at + k)
-                negative += sign < 0
-            if length % 2 and odd is None:
-                odd = members
-            at += length
-        if odd is None:
-            raise ValueError("signed cycle type %s has no odd-length cycle; its class "
-                             "in H may split" % (ctype,))
-        if negative % 2:
-            for i, _ in odd:
-                h[i] = -h[i]
-        return ctype, SignedPerm(tuple(h))
+                letters, x = [], start
+                while todo[x]:
+                    todo[x] = todo[-x] = False
+                    letters.append(x)
+                    x = e[x]
+                cycles.append((len(letters), x > 0, letters))
+        cycles.sort(key=itemgetter(0, 1), reverse=True)  # stable: ties keep walk order
+        ctype = self._ctype
+        if ctype is None:
+            ctype = _intern(tuple((n, 1 if pos else -1) for n, pos, _ in reversed(cycles)))
+            _set_ctype(self, ctype)
+        inv, odd = [], None
+        for length, positive, letters in cycles:
+            if odd is None and (length % 2 or not positive):
+                odd = len(inv), length
+            inv += letters
+        split = sum(map((0).__gt__, inv)) % 2
+        if split and odd:
+            split, (a, length) = 0, odd
+            block = inv[a:a + length]
+            inv[a:a + length] = [-x for x in block] if length % 2 else [-block[-1]] + block[:-1]
+        elif split:
+            inv[0] = -inv[0]
+        return (ctype, split), SignedPerm(tuple(inv)).inverse()
 
     def order(self) -> int:
         return (self._ctype or self.cycle_type()).order
@@ -356,6 +358,11 @@ _set_ctype = SignedPerm._ctype.__set__
 _new = object.__new__
 
 
+def _intern(ctype: tuple[tuple[int, int], ...]) -> _SignedType:
+    """The shared record of the sorted signed cycle type ctype."""
+    return _signed_types.get(ctype) or _signed_types.setdefault(ctype, _SignedType(ctype))
+
+
 def _from_table(e: Img) -> SignedPerm:
     """The SignedPerm with signed table e, unchecked: only for tables of
     products, inverses or conjugates of elements of H (see the SignedPerm
@@ -387,17 +394,22 @@ def _type_order(ctype: tuple[tuple[int, int], ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def class_representative(ctype: tuple[tuple[int, int], ...]) -> SignedPerm:
-    """The element of signed cycle type ctype that SignedPerm.class_conjugator
-    transports to: the cycles run over consecutive letters, longest first
-    (sign +1 before -1 at equal length), each e_a -> e_(a+1) -> ... ->
-    e_(a+L-1) -> s e_a with its sign product s on the last entry.  So
-    std_cycle(p) is its own representative."""
+def class_representative(key: tuple[tuple[tuple[int, int], ...], int]) -> SignedPerm:
+    """The element that SignedPerm.class_conjugator transports the class key
+    (ctype, split) to: the cycles run over consecutive letters, longest
+    first (sign +1 before -1 at equal length), each e_a -> e_(a+1) -> ... ->
+    e_(a+L-1) -> s e_a with its sign product s on the last entry, so
+    std_cycle(p) is its own representative.  With split = 1 the images of
+    the first cycle's first and last letters are negated (its conjugate by
+    -1 on letter 1, which is not in H)."""
+    ctype, split = key
     image, at = [], 1
     for length, sign in sorted(ctype, reverse=True):
         image += range(at + 1, at + length)
         image.append(sign * at)
         at += length
+    if split:  # the first cycle, the longest, runs from letter 1 to letter max(ctype)[0]
+        image[0], image[max(ctype)[0] - 1] = -image[0], -image[max(ctype)[0] - 1]
     return SignedPerm(tuple(image))
 
 
@@ -655,52 +667,51 @@ def four_a_prime_elements() -> tuple[SignedPerm, ...]:
 # runs, which raises CheckFailure if it does not hold.
 
 
-def involution_type(image: Img) -> tuple[int, int, int]:
-    """Signed cycle type (k, b, s) of an involution's image tuple: k
-    transpositions, b fixed coordinates with sign -1, and, when k = 4, s the
-    parity of the number of transpositions with sign -1 (s = 0 otherwise).
-
-    In W(B8) an involution's class is (k, b).  Inside H a conjugating sign
-    change has an even number of -1 entries, and it flips the sign of a
-    transposition (a b) exactly when it negates one of a, b; with a fixed
-    coordinate to spare any single transposition can be flipped, but at k = 4
-    the parity s is invariant, and the W(B8)-class splits into two H-classes
-    (Carter, "Conjugacy classes in the Weyl group", 1972)."""
-    moved = moved_neg = fixed_neg = 0
-    for i, t in enumerate(image, 1):
-        if t == -i:
-            fixed_neg += 1
-        elif t != i:
-            moved += 1
-            moved_neg += t < 0
-    k = moved // 2
-    return k, fixed_neg, (moved_neg // 2) % 2 if k == 4 else 0
+def _signed_partitions(n: int, top: tuple[int, int] = (8, 1)) -> list:
+    """Tuples of (length, sign) parts, non-increasing, lengths adding up to n."""
+    if n == 0:
+        return [()]
+    return [(part,) + rest for part in product(range(min(n, top[0]), 0, -1), (1, -1))
+            if part <= top for rest in _signed_partitions(n - part[0], part)]
 
 
-def _involution_class_table() -> tuple[tuple[SignedPerm, int], ...]:
-    """(representative, class size) for each type (k, b, s) of involution
-    but +-1; a = 8 - 2k - b coordinates are fixed with sign +1.  The
-    representative takes the transpositions (1 2), (3 4), ..., the first with
-    sign -1 when s = 1, then b coordinates negated.  The type has
-    8!/(k! a! b!) elements: 8!/(2^k k! a! b!) ways to place the pairs and
-    fixed coordinates, times 2^k transposition signs; at k = 4 each parity
-    takes half."""
-    out = []
-    for k in range(5):
-        for b in range(0, 9 - 2 * k, 2):
-            if k == 0 and b in (0, 8):
-                continue
-            size = factorial(8) // (factorial(k) * factorial(8 - 2 * k - b) * factorial(b))
-            for s in ((0, 1) if k == 4 else (0,)):
-                image = list(_IDENT_IMG)
-                for j in range(0, 2 * k, 2):
-                    image[j], image[j + 1] = j + 2, j + 1
-                if s:
-                    image[0], image[1] = -2, -1
-                for i in range(2 * k, 2 * k + b):
-                    image[i] = -(i + 1)
-                out.append((SignedPerm(tuple(image)), size // 2 if k == 4 else size))
-    return tuple(out)
+def _class_rows() -> list:
+    """(key, representative, size) per H-class, over the signed cycle types
+    with an even number of cycles of sign -1, twice for a split type.  A
+    type's W(B8)-class has 2^8 8!/|C| elements, |C| = prod (2L)^m m! over
+    the multiplicities m of its (L, sign) cycles; a split type has two
+    H-classes of half that size (see SignedPerm.class_conjugator)."""
+    rows = []
+    for parts in _signed_partitions(8):
+        if sum(sign < 0 for _, sign in parts) % 2:
+            continue
+        ctype = _intern(parts[::-1])
+        size = 2 ** 8 * factorial(8) // prod((2 * length) ** m * factorial(m)
+                                            for (length, _), m in Counter(ctype).items())
+        split = all(length % 2 == 0 and sign > 0 for length, sign in ctype)
+        for key in ((ctype, 0), (ctype, 1)) if split else ((ctype, 0),):
+            rows.append((key, class_representative(key), size // 2 if split else size))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def class_table() -> tuple:
+    """One (key, representative, size) row per conjugacy class of H, built
+    on first use.  Certificate: 100 rows with distinct keys, each
+    representative's own key (from class_conjugator) is its row's key, and
+    the sizes add up to |H| = 2^7 8!; CheckFailure otherwise."""
+    rows = tuple(_class_rows())
+    n_keys = len({key for key, _, _ in rows})
+    if len(rows) != 100 or n_keys != 100:
+        raise CheckFailure("%d rows with %d distinct keys, not 100" % (len(rows), n_keys))
+    for key, rep, _ in rows:
+        own = rep.class_conjugator()[0]
+        if own != key:
+            raise CheckFailure("representative %r has key %r, not %r" % (rep, own, key))
+    total = sum(size for _, _, size in rows)
+    if total != 2 ** 7 * factorial(8):
+        raise CheckFailure("class sizes add up to %d, not %d" % (total, 2 ** 7 * factorial(8)))
+    return rows
 
 
 def d8_involution_count() -> int:
@@ -718,54 +729,36 @@ def d8_involution_count() -> int:
     return even[8]
 
 
-def check_involution_classes(table) -> None:
-    """Completeness certificate for a table of (representative, class size):
-    each representative is an involution other than +-1, no two share a
-    type, and the sizes add up to every involution of H but +-1, counted by
-    d8_involution_count.  Raises CheckFailure otherwise."""
-    minus = SignedPerm.minus_one()
-    types = set()
-    for v, _ in table:
-        if not v.is_involution() or v == minus:
-            raise CheckFailure("class representative %r is not an involution other than +-1" % (v,))
-        types.add(involution_type(v.image))
-    if len(types) != len(table):
-        raise CheckFailure("two class representatives share a type")
-    total = sum(size for _, size in table)
-    if total != d8_involution_count() - 2:
-        raise CheckFailure("class sizes add up to %d, not %d"
-                           % (total, d8_involution_count() - 2))
-
-
 @lru_cache(maxsize=None)
 def involution_classes() -> tuple[tuple[SignedPerm, int], ...]:
     """One (representative, class size) pair per H-class of involutions
-    other than +-1: 14 classes of 17038 elements in all, certified by
-    check_involution_classes.  Any function of the image that is invariant
-    under conjugation by H takes one value on each class."""
-    table = _involution_class_table()
-    check_involution_classes(table)
+    other than +-1, the class_table rows of order 2 but -1: 14 classes of
+    17038 elements in all.  Certificate: the sizes add up to
+    d8_involution_count() - 2, else CheckFailure."""
+    table = tuple((rep, size) for (ctype, _), rep, size in class_table()
+                  if ctype.order == 2 and rep != SignedPerm.minus_one())
+    total, want = sum(size for _, size in table), d8_involution_count() - 2
+    if total != want:
+        raise CheckFailure("involution class sizes add up to %d, not %d" % (total, want))
     return table
 
 
 def check_start_classes(atoms, starts) -> None:
     """Certificate that the image tuples `starts` meet every H-class of the
-    image tuples `atoms`: the atoms are distinct, each start is an atom, each
-    atom has the type of a start, and each start's type has exactly as many
-    atoms as its class has elements.  So the atoms are a union of whole
-    classes, and each of them is conjugate to a start.  Raises CheckFailure
-    otherwise."""
-    sizes = {involution_type(v.image): n for v, n in involution_classes()}
-    want = {involution_type(s): sizes.get(involution_type(s)) for s in starts}
-    atom_set = set(atoms)
-    if len(atom_set) != len(atoms) or not atom_set.issuperset(starts):
+    image tuples `atoms`: the atoms are distinct, each start is an atom, and
+    the atoms per class key are those of the starts' keys, as many as the
+    class_table sizes.  So the atoms are whole classes, each conjugate to a
+    start.  Raises CheckFailure otherwise."""
+    key = {a: SignedPerm(a).class_conjugator()[0] for a in atoms}
+    if len(key) != len(atoms) or not key.keys() >= set(starts):
         raise CheckFailure("the starting elements are not among distinct atoms")
+    sizes = {k: n for k, _, n in class_table()}
+    want = {key[s]: sizes[key[s]] for s in starts}
     got = dict.fromkeys(want, 0)
     for a in atoms:
-        t = involution_type(a)
-        if t not in got:
+        if key[a] not in got:
             raise CheckFailure("atom %r is conjugate to no starting element" % (a,))
-        got[t] += 1
+        got[key[a]] += 1
     if got != want:
         raise CheckFailure("atoms per class %r, class sizes %r" % (got, want))
 
@@ -779,7 +772,7 @@ def even_pairing_starts() -> tuple[Img, Img]:
     """The images of d0 = diag(-1, -1, -1, -1, 1, 1, 1, 1) and of
     pperm = (1 2)(3 4)(5 6)(7 8), with the certificate (check_start_classes)
     that every one of the 910 even-pairing involutions is conjugate to one
-    of them: the 70 of type (0, 4) to d0, the 840 of type (4, even) to pperm."""
+    of them: the 70 diagonal ones to d0, the 840 others to pperm."""
     check_start_classes([v.image for v in four_a_prime_elements()], (_D0, _PPERM))
     return _D0, _PPERM
 

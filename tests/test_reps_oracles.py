@@ -179,12 +179,12 @@ def test_order_p_types_of_h():
 def test_class_transport_matches_reference_on_random_conjugates():
     rng = random.Random(3141)
     for ctype, p in order_p_types().items():
-        rep = sp.class_representative(ctype)
+        rep = sp.class_representative((ctype, 0))
         assert rep.cycle_type() == ctype
         for _ in range(200):
             g = rep.conjugated_by(rand_element(rng))
             got, h = g.class_conjugator()
-            assert got == ctype, g
+            assert got == (ctype, 0), g
             assert sum(x < 0 for x in h.image) % 2 == 0, (g, h)
             assert g.conjugated_by(h) == rep, (g, h)
             m = e8.matrix_in_f_basis(g.matrix_e())
@@ -194,7 +194,7 @@ def test_class_transport_matches_reference_on_random_conjugates():
 def test_standard_cycles_are_their_own_representatives():
     for p in (3, 5, 7):
         g = sp.std_cycle(p)
-        assert sp.class_representative(g.cycle_type()) == g
+        assert sp.class_representative((g.cycle_type(), 0)) == g
 
 
 # ---------------------------------------------------------------------------

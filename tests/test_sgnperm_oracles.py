@@ -401,15 +401,26 @@ def involutions_by_type():
 
 
 def test_involution_classes_match_every_involution_grouped_by_type():
+    """The 14 involution rows against the 17038 involutions grouped by
+    reference_involution_type: equal sizes per group, one class key per
+    group, and distinct keys for distinct groups."""
     groups = involutions_by_type()
     classes = sp.involution_classes()
-    assert len(classes) == len(groups) == 14
-    assert {reference_involution_type(v): n for v, n in classes} \
-        == {t: len(vs) for t, vs in groups.items()}
-    assert sum(n for _, n in classes) == 17038
-    assert sp.d8_involution_count() == 17038 + 2
+    if len(classes) != 14 or len(groups) != 14:
+        pytest.fail("%d classes, %d groups" % (len(classes), len(groups)))
+    if {reference_involution_type(v): n for v, n in classes} \
+            != {t: len(vs) for t, vs in groups.items()}:
+        pytest.fail("class sizes differ from the group sizes")
+    if sum(n for _, n in classes) != 17038 or sp.d8_involution_count() != 17038 + 2:
+        pytest.fail("class sizes add up to %d" % sum(n for _, n in classes))
+    keys = {}
     for t, vs in groups.items():
-        assert all(sp.involution_type(v.image) == t for v in vs)
+        group_keys = {v.class_conjugator()[0] for v in vs}
+        if len(group_keys) != 1:
+            pytest.fail("type %r meets %d class keys" % (t, len(group_keys)))
+        keys[t] = group_keys.pop()
+    if len(set(keys.values())) != len(keys):
+        pytest.fail("two types share a class key: %r" % (keys,))
 
 
 def test_shape_and_parity_are_constant_on_each_type():

@@ -9,11 +9,14 @@ line, where it is exit 1 with no traceback.
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
 
+import random
+
 import pytest
 
 from k3census import cli, reps, sgnperm as sp
 from k3census.errors import CheckFailure
 from k3census.sgnperm import SignedPerm
+from test_sgnperm_oracles import rand_element
 
 FLIP_1_2 = SignedPerm.diagonal((-1, -1, 1, 1, 1, 1, 1, 1))
 SWAP_1_8 = SignedPerm.from_cycles([(1, 8)])
@@ -90,11 +93,34 @@ def test_cli_fails_on_a_broken_transport(monkeypatch, capsys, corrupt):
         pytest.fail("unexpected output %r / %r" % (out, err))
 
 
+def conjugate_by_minus_e1(g):
+    """d g d for d = diag(-1, 1, ..., 1), which lies outside H: the entry
+    g(e_i) = s e_j becomes d_i d_j s e_j."""
+    d = (-1,) + (1,) * 7
+    return SignedPerm(tuple(d[i] * d[abs(t) - 1] * t for i, t in enumerate(g.image)))
+
+
 def test_only_even_length_cycles_raise_value_error():
+    """decompose_element still refuses an element with no odd-length cycle.
+    class_conjugator no longer does: on both H-classes of each of the five
+    split types (every cycle of even length and sign +1), and on seeded
+    conjugates of them, it returns the element's own type record with the
+    split bit of its class, and a conjugator in H onto the representative.
+    The second class is reached from the first by conjugating with the
+    sign change on e1, which is not in H."""
     for g in (SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)]),
               SignedPerm.from_cycles([(1, 2, 3, 4), (5, 6, 7, 8)], (-1, 1, 1, 1, -1, 1, 1, 1)),
               SignedPerm.from_cycles([(1, 2, 3, 4, 5, 6, 7, 8)])):
-        with pytest.raises(ValueError, match="no odd-length cycle"):
-            g.class_conjugator()
         with pytest.raises(ValueError):
             reps.decompose_element(g, 2)
+    rng = random.Random(8128)
+    for lengths in ((8,), (6, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2)):
+        starts = [sum(lengths[:k]) + 1 for k in range(len(lengths))]
+        first = SignedPerm.from_cycles([tuple(range(a, a + n)) for a, n in zip(starts, lengths)])
+        for bit, g in enumerate((first, conjugate_by_minus_e1(first))):
+            for x in [g] + [g.conjugated_by(rand_element(rng)) for _ in range(20)]:
+                key, h = x.class_conjugator()
+                if key[0] is not x._ctype or key[1] != bit:
+                    pytest.fail("%r: key %r, want split bit %d" % (x, key, bit))
+                if x.conjugated_by(h) != sp.class_representative(key):
+                    pytest.fail("%r: %r does not carry it to its representative" % (x, h))
