@@ -111,7 +111,9 @@ def verify_lemma_5_2(cfg: RunConfig) -> dict:
     sizes are certified to cover all 17038 involutions): pairing parity
     because H lies in Aut(E8) and conjugation preserves the pairing, and the
     shape because it depends only on the signed cycle type.  The order-4
-    loop stays exhaustive over every square root."""
+    loop stays exhaustive over every square root of d0 and pperm, the
+    certified starts (sgnperm.even_pairing_starts) to which every
+    even-pairing involution is conjugate."""
     classes = sgnperm.involution_classes()
     n = bad = 0
     for v, size in classes:
@@ -120,8 +122,7 @@ def verify_lemma_5_2(cfg: RunConfig) -> dict:
             bad += size
     _check(bad == 0, "%d involutions disagree with the shape criterion" % bad)
     shapes = {}
-    for c in (sgnperm.SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1)),
-              sgnperm.SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])):
+    for c in sgnperm.even_pairing_starts():
         for v in sgnperm.square_roots(c):
             s = sgnperm.classify_order4(v)
             shapes[(s.case, s.transpositions)] = shapes.get((s.case, s.transpositions), 0) + 1

@@ -5,10 +5,11 @@ H is generated by coordinate sign changes with product +1 (a copy of
 product, of order 2^7 * 8!, and its Sylow 2-subgroups are Sylow in the full
 automorphism group, so every 2-subgroup of Aut(E8) is conjugate into H.
 
-An element is stored as a signed image table: image[i] = +-(j+1) means
-e_i is sent to +-e_j.  The sign-product-one condition is exactly what is
-needed to preserve the half-sum roots, so H is precisely the set of signed
-permutations preserving the lattice.
+An element is given by its image: image[i] = +-(j+1) means e_(i+1) is
+sent to +-e_(j+1); it is stored as its signed table (see SignedPerm).
+The sign-product-one condition is exactly what is needed to preserve the
+half-sum roots, so H is precisely the set of signed permutations
+preserving the lattice.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def _ext(a: Img) -> Img:
 
 # the 17 signed letters in table order: the table of the identity
 _LETTERS: Img = _ext(_IDENT_IMG)
+_MINUS_TABLE: Img = _ext(_MINUS_IMG)
 _by_letter = itemgetter(*_LETTERS)
 
 
@@ -85,8 +87,9 @@ def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 class SignedPerm:
-    """Element of H.  Immutable; equality, hash, repr and pickling are those
-    of the image tuple alone.
+    """Element of H.  Immutable; it compares, hashes, prints and pickles as
+    its image tuple: tables are equal exactly when images are, and
+    hash(g) == hash((g.image,)).
 
     The constructor checks the image in one pass: it sums code(t) over the
     entries t, with code(+-j) = 2^(j-1) + 256 [sign -1] for the letters
@@ -101,38 +104,42 @@ class SignedPerm:
     letters.  The sum is then 255 + 256 n with n the number of -1 signs, so
     bit 8 is the parity of the sign product.
 
-    Beside the image the element keeps its signed table _e = _ext(image),
-    the image of each of the 17 signed letters -8..8 (0 included, sent to
-    0), indexed by the letter itself.  A table is a bijection of the 17
-    letters that commutes with negation, and composing two of them is one
-    gather: the table of a * b is itemgetter(*b._e)(a._e), since entry t of
-    it is a._e[b._e[t]] = a(b(t)), and b(t) is again a signed letter, so it
-    indexes a's table.  The image is entries 1..8 of the table.
+    The element is stored as its signed table _e = _ext(image) alone: the
+    image of each of the 17 signed letters -8..8 (0 included, sent to 0),
+    indexed by the letter itself.  The image is entries 1..8 of the table,
+    read through the image property.  A table is a bijection of the 17
+    letters that fixes 0 and commutes with negation, and composing two of
+    them is one gather: the table of a * b is itemgetter(*b._e)(a._e), since
+    entry t of it is a._e[b._e[t]] = a(b(t)), and b(t) is again a signed
+    letter, so it indexes a's table.
 
     Products and inverses skip the check: they are built by _from_table,
     which fills the slots from a table.  This is sound by induction over
     how an instance comes about.  Every instance is made either by the
     checking constructor (directly, through from_eps_perm, diagonal or
     from_cycles, or by unpickling, which calls it through __reduce__) or as
-    a product, inverse or conjugate of instances.  If a and b are 8 distinct
-    signed letters with sign product +1, the product's entries a(b_i) are
-    again 8 distinct signed letters, and its sign product is that of a
-    times that of b, +1; the inverse's entries are the signed positions of
-    a's, with the same signs.  The gather of two tables is again a bijection
-    of the 17 letters that commutes with negation and fixes 0, so it is the
-    table of its own entries 1..8; inverting a table (each letter sent back
-    to the one that maps to it) keeps these properties too.  So every
-    instance holds an element of H with its table, and every entry point
-    that takes outside input still checks it.
+    a product, inverse or conjugate of instances.  The constructor stores
+    the table of 8 distinct signed letters with sign product +1, that is a
+    bijection of the 17 letters that fixes 0, commutes with negation and
+    sends an even number of the letters 1..8 to negative ones.  The gather
+    of two such tables a and b is again a bijection that fixes 0 and
+    commutes with negation.  The sign of its entry t in 1..8 is the sign b
+    gives t times the sign a gives |b(t)|, and |b(t)| runs over 1..8 with t,
+    so the product of its eight signs is that of b times that of a, +1.
+    Inverting a table (each letter sent back to the one that maps to it)
+    keeps the three properties, since the inverse's signs are a's signs
+    permuted, and a conjugate is made of these two steps.  So every instance
+    holds the table of an element of H, and every entry point that takes
+    outside input still checks it.
 
     The slot _ctype caches cycle_type(): every construction sets it to None
     and the first walk (cycle_type or class_conjugator) fills it.  The cached
     value is the type record shared by every element of that type
     (_SignedType), which also carries the order, characteristic polynomial
-    and trace, so order(), charpoly() and trace() after the walk are reads
-    of the record."""
+    and trace, so order(), charpoly() and trace() walk at most once and
+    then read the record."""
 
-    __slots__ = ("image", "_e", "_ctype")
+    __slots__ = ("_e", "_ctype")
 
     def __init__(self, image: Img):
         # image[i] = signed 1-based index of v(e_i)
@@ -140,7 +147,6 @@ class SignedPerm:
             raise ValueError("not a signed permutation of 8 letters")
         if code & 256:
             raise ValueError("sign product must be +1 (lattice preservation)")
-        _set_image(self, image)
         _set_e(self, _ext(image))
         _set_ctype(self, None)
 
@@ -149,16 +155,22 @@ class SignedPerm:
 
     __delattr__ = __setattr__
 
+    @property
+    def image(self) -> Img:
+        """image[i] = +-(j+1) when e_(i+1) goes to +-e_(j+1): entries 1..8
+        of the table."""
+        return self._e[1:9]
+
     def __reduce__(self):
-        return (SignedPerm, (self.image,))
+        return (SignedPerm, (self._e[1:9],))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.image == other.image
+            return self._e == other._e
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.image,))
+        return hash((self._e[1:9],))
 
     # -- constructors ----------------------------------------------------
 
@@ -230,25 +242,24 @@ class SignedPerm:
 
     def cycle_type(self) -> tuple[tuple[int, int], ...]:
         """Sorted (length, sign product) pairs over the cycles of the
-        underlying permutation, from one walk along the image tuple, made on
-        the first call and cached.  Order, characteristic polynomial and
-        trace depend on nothing else; the value is the shared _SignedType
-        record of the type, which carries them."""
+        underlying permutation, from one walk along the table from letter 1,
+        made on the first call and cached.  Order, characteristic polynomial
+        and trace depend on nothing else; the value is the shared
+        _SignedType record of the type, which carries them."""
         out = self._ctype
         if out is not None:
             return out
-        image = self.image
-        todo = [True] * 8
+        e = self._e
+        todo = [True] * 9
         out = []
-        for start in range(8):
+        for start in range(1, 9):
             if todo[start]:
-                length, sign, i = 0, 1, start
-                while todo[i]:
-                    todo[i] = False
-                    t = image[i]
+                length, sign, t = 0, 1, start
+                while todo[t]:
+                    todo[t] = False
+                    t = e[t]
                     if t < 0:
                         sign, t = -sign, -t
-                    i = t - 1
                     length += 1
                 out.append((length, sign))
         out.sort()
@@ -309,13 +320,8 @@ class SignedPerm:
         return (self._ctype or self.cycle_type()).order
 
     def trace(self) -> int:
-        """Fixed letters minus negated letters: read off the type record
-        once the cycle type is known, else one sum over the image entries
-        (see _trace_rows)."""
-        ctype = self._ctype
-        if ctype is not None:
-            return ctype.trace
-        return sum(map(getitem, _trace_rows(), self.image))
+        """Fixed letters minus negated letters, read off the type record."""
+        return (self._ctype or self.cycle_type()).trace
 
     def charpoly(self) -> tuple[int, ...]:
         """Characteristic polynomial as a product of (x^L - s) over signed
@@ -352,7 +358,6 @@ class _SignedType(tuple):
 # tuple and shared by every element that caches it, so the cache costs an
 # element one slot
 _signed_types: dict = {}
-_set_image = SignedPerm.image.__set__
 _set_e = SignedPerm._e.__set__
 _set_ctype = SignedPerm._ctype.__set__
 _new = object.__new__
@@ -368,23 +373,9 @@ def _from_table(e: Img) -> SignedPerm:
     products, inverses or conjugates of elements of H (see the SignedPerm
     docstring)."""
     g = _new(SignedPerm)
-    _set_image(g, e[1:9])
     _set_e(g, e)
     _set_ctype(g, None)
     return g
-
-
-@lru_cache(maxsize=None)
-def _trace_rows() -> tuple[tuple[int, ...], ...]:
-    """rows[i][t] is the diagonal entry the image entry t = image[i] puts at
-    position i: +1 for t = i + 1, -1 for t = -(i + 1), 0 otherwise; negative
-    t index from the end, as in _ext."""
-    rows = []
-    for i in range(8):
-        row = [0] * 17
-        row[i + 1], row[-(i + 1)] = 1, -1
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _type_order(ctype: tuple[tuple[int, int], ...]) -> int:
@@ -475,7 +466,7 @@ def fixed_roots(gens) -> tuple[LatticeVec, ...]:
     lanes = _fixed_lanes()
     moved = 0
     for g in gens:
-        moved |= sum(map(getitem, lanes, g.image))
+        moved |= sum(map(getitem, lanes, g._e))
     return tuple(compress(e8.enumerate_roots(),
                           moved.to_bytes(240, "little").translate(_ZERO_BYTE)))
 
@@ -486,13 +477,15 @@ _ZERO_BYTE = b"\x01" + bytes(255)
 
 @lru_cache(maxsize=None)
 def _fixed_lanes() -> tuple[tuple[int, ...], ...]:
-    """lanes[i][t] packs (s d_i - d_j)^2 over the roots d (doubled, in
-    enumerate_roots order), one root per byte, for the image entry t = s(j+1);
-    negative t index from the end, as in _ext.  Each entry is at most 16, so
-    a sum of 8 stays at most 128 in every byte, and it is 0 exactly when the
-    element fixes that root."""
+    """lanes[i+1][t] packs (s d_i - d_j)^2 over the roots d (doubled, in
+    enumerate_roots order), one root per byte, for the table entry
+    t = s(j+1) at letter i+1; negative t index from the end, as in _ext.
+    lanes[0] is all zero, for the table's entry 0, so a table indexes the
+    lanes as it stands.  Each entry is at most 16, so a sum of 8 stays at
+    most 128 in every byte, and it is 0 exactly when the element fixes that
+    root."""
     ds = [r.d for r in e8.enumerate_roots()]
-    lanes = []
+    lanes = [(0,) * 17]
     for i in range(8):
         row = [0] * 17
         for j in range(8):
@@ -527,7 +520,7 @@ def parity_witness(v: SignedPerm) -> LatticeVec | None:
     integer sum is not 0 mod 8.  The sum is taken for all 240 roots at once,
     one root per byte of an integer (see _pairing_lanes)."""
     lanes, low_bits = _pairing_lanes()
-    return _first_odd_root(sum(map(getitem, lanes, v.image)) & low_bits)
+    return _first_odd_root(sum(map(getitem, lanes, v._e)) & low_bits)
 
 
 def _first_odd_root(odd: int) -> LatticeVec | None:
@@ -539,16 +532,18 @@ def _first_odd_root(odd: int) -> LatticeVec | None:
 
 @lru_cache(maxsize=None)
 def _pairing_lanes() -> tuple[tuple[tuple[int, ...], ...], int]:
-    """lanes[i][t] packs s d_i d_j mod 8 over the roots d (doubled, in
-    enumerate_roots order), one root per byte, for the image entry t = s(j+1);
-    negative t index from the end, as in _ext.  A sum of 8 entries stays below
-    256 in every byte, so its bytes masked by low_bits are the sums mod 8.
+    """lanes[i+1][t] packs s d_i d_j mod 8 over the roots d (doubled, in
+    enumerate_roots order), one root per byte, for the table entry
+    t = s(j+1) at letter i+1; negative t index from the end, as in _ext, and
+    lanes[0] is all zero, as in _fixed_lanes.  A sum of 8 entries stays
+    below 256 in every byte, so its bytes masked by low_bits are the sums
+    mod 8.
 
     Byte 240 holds 1 + the diagonal entry t puts at position i (s when
     j = i, else 0), so byte 240 of the sum is the trace plus 8, at most 16;
     low_bits leaves it out."""
     ds = [r.d for r in e8.enumerate_roots()]
-    lanes = []
+    lanes = [(0,) * 17]
     for i in range(8):
         row = [0] * 17
         for j in range(8):
@@ -573,10 +568,10 @@ def involution_class(v: SignedPerm) -> InvolutionClass:
     key: equal inputs share one frozen record."""
     if not v.is_involution():
         raise ValueError("element is not an involution")
-    if v.image == _MINUS_IMG:
+    if v._e == _MINUS_TABLE:
         raise ValueError("central element -1 is excluded")
     lanes, low_bits = _pairing_lanes()
-    total = sum(map(getitem, lanes, v.image))
+    total = sum(map(getitem, lanes, v._e))
     return _involution_record((total >> 1920) - 8, _first_odd_root(total & low_bits))
 
 
@@ -743,80 +738,69 @@ def involution_classes() -> tuple[tuple[SignedPerm, int], ...]:
     return table
 
 
-def check_start_classes(atoms, starts) -> None:
-    """Certificate that the image tuples `starts` meet every H-class of the
-    image tuples `atoms`: the atoms are distinct, each start is an atom, and
-    the atoms per class key are those of the starts' keys, as many as the
-    class_table sizes.  So the atoms are whole classes, each conjugate to a
-    start.  Raises CheckFailure otherwise."""
-    key = {a: SignedPerm(a).class_conjugator()[0] for a in atoms}
-    if len(key) != len(atoms) or not key.keys() >= set(starts):
-        raise CheckFailure("the starting elements are not among distinct atoms")
-    sizes = {k: n for k, _, n in class_table()}
-    want = {key[s]: sizes[key[s]] for s in starts}
-    got = dict.fromkeys(want, 0)
-    for a in atoms:
-        if key[a] not in got:
-            raise CheckFailure("atom %r is conjugate to no starting element" % (a,))
-        got[key[a]] += 1
-    if got != want:
-        raise CheckFailure("atoms per class %r, class sizes %r" % (got, want))
-
-
-_D0: Img = (-1, -2, -3, -4, 5, 6, 7, 8)
-_PPERM: Img = (2, 1, 4, 3, 6, 5, 8, 7)
+_D0 = SignedPerm((-1, -2, -3, -4, 5, 6, 7, 8))
+_PPERM = SignedPerm((2, 1, 4, 3, 6, 5, 8, 7))
 
 
 @lru_cache(maxsize=None)
-def even_pairing_starts() -> tuple[Img, Img]:
-    """The images of d0 = diag(-1, -1, -1, -1, 1, 1, 1, 1) and of
-    pperm = (1 2)(3 4)(5 6)(7 8), with the certificate (check_start_classes)
-    that every one of the 910 even-pairing involutions is conjugate to one
-    of them: the 70 diagonal ones to d0, the 840 others to pperm."""
-    check_start_classes([v.image for v in four_a_prime_elements()], (_D0, _PPERM))
+def even_pairing_starts() -> tuple[SignedPerm, SignedPerm]:
+    """d0 = diag(-1, -1, -1, -1, 1, 1, 1, 1) and pperm = (1 2)(3 4)(5 6)(7 8),
+    with the certificate that every one of the 910 even-pairing involutions
+    (the atoms, four_a_prime_elements) is conjugate to one of them.
+
+    Certificate: the atoms are distinct, d0 and pperm are atoms, and
+    conjugation_orbits of the atoms under _conjugators() (centre the
+    identity) finds them closed under conjugation, in exactly two orbits,
+    one holding d0 and one holding pperm; CheckFailure otherwise.  That is
+    enough: the 7 adjacent transpositions and the sign change of
+    coordinates 1 and 2 among the _conjugators generate H, so each orbit is
+    an H-class, and every atom lies in the class of d0 or of pperm."""
+    atoms = four_a_prime_elements()
+    tables = {v._e for v in atoms}
+    if len(tables) != len(atoms):
+        raise CheckFailure("the %d atoms are not distinct" % len(atoms))
+    for start in (_D0, _PPERM):
+        if start._e not in tables:
+            raise CheckFailure("start %r is not an atom" % (start,))
+    orbits = conjugation_orbits(atoms, _conjugators(), SignedPerm(_IDENT_IMG))
+    if len(orbits) != 2:
+        raise CheckFailure("the atoms form %d orbits of sizes %r, not 2"
+                           % (len(orbits), [len(orbit) for orbit in orbits]))
+    orbit_of = {x._e: k for k, orbit in enumerate(orbits) for x in orbit}
+    if orbit_of[_D0._e] == orbit_of[_PPERM._e]:
+        raise CheckFailure("d0 and pperm lie in one orbit")
     return _D0, _PPERM
 
 
 @lru_cache(maxsize=None)
-def _conjugators() -> tuple[Img, ...]:
+def _conjugators() -> tuple[SignedPerm, ...]:
     """Small elements of H to draw centralizer generators from: the 7
     adjacent transpositions, the sign changes of coordinates 1, 2 and of
     coordinates 4, 5, and the 3 swaps (1 3)(2 4), (3 5)(4 6), (5 7)(6 8) of
     adjacent pairs.  Of these, 10 commute with d0 and 8 with pperm."""
-    out = []
-    for i in range(7):
-        img = list(_IDENT_IMG)
-        img[i], img[i + 1] = img[i + 1], img[i]
-        out.append(tuple(img))
-    for i in (0, 3):
-        img = list(_IDENT_IMG)
-        img[i], img[i + 1] = -img[i], -img[i + 1]
-        out.append(tuple(img))
-    for i in range(0, 6, 2):
-        img = list(_IDENT_IMG)
-        img[i:i + 4] = img[i + 2:i + 4] + img[i:i + 2]
-        out.append(tuple(img))
+    out = [SignedPerm.from_cycles([(i, i + 1)]) for i in range(1, 8)]
+    out += [SignedPerm.diagonal([-1 if j in (i, i + 1) else 1 for j in range(8)])
+            for i in (0, 3)]
+    out += [SignedPerm.from_cycles([(i, i + 2), (i + 1, i + 3)]) for i in range(1, 7, 2)]
     return tuple(out)
 
 
-def _commute(a: Img, b: Img) -> bool:
-    """Whether the elements with signed tables a and b commute: the two
-    gathers of their tables agree."""
-    return itemgetter(*b)(a) == itemgetter(*a)(b)
+def _commute(a: SignedPerm, b: SignedPerm) -> bool:
+    """Whether a and b commute: the two gathers of their tables agree."""
+    return itemgetter(*b._e)(a._e) == itemgetter(*a._e)(b._e)
 
 
-def centralizer_generators(c: Img) -> list[Img]:
-    """The _conjugators that commute with c.  They generate a subgroup of
-    the centralizer of c in H, perhaps a proper one: its orbits are then
-    finer, which only costs a few more representatives."""
-    ec = _ext(c)
-    return [g for g in _conjugators() if _commute(_ext(g), ec)]
+def centralizer_generators(c: SignedPerm) -> list[SignedPerm]:
+    """The _conjugators that commute with the element c.  They generate a
+    subgroup of the centralizer of c in H, perhaps a proper one: its orbits
+    are then finer, which only costs a few more representatives."""
+    return [g for g in _conjugators() if _commute(g, c)]
 
 
-def conjugation_orbits(points, gens, center: Img) -> list[list[Img]]:
-    """Orbits of the image tuples `points` under conjugation x -> g x g^-1
-    by the group the image tuples `gens` generate, found by closure.  Each
-    orbit lists its first point (in the order of `points`) first.
+def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm]]:
+    """Orbits of the elements `points` under conjugation x -> g x g^-1 by
+    the group the elements `gens` generate, found by closure.  Each orbit
+    lists its first point (in the order of `points`) first.
 
     The closure runs on signed tables: the conjugate g y g^-1 of the table
     y is the gather of g's table at y(g^-1(t)), which is itself the gather
@@ -825,14 +809,12 @@ def conjugation_orbits(points, gens, center: Img) -> list[list[Img]]:
     Certificates: every generator commutes with `center`, so the group lies
     in its centralizer, and every conjugate met lies in `points`, so the set
     is closed under the group.  Either failing raises CheckFailure."""
-    ec = _ext(center)
     conj = []
     for g in gens:
-        eg = _ext(g)
-        if not _commute(eg, ec):
+        if not _commute(g, center):
             raise CheckFailure("generator %r does not commute with %r" % (g, center))
-        conj.append((eg, itemgetter(*SignedPerm(g).inverse()._e)))
-    point_of = {_ext(x): x for x in points}
+        conj.append((g._e, itemgetter(*g.inverse()._e)))
+    point_of = {x._e: x for x in points}
     seen: set[Img] = set()
     orbits = []
     for ex in point_of:
@@ -864,11 +846,11 @@ class Order4Shape:
 
 
 @lru_cache(maxsize=None)
-def _is_4a_prime_image(img: Img) -> bool:
-    """Whether the involution with image tuple img lies in 4A'.  Memoized:
-    the squares of the order-4 elements met in a scan are few (the square
-    roots of d0 and pperm square to those two)."""
-    return involution_class(SignedPerm(img)).label == "4A'"
+def _is_4a_prime(v: SignedPerm) -> bool:
+    """Whether the involution v lies in 4A'.  Memoized: the squares of the
+    order-4 elements met in a scan are few (the square roots of d0 and
+    pperm square to those two)."""
+    return involution_class(v).label == "4A'"
 
 
 def classify_order4(v: SignedPerm) -> Order4Shape:
@@ -878,7 +860,7 @@ def classify_order4(v: SignedPerm) -> Order4Shape:
     with signs constant on both (case ii)."""
     if v.order() != 4:
         raise ValueError("element does not have order 4")
-    if not _is_4a_prime_image((v * v).image):
+    if not _is_4a_prime(v * v):
         raise ValueError("square is not in the even-pairing class")
     tr = v.trace()
     if tr % 2 or not -4 <= tr <= 4:
@@ -1056,14 +1038,14 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
 
     n_orbits = []
     for start in starts:
-        g1 = index[_ext(start)]
+        g1 = index[start._e]
         level1 = [h for h in range(n_atoms) if h != g1 and commutes(g1, h)
                   and closed_extension([g1], h) is not None]
-        orbits = conjugation_orbits([atoms[h].image for h in level1],
+        orbits = conjugation_orbits([atoms[h] for h in level1],
                                     centralizer_generators(start), start)
         n_orbits.append(len(orbits))
         for orbit in orbits:
-            h = index[_ext(orbit[0])]
+            h = index[orbit[0]._e]
             grow([n_atoms, g1, h, mul(g1, h)], [g1, h],
                  [h2 for h2 in level1 if h2 != h and commutes(h2, h)])
 
@@ -1083,43 +1065,6 @@ class Q8Report:
     orbits: tuple[int, ...] = ()           # orbits of square roots, per c
 
 
-def _perm_mask(image: Img) -> tuple[tuple[int, ...], int]:
-    """(permutation part, sign mask) of an image tuple: the permutation sends
-    i to |image[i]| - 1, and bit i of the mask is set when image[i] < 0."""
-    return (tuple(abs(t) - 1 for t in image),
-            sum(1 << i for i, t in enumerate(image) if t < 0))
-
-
-def _root_products(roots: tuple[SignedPerm, ...], picks=None):
-    """For each a = roots[i], i in picks (default every index, in order), the
-    list of index pairs (j, k) with a * roots[j] == roots[k].
-
-    With a = (p_a, m_a) and b = (p_b, m_b) as in _perm_mask, a * b has
-    permutation part p_a . p_b and sign mask m_b XOR (m_a permuted by p_b),
-    whose bit i is bit p_b(i) of m_a.  The roots are grouped by permutation
-    part, so each a composes permutations once per group, skips a group
-    whose composite is the permutation part of no root, and otherwise tests
-    each b of the group with one XOR and one lookup."""
-    pm = [_perm_mask(v.image) for v in roots]
-    by_perm: dict[tuple[int, ...], dict[int, int]] = {}
-    for k, (p, m) in enumerate(pm):
-        by_perm.setdefault(p, {})[m] = k
-    groups = [(p_b, tuple(members.items())) for p_b, members in by_perm.items()]
-    for a in range(len(roots)) if picks is None else picks:
-        p_a, m_a = pm[a]
-        row = []
-        for p_b, members in groups:
-            found = by_perm.get(tuple(map(p_a.__getitem__, p_b)))
-            if found is None:
-                continue
-            x = sum(((m_a >> q) & 1) << i for i, q in enumerate(p_b))
-            for m_b, j in members:
-                k = found.get(m_b ^ x)
-                if k is not None:
-                    row.append((j, k))
-        yield row
-
-
 def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
     """Trace obstruction for quaternionic subgroups acting on both lattice
     factors.
@@ -1136,25 +1081,30 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
     Conjugating a pair by the centralizer of c keeps it a pair and keeps its
     traces, so a runs over one representative per orbit of square roots
     (certified by conjugation_orbits) and b over every square root; each
-    such pair is tested (see _root_products) and charged one unit of
-    budget, row by row."""
+    such pair is tested by one gather of the two tables and one lookup of
+    the product's table among the roots', and charged one unit of budget,
+    row by row."""
     triples: set[tuple[int, int, int]] = set()
     traces: set[int] = set()
     n_orbits = []
     steps = 0
     for c in even_pairing_starts():
-        roots = square_roots(SignedPerm(c))
+        roots = square_roots(c)
         trace = [v.trace() for v in roots]
         traces.update(trace)
-        orbits = conjugation_orbits([v.image for v in roots], centralizer_generators(c), c)
+        orbits = conjugation_orbits(roots, centralizer_generators(c), c)
         n_orbits.append(len(orbits))
-        index = {v.image: k for k, v in enumerate(roots)}
-        picks = [index[orbit[0]] for orbit in orbits]
-        for i, row in zip(picks, _root_products(roots, picks)):
+        index = {v._e: k for k, v in enumerate(roots)}
+        for orbit in orbits:
             steps += len(roots)
             if steps > budget:
                 raise SearchBudgetExceeded("budget %d exhausted" % budget)
-            triples.update((trace[i], trace[j], trace[k]) for j, k in row)
+            ea = orbit[0]._e
+            tr_a = trace[index[ea]]
+            for j, b in enumerate(roots):
+                k = index.get(itemgetter(*b._e)(ea))
+                if k is not None:
+                    triples.add((tr_a, trace[j], trace[k]))
     want = (-4, -4, -4)
     hit = [(t1, t2) for t1 in triples for t2 in triples
            if tuple(x + y for x, y in zip(t1, t2)) == want]

@@ -49,19 +49,22 @@ def test_ks_residue_off_by_four_fails(monkeypatch, capsys):
 def test_all_even_pairing_z2_4_fails(monkeypatch, capsys):
     """The 28 diagonal elements with two -1 entries added to the atoms: the
     diagonal (Z2)^4 generated by the sign changes on 1234, 1235, 1245 and
-    1345 then has all its involutions among them.  The start-class
-    certificate would reject the enlarged atom set first (the new atoms
-    are conjugate to no start), so this test disables it."""
+    1345 then has all its involutions among them.  The start certificate
+    would reject the enlarged atom set first (the new atoms are conjugate
+    to no start), so this test certifies the starts on the genuine atoms
+    before it adds them."""
     genuine = sp.four_a_prime_elements
     extra = tuple(SignedPerm.diagonal(tuple(-1 if i in minus else 1 for i in range(8)))
                   for minus in combinations(range(8), 2))
+    sp.even_pairing_starts()
     monkeypatch.setattr(sp, "four_a_prime_elements", lambda: genuine() + extra)
-    monkeypatch.setattr(sp, "check_start_classes", lambda atoms, starts: None)
     expect_failure(capsys, "found an all-even-pairing (Z2)^4", "verify", "theorem-1.7")
 
 
 def test_no_commuting_pair_fails(monkeypatch, capsys):
-    """No second generator to try: every level-1 orbit list is empty."""
+    """No second generator to try: every level-1 orbit list is empty.  The
+    starts are certified first, on the genuine orbits."""
+    sp.even_pairing_starts()
     monkeypatch.setattr(sp, "conjugation_orbits", lambda points, gens, center: [])
     expect_failure(capsys, "no commuting pair", "verify", "theorem-1.7")
 

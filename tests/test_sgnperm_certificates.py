@@ -1,20 +1,25 @@
 """Each symmetry reduction of the sgnperm searches rests on a certificate
 checked when it runs: the class table of H (class_table), its
-involution rows (against d8_involution_count), the start classes and the
-conjugation orbits.  These tests hand each certificate a broken input and
-expect CheckFailure, both directly and through the command line, where it
-is exit 1 with no traceback.
+involution rows (against d8_involution_count), the orbit certificate of
+the search starts (even_pairing_starts) and the conjugation orbits.  These
+tests hand each certificate a broken input and expect CheckFailure, both
+directly and through the command line, where it is exit 1 with no
+traceback.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
+
+from itertools import product
 
 import pytest
 
 from k3census import cli, sgnperm as sp
 from k3census.errors import CheckFailure
+from k3census.sgnperm import SignedPerm
 
-D0 = (-1, -2, -3, -4, 5, 6, 7, 8)
-SWAP_4_5 = (1, 2, 3, 5, 4, 6, 7, 8)    # does not commute with d0
+D0, PPERM = sp._D0, sp._PPERM
+SWAP_4_5 = SignedPerm((1, 2, 3, 5, 4, 6, 7, 8))    # does not commute with d0
+IDENTITY = SignedPerm(tuple(range(1, 9)))
 
 
 @pytest.fixture
@@ -55,13 +60,10 @@ def row_of(rows, want):
     return next(i for i, (_, v, _) in enumerate(rows) if v.image == want)
 
 
-def atoms():
-    return [v.image for v in sp.four_a_prime_elements()]
-
-
 def test_genuine_certificates_pass(monkeypatch, fresh_caches):
     certify(monkeypatch, sp._class_rows())
-    sp.check_start_classes(atoms(), (D0, sp._PPERM))
+    if sp.even_pairing_starts() != (D0, PPERM):
+        pytest.fail("starts %r" % (sp.even_pairing_starts(),))
     sp.conjugation_orbits([D0], sp.centralizer_generators(D0), D0)
 
 
@@ -96,7 +98,7 @@ def test_representative_of_the_other_split_class_raises(monkeypatch, fresh_cache
     """The two classes of four transpositions with their representatives
     swapped: right type, wrong split bit."""
     rows = sp._class_rows()
-    i, j = row_of(rows, sp._PPERM), row_of(rows, (-2, -1, 4, 3, 6, 5, 8, 7))
+    i, j = row_of(rows, PPERM.image), row_of(rows, (-2, -1, 4, 3, 6, 5, 8, 7))
     rows[i], rows[j] = (rows[i][0], rows[j][1], rows[i][2]), (rows[j][0], rows[i][1], rows[j][2])
     with pytest.raises(CheckFailure, match="has key"):
         certify(monkeypatch, rows)
@@ -110,24 +112,74 @@ def test_involution_count_off_by_one_raises(monkeypatch, fresh_caches):
         sp.involution_classes()
 
 
-def test_repeated_atom_raises():
-    with pytest.raises(CheckFailure, match="not among distinct atoms"):
-        sp.check_start_classes(atoms() + atoms()[:1], (D0, sp._PPERM))
+def start_certificate(monkeypatch, atoms, pperm=PPERM):
+    """even_pairing_starts() certified on the atoms `atoms`, with pperm
+    replaced by `pperm`."""
+    monkeypatch.setattr(sp, "four_a_prime_elements", lambda: tuple(atoms))
+    monkeypatch.setattr(sp, "_PPERM", pperm)
+    return sp.even_pairing_starts()
 
 
-def test_atom_list_missing_an_atom_raises():
-    with pytest.raises(CheckFailure, match="atoms per class"):
-        sp.check_start_classes(atoms()[1:], (D0, sp._PPERM))
+def odd_four_transpositions():
+    """The 840 elements (a b)(c d)(e f)(g h) that negate an odd number of
+    their pairs: the H-class of the 4A involution (-2, -1, 4, 3, 6, 5, 8, 7),
+    the other half of pperm's W(B8)-class."""
+    out = []
+    for pairs in sp._perfect_matchings(tuple(range(8))):
+        for signs in product((1, -1), repeat=4):
+            if signs.count(-1) % 2:
+                image = [0] * 8
+                for (a, b), s in zip(pairs, signs):
+                    image[a], image[b] = s * (b + 1), s * (a + 1)
+                out.append(SignedPerm(tuple(image)))
+    return out
 
 
-def test_atom_of_an_uncovered_class_raises():
-    with pytest.raises(CheckFailure, match="conjugate to no starting element"):
-        sp.check_start_classes(atoms() + [(-1, -2, 3, 4, 5, 6, 7, 8)], (D0, sp._PPERM))
+def test_start_orbits_are_the_classes_of_d0_and_pperm():
+    """The two orbits the start certificate finds have the class_table
+    sizes of the class keys of d0 and pperm."""
+    orbits = sp.conjugation_orbits(sp.four_a_prime_elements(), sp._conjugators(), IDENTITY)
+    size = {key: n for key, _, n in sp.class_table()}
+    for start in (D0, PPERM):
+        got = [len(orbit) for orbit in orbits if start in orbit]
+        want = size[start.class_conjugator()[0]]
+        if got != [want]:
+            pytest.fail("%r lies in orbits of sizes %r, its class has %d" % (start, got, want))
+    if sorted(map(len, orbits)) != [70, 840]:
+        pytest.fail("orbit sizes %r" % sorted(map(len, orbits)))
 
 
-def test_missing_start_raises():
-    with pytest.raises(CheckFailure, match="conjugate to no starting element"):
-        sp.check_start_classes(atoms(), (D0,))
+def test_repeated_atom_raises(monkeypatch, fresh_caches):
+    atoms = sp.four_a_prime_elements()
+    with pytest.raises(CheckFailure, match="the 911 atoms are not distinct"):
+        start_certificate(monkeypatch, atoms + atoms[:1])
+
+
+def test_atom_list_missing_an_atom_raises(monkeypatch, fresh_caches):
+    """An atom left out: conjugating its neighbours reaches it."""
+    with pytest.raises(CheckFailure, match="leaves the point set"):
+        start_certificate(monkeypatch, sp.four_a_prime_elements()[1:])
+
+
+def test_atom_of_an_uncovered_class_raises(monkeypatch, fresh_caches):
+    """The whole 4A class of (-2, -1, 4, 3, 6, 5, 8, 7) added to the atoms:
+    closed under conjugation, but a third orbit, conjugate to no start."""
+    atoms = sp.four_a_prime_elements() + tuple(odd_four_transpositions())
+    with pytest.raises(CheckFailure, match=r"3 orbits of sizes \[840, 70, 840\], not 2"):
+        start_certificate(monkeypatch, atoms)
+
+
+def test_missing_start_raises(monkeypatch, fresh_caches):
+    """pperm replaced by an atom of d0's orbit: no start in pperm's."""
+    other = SignedPerm.diagonal((1, 1, 1, 1, -1, -1, -1, -1))
+    with pytest.raises(CheckFailure, match="d0 and pperm lie in one orbit"):
+        start_certificate(monkeypatch, sp.four_a_prime_elements(), other)
+
+
+def test_start_outside_the_atoms_raises(monkeypatch, fresh_caches):
+    with pytest.raises(CheckFailure, match=r"start SignedPerm\(\(-2, -1, .*is not an atom"):
+        start_certificate(monkeypatch, sp.four_a_prime_elements(),
+                          SignedPerm((-2, -1, 4, 3, 6, 5, 8, 7)))
 
 
 def test_generator_not_commuting_with_center_raises():
@@ -136,7 +188,7 @@ def test_generator_not_commuting_with_center_raises():
 
 
 def test_point_set_not_closed_under_conjugation_raises():
-    roots = [v.image for v in sp.square_roots(sp.SignedPerm(D0))]
+    roots = sp.square_roots(D0)
     with pytest.raises(CheckFailure, match="leaves the point set"):
         sp.conjugation_orbits(roots[1:], sp.centralizer_generators(D0), D0)
 

@@ -324,36 +324,6 @@ def test_q8_pair_criterion_matches_conjugation():
     assert seen == {True, False}
 
 
-def test_root_products_match_tuple_products():
-    sizes = {}
-    rng = random.Random(3141)
-    cs = [D0, PPERM] + [g * g for g in (rand_element(rng) for _ in range(12))]
-    for c in cs:
-        roots = sp.square_roots(c)
-        pairs = set()
-        for i, row in enumerate(sp._root_products(roots)):
-            for j, k in row:
-                assert roots[i] * roots[j] == roots[k]
-                pairs.add((i, j))
-        assert pairs == reference_q8_pairs(roots), c
-        sizes[c] = len(pairs)
-    assert sizes[D0] == 39936 and sizes[PPERM] == 384
-
-
-def test_root_products_on_a_subset_of_a_subgroup():
-    # every sign pattern over the permutations of a 4-cycle's powers is a
-    # subgroup of H; a seeded half of it has products both inside and outside
-    rng = random.Random(1123)
-    cyc = SignedPerm.from_cycles([(1, 2, 4, 3)])
-    perms = [signed_identity(), cyc, cyc * cyc, cyc * cyc * cyc]
-    group = [SignedPerm.diagonal(eps) * p for p in perms
-             for eps in product((1, -1), repeat=8) if eps.count(-1) % 2 == 0]
-    elements = tuple(sorted(rng.sample(group, 256), key=lambda v: v.image))
-    pairs = {(i, j) for i, row in enumerate(sp._root_products(elements)) for j, _ in row}
-    assert pairs == reference_q8_pairs(elements)
-    assert 0 < len(pairs) < 256 ** 2
-
-
 def test_q8_search_matches_tuple_reference():
     # the search scans orbit representatives; the reference tests every
     # pair, so only the charged units differ
@@ -453,34 +423,40 @@ def test_atoms_form_two_h_orbits_with_d0_and_pperm():
     assert sorted(map(len, orbits)) == [70, 840]
     assert {len(o) for o in orbits if D0 in o} == {70}
     assert {len(o) for o in orbits if PPERM in o} == {840}
-    assert sp.even_pairing_starts() == (D0.image, PPERM.image)
+    assert sp.even_pairing_starts() == (D0, PPERM)
 
 
 def test_q8_triples_from_orbit_representatives_match_every_row():
+    """The trace triples of the pairs (a, b) with a one representative per
+    orbit of square roots of c (conjugation_orbits under
+    centralizer_generators) equal those of every pair, both sides read off
+    reference_q8_pairs; the pair counts of d0 and pperm are pinned."""
     rng = random.Random(3141)
     cs = [D0, PPERM] + [g * g for g in (rand_element(rng) for _ in range(12))]
     reduced = 0
     for c in cs:
         roots = sp.square_roots(c)
         trace = [v.trace() for v in roots]
-        full = {(trace[i], trace[j], trace[k])
-                for i, row in enumerate(sp._root_products(roots)) for j, k in row}
-        orbits = sp.conjugation_orbits([v.image for v in roots],
-                                       sp.centralizer_generators(c.image), c.image)
-        assert sorted(x for o in orbits for x in o) == sorted(v.image for v in roots)
         index = {v.image: k for k, v in enumerate(roots)}
-        picks = [index[o[0]] for o in orbits]
-        got = {(trace[i], trace[j], trace[k])
-               for i, row in zip(picks, sp._root_products(roots, picks)) for j, k in row}
-        assert got == full, c
+        pairs = reference_q8_pairs(roots)
+        triple = {(i, j): (trace[i], trace[j],
+                           trace[index[tuple_product(roots[i].image, roots[j].image)]])
+                  for i, j in pairs}
+        orbits = sp.conjugation_orbits(roots, sp.centralizer_generators(c), c)
+        assert sorted(x.image for o in orbits for x in o) == sorted(v.image for v in roots)
+        picks = {index[o[0].image] for o in orbits}
+        got = {t for (i, _), t in triple.items() if i in picks}
+        assert got == set(triple.values()), c
         reduced += len(picks) < len(roots)
+        if c in (D0, PPERM):
+            assert len(pairs) == {D0: 39936, PPERM: 384}[c]
     assert reduced >= 2
 
 
 def test_orbit_sizes_of_the_square_roots():
     sizes = []
     for c in sp.even_pairing_starts():
-        roots = [v.image for v in sp.square_roots(SignedPerm(c))]
+        roots = sp.square_roots(c)
         orbits = sp.conjugation_orbits(roots, sp.centralizer_generators(c), c)
         sizes.append(sorted(map(len, orbits)))
     assert sizes == [[12, 12, 72, 144, 144, 144], [48]]
