@@ -7,8 +7,9 @@ elementary_divisors only reduces the matrix, and the rank of a matrix is the
 number of its elementary divisors.  solve takes a rational system to an
 integer one by scaling each equation by the lcm of its denominators and
 reads its answer off the Smith form; integer_solve keeps that answer when it
-is integral.  charpoly is Faddeev-LeVerrier over Z.  Matrix sizes in this
-package are at most 22x22, so no attempt is made at asymptotic cleverness.
+is integral.  charpoly is Faddeev-LeVerrier over Z, on rows packed into
+lane integers.  Matrix sizes in this package are at most 22x22, so no
+attempt is made at asymptotic cleverness.
 """
 
 from __future__ import annotations
@@ -27,29 +28,54 @@ def mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in bcols] for row in a]
 
 
+def _lane_bits(bound: int) -> int:
+    """Lane width in bits for signed entries of absolute value at most bound."""
+    return bound.bit_length() + 1
+
+
 def charpoly(a) -> list[int]:
     """Characteristic polynomial det(xI - A) of an integer matrix,
     coefficients low degree first.
 
-    Faddeev-LeVerrier over Z: every division by k is exact for an integer
-    matrix, and each one is checked.
+    Faddeev-LeVerrier over Z: with M_1 = I, step k = 1..n forms A M_k, reads
+    c_(n-k) = -tr(A M_k) / k and sets M_(k+1) = A M_k + c_(n-k) I.  Every
+    division by k is exact for an integer matrix, and each one is checked.
+
+    Each row of M_k is kept as one integer holding its entries in signed
+    lanes of B bits, entry j at bit B*j, as reps.norm_matrix keeps its
+    rows, so row i of A M_k is the single sum over l of A[i][l] times row l
+    of M_k.  With rho the largest absolute row sum of A (at least 1), every
+    eigenvalue is at most rho in absolute value, so |c_(n-j)| <= C(n, j)
+    rho^j; M_k = sum_(j<k) c_(n-j) A^(k-1-j) then has row sums at most
+    2^n rho^(k-1), and A M_k at most 2^n rho^k.  So (2 rho)^n bounds every
+    entry, and B is chosen so that 2^(B-1) exceeds it.  Adding 2^(B-1) to
+    every lane makes each lane of a row nonnegative, so lane i of row i, the
+    diagonal entry, is read by a shift and a mask; a carry left past the
+    top lane raises CheckFailure.
     """
     n = len(a)
     am = [[int(x) for x in row] for row in a]
     if any(x != y for ra, rb in zip(am, a) for x, y in zip(ra, rb)):
         raise ValueError("charpoly needs an integer matrix")
+    rho = max(1, max((sum(map(abs, row)) for row in am), default=0))
+    bits = _lane_bits((2 * rho) ** n)
+    half, mask, top = 1 << (bits - 1), (1 << bits) - 1, bits * n
+    shifts = [bits * i for i in range(n)]
+    bias = sum(half << s for s in shifts)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [1 << s for s in shifts]
     for k in range(1, n + 1):
-        mcols = list(zip(*m))
-        m = [[sum(map(mul, row, col)) for col in mcols] for row in am]
-        c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        rows = [sum(map(mul, arow, rows)) for arow in am]
+        biased = [row + bias for row in rows]
+        if any(b >> top for b in biased):
+            raise CheckFailure("packed row carries past its %d lanes" % n)
+        trace = sum(b >> s & mask for b, s in zip(biased, shifts)) - n * half
+        c, r = divmod(-trace, k)
         if r:
             raise CheckFailure("Faddeev-LeVerrier trace not divisible by %d" % k)
         coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
+        rows = [row + (c << s) for row, s in zip(rows, shifts)]
     return coeffs
 
 

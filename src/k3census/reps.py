@@ -29,6 +29,7 @@ from operator import add, mul
 from . import e8, linalg
 from .cyclotomic import cyclotomic_polynomial, poly_mul
 from .errors import CheckFailure
+from .linalg import _lane_bits
 from .record import record
 from .sgnperm import SignedPerm, class_representative
 
@@ -160,11 +161,6 @@ def _order_divides(m, p: int) -> bool:
     for _ in range(p - 1):
         power = [[sum(map(mul, row, col)) for col in cols] for row in power]
     return power == [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _lane_bits(bound: int) -> int:
-    """Lane width in bits for signed entries of absolute value at most bound."""
-    return bound.bit_length() + 1
 
 
 def _unpack(x: int, n: int, bits: int) -> list[int]:

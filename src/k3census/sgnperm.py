@@ -49,25 +49,28 @@ _letter_code = _LetterCodes({s * j: (1 << (j - 1)) + (256 if s < 0 else 0)
                              for j in range(1, 9) for s in (1, -1)}).__getitem__
 
 
-def _ext(a: Img) -> Img:
-    """The signed table of the 8-entry image a: 17 entries, so that index t
-    in -8..8 reads the signed image of the signed letter t: entry 0 is 0,
-    entry t is a[t-1] and entry -t (counted from the end) is -a[t-1]."""
-    a1, a2, a3, a4, a5, a6, a7, a8 = a
-    return (0, a1, a2, a3, a4, a5, a6, a7, a8, -a8, -a7, -a6, -a5, -a4, -a3, -a2, -a1)
+# a signed table is padded with _PAD to the 256 bytes of a translate table
+_PAD = bytes(239)
+# translate table sending each byte t in 1..16 to 17 - t, the negated letter
+_NEGATE = bytes([0, *range(16, 0, -1)]) + _PAD
 
 
-# the 17 signed letters in table order: the table of the identity
-_LETTERS: Img = _ext(_IDENT_IMG)
-_MINUS_TABLE: Img = _ext(_MINUS_IMG)
-_by_letter = itemgetter(*_LETTERS)
+def _ext(a: Img) -> bytes:
+    """The signed table of the 8-entry image a: 17 bytes, so that index t in
+    -8..8 reads the signed image of the signed letter t, stored mod 17:
+    entry 0 is 0, entry t is a[t-1] mod 17 and entry -t (counted from the
+    end) is -a[t-1] mod 17."""
+    top = bytes([t % 17 for t in a])
+    return b"\0" + top + top[::-1].translate(_NEGATE)
 
 
-def _scatter(letters: Img, values: Img) -> Img:
-    """The table that sends letters[k] to values[k], for letters a table (a
-    permutation of the 17 signed letters): one gather, in table order, from
-    the dictionary of the pairs."""
-    return _by_letter(dict(zip(letters, values)))
+# the 17 signed letters in table order, each stored mod 17: the table of the
+# identity
+_LETTERS = bytes(range(17))
+_MINUS_TABLE = _ext(_MINUS_IMG)
+# the signed letter that each stored byte 0..16 stands for
+_SIGNED: Img = tuple(range(9)) + tuple(range(-8, 0))
+_maketrans = bytes.maketrans
 
 
 def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -104,14 +107,19 @@ class SignedPerm:
     letters.  The sum is then 255 + 256 n with n the number of -1 signs, so
     bit 8 is the parity of the sign product.
 
-    The element is stored as its signed table _e = _ext(image) alone: the
-    image of each of the 17 signed letters -8..8 (0 included, sent to 0),
-    indexed by the letter itself.  The image is entries 1..8 of the table,
-    read through the image property.  A table is a bijection of the 17
-    letters that fixes 0 and commutes with negation, and composing two of
-    them is one gather: the table of a * b is itemgetter(*b._e)(a._e), since
-    entry t of it is a._e[b._e[t]] = a(b(t)), and b(t) is again a signed
-    letter, so it indexes a's table.
+    The element is stored as its signed table _e = _ext(image) alone: 17
+    bytes holding the image of each signed letter -8..8 (0 included, sent to
+    0), indexed by the letter itself, with letter t stored as the byte
+    t mod 17.  A negative letter -t sits at index 17 - t, which is where
+    Python's negative indexing reads e[-t], and a stored byte v > 8 stands
+    for the letter v - 17, whose negation is 17 - v.  The image is entries
+    1..8 of the table, decoded through the image property.  A table is a
+    bijection of the 17 letters mod 17 that fixes 0 and commutes with
+    negation t -> 17 - t, and composing two of them is one translate: the
+    table of a * b is b._e.translate(a._e + _PAD), since entry t of it is
+    a._e[b._e[t]] = a(b(t)), and b(t) is again a stored letter, so it
+    indexes a's table.  The inverse is bytes.maketrans(e, _LETTERS) cut to
+    17 bytes: it sends e[t] back to t.
 
     Products and inverses skip the check: they are built by _from_table,
     which fills the slots from a table.  This is sound by induction over
@@ -121,16 +129,22 @@ class SignedPerm:
     a product, inverse or conjugate of instances.  The constructor stores
     the table of 8 distinct signed letters with sign product +1, that is a
     bijection of the 17 letters that fixes 0, commutes with negation and
-    sends an even number of the letters 1..8 to negative ones.  The gather
-    of two such tables a and b is again a bijection that fixes 0 and
-    commutes with negation.  The sign of its entry t in 1..8 is the sign b
-    gives t times the sign a gives |b(t)|, and |b(t)| runs over 1..8 with t,
-    so the product of its eight signs is that of b times that of a, +1.
-    Inverting a table (each letter sent back to the one that maps to it)
-    keeps the three properties, since the inverse's signs are a's signs
-    permuted, and a conjugate is made of these two steps.  So every instance
-    holds the table of an element of H, and every entry point that takes
-    outside input still checks it.
+    sends an even number of the letters 1..8 to negative ones.  The
+    translate of two such tables a and b is again a bijection that fixes 0
+    (a._e[b._e[0]] = a._e[0] = 0) and commutes with t -> 17 - t (b maps
+    17 - t to 17 - b(t), and a maps that to 17 - a(b(t))).  The sign of its
+    entry t in 1..8 is the sign b gives t times the sign a gives |b(t)|,
+    and |b(t)| runs over 1..8 with t, so the product of its eight signs is
+    that of b times that of a, +1.  Inverting a table (each letter sent back
+    to the one that maps to it) keeps the three properties, since the
+    inverse's signs are a's signs permuted, and a conjugate is made of these
+    two steps.  So every instance holds the table of an element of H, and
+    every entry point that takes outside input still checks it.
+
+    Equality compares the tables, but the hash stays on the image tuple:
+    the hash of a bytes object is salted per process (PYTHONHASHSEED), the
+    hash of a tuple of small ints is not, so sets and dicts of elements keep
+    one iteration order in every run, and no report can depend on the seed.
 
     The slot _ctype caches cycle_type(): every construction sets it to None
     and the first walk (cycle_type or class_conjugator) fills it.  The cached
@@ -158,11 +172,11 @@ class SignedPerm:
     @property
     def image(self) -> Img:
         """image[i] = +-(j+1) when e_(i+1) goes to +-e_(j+1): entries 1..8
-        of the table."""
-        return self._e[1:9]
+        of the table, decoded to signed letters."""
+        return itemgetter(*self._e[1:9])(_SIGNED)
 
     def __reduce__(self):
-        return (SignedPerm, (self._e[1:9],))
+        return (SignedPerm, (self.image,))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -170,7 +184,7 @@ class SignedPerm:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._e[1:9],))
+        return hash((self.image,))
 
     # -- constructors ----------------------------------------------------
 
@@ -215,21 +229,24 @@ class SignedPerm:
     # -- group operations ---------------------------------------------------
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
-        """Composition: (self * other)(x) = self(other(x)), one gather of
-        the two tables.  H is closed under products, so the result is not
-        checked again (see the class docstring)."""
-        return _from_table(itemgetter(*other._e)(self._e))
+        """Composition: (self * other)(x) = self(other(x)), one translate of
+        other's table by self's.  H is closed under products, so the result
+        is not checked again (see the class docstring)."""
+        g = _new(SignedPerm)
+        _set_e(g, other._e.translate(self._e + _PAD))
+        _set_ctype(g, None)
+        return g
 
     def inverse(self) -> "SignedPerm":
         """The inverse, unchecked like a product (see the class docstring):
         letter t goes back to the letter that self sends to t."""
-        return _from_table(_scatter(self._e, _LETTERS))
+        return _from_table(_maketrans(self._e, _LETTERS)[:17])
 
     def conjugated_by(self, h: "SignedPerm") -> "SignedPerm":
-        """h self h^-1, unchecked like a product: the table of h self, read
-        at the letter h(t) for each letter t."""
+        """h self h^-1, unchecked like a product: the table that sends the
+        letter h(t) to h(self(t)) for each letter t."""
         e = h._e
-        return _from_table(_scatter(e, itemgetter(*self._e)(e)))
+        return _from_table(_maketrans(e, self._e.translate(e + _PAD))[:17])
 
     def apply(self, x: LatticeVec) -> LatticeVec:
         d = [0] * 8
@@ -245,27 +262,31 @@ class SignedPerm:
         underlying permutation, from one walk along the table from letter 1,
         made on the first call and cached.  Order, characteristic polynomial
         and trace depend on nothing else; the value is the shared
-        _SignedType record of the type, which carries them."""
+        _SignedType record of the type, which carries them.
+
+        The walk adds 1 << (8 (L - 1) + 4 [s = -1]) per cycle of length L
+        and sign s, so that nibble counts the cycles of type (L, s) (at most
+        8 < 16 of them), and the sum, the type's code, names the type; the
+        record is looked up by it."""
         out = self._ctype
         if out is not None:
             return out
         e = self._e
         todo = [True] * 9
-        out = []
+        code = 0
         for start in range(1, 9):
             if todo[start]:
-                length, sign, t = 0, 1, start
+                shift, t = -8, start
                 while todo[t]:
                     todo[t] = False
                     t = e[t]
-                    if t < 0:
-                        sign, t = -sign, -t
-                    length += 1
-                out.append((length, sign))
-        out.sort()
-        record = _intern(tuple(out))
-        _set_ctype(self, record)
-        return record
+                    if t > 8:
+                        shift, t = shift ^ 4, 17 - t
+                    shift += 8
+                code += 1 << shift
+        out = _signed_types.get(code) or _intern(code)
+        _set_ctype(self, out)
+        return out
 
     def class_conjugator(self) -> tuple[tuple["_SignedType", int], "SignedPerm"]:
         """(key, h) with h in H and h g h^-1 = class_representative(key).
@@ -296,25 +317,27 @@ class SignedPerm:
                     todo[x] = todo[-x] = False
                     letters.append(x)
                     x = e[x]
-                cycles.append((len(letters), x > 0, letters))
+                cycles.append((len(letters), x <= 8, letters))
         cycles.sort(key=itemgetter(0, 1), reverse=True)  # stable: ties keep walk order
         ctype = self._ctype
         if ctype is None:
-            ctype = _intern(tuple((n, 1 if pos else -1) for n, pos, _ in reversed(cycles)))
+            ctype = _intern(_type_code((n, 1 if pos else -1) for n, pos, _ in cycles))
             _set_ctype(self, ctype)
         inv, odd = [], None
         for length, positive, letters in cycles:
             if odd is None and (length % 2 or not positive):
                 odd = len(inv), length
             inv += letters
-        split = sum(map((0).__gt__, inv)) % 2
+        # inv holds stored letters: v > 8 is negative, and 17 - v negates v
+        split = sum(map((8).__lt__, inv)) % 2
         if split and odd:
             split, (a, length) = 0, odd
             block = inv[a:a + length]
-            inv[a:a + length] = [-x for x in block] if length % 2 else [-block[-1]] + block[:-1]
+            inv[a:a + length] = ([17 - x for x in block] if length % 2
+                                 else [17 - block[-1]] + block[:-1])
         elif split:
-            inv[0] = -inv[0]
-        return (ctype, split), SignedPerm(tuple(inv)).inverse()
+            inv[0] = 17 - inv[0]
+        return (ctype, split), SignedPerm(itemgetter(*inv)(_SIGNED)).inverse()
 
     def order(self) -> int:
         return (self._ctype or self.cycle_type()).order
@@ -330,7 +353,7 @@ class SignedPerm:
 
     def is_involution(self) -> bool:
         e = self._e
-        return e != _LETTERS and itemgetter(*e)(e) == _LETTERS
+        return e != _LETTERS and e.translate(e + _PAD) == _LETTERS
 
     def matrix_e(self) -> list[list[int]]:
         m = [[0] * 8 for _ in range(8)]
@@ -354,21 +377,34 @@ class _SignedType(tuple):
         self.trace = sum(sign for length, sign in self if length == 1)
 
 
-# one record per signed cycle type met (H has 95 types), keyed by the plain
-# tuple and shared by every element that caches it, so the cache costs an
-# element one slot
+# one record per signed cycle type met (H has 95 types), keyed by the type's
+# code (see SignedPerm.cycle_type) and shared by every element that caches
+# it, so the cache costs an element one slot
 _signed_types: dict = {}
 _set_e = SignedPerm._e.__set__
 _set_ctype = SignedPerm._ctype.__set__
 _new = object.__new__
 
 
-def _intern(ctype: tuple[tuple[int, int], ...]) -> _SignedType:
-    """The shared record of the sorted signed cycle type ctype."""
-    return _signed_types.get(ctype) or _signed_types.setdefault(ctype, _SignedType(ctype))
+def _type_code(pairs) -> int:
+    """The code of the signed cycle type with these (length, sign) pairs:
+    1 << (8 (length - 1) + 4 [sign = -1]) summed over them."""
+    return sum(1 << (8 * length - 8 + 4 * (sign < 0)) for length, sign in pairs)
 
 
-def _from_table(e: Img) -> SignedPerm:
+def _intern(code: int) -> _SignedType:
+    """The shared record of the signed cycle type with this code, made on
+    first use from the pairs the code counts, in sorted order (sign -1
+    before +1 at equal length)."""
+    record = _signed_types.get(code)
+    if record is None:
+        record = _signed_types[code] = _SignedType(
+            (length, sign) for length in range(1, 9) for sign, shift in ((-1, 4), (1, 0))
+            for _ in range(code >> (8 * length - 8 + shift) & 15))
+    return record
+
+
+def _from_table(e: bytes) -> SignedPerm:
     """The SignedPerm with signed table e, unchecked: only for tables of
     products, inverses or conjugates of elements of H (see the SignedPerm
     docstring)."""
@@ -479,11 +515,11 @@ _ZERO_BYTE = b"\x01" + bytes(255)
 def _fixed_lanes() -> tuple[tuple[int, ...], ...]:
     """lanes[i+1][t] packs (s d_i - d_j)^2 over the roots d (doubled, in
     enumerate_roots order), one root per byte, for the table entry
-    t = s(j+1) at letter i+1; negative t index from the end, as in _ext.
-    lanes[0] is all zero, for the table's entry 0, so a table indexes the
-    lanes as it stands.  Each entry is at most 16, so a sum of 8 stays at
-    most 128 in every byte, and it is 0 exactly when the element fixes that
-    root."""
+    t = s(j+1) at letter i+1; a negative t indexes from the end, at the
+    byte t mod 17 that stands for t in a table (see _ext).  lanes[0] is all
+    zero, for the table's entry 0, so a table indexes the lanes as it
+    stands.  Each entry is at most 16, so a sum of 8 stays at most 128 in
+    every byte, and it is 0 exactly when the element fixes that root."""
     ds = [r.d for r in e8.enumerate_roots()]
     lanes = [(0,) * 17]
     for i in range(8):
@@ -520,24 +556,22 @@ def parity_witness(v: SignedPerm) -> LatticeVec | None:
     integer sum is not 0 mod 8.  The sum is taken for all 240 roots at once,
     one root per byte of an integer (see _pairing_lanes)."""
     lanes, low_bits = _pairing_lanes()
-    return _first_odd_root(sum(map(getitem, lanes, v._e)) & low_bits)
+    k = _odd_byte(sum(map(getitem, lanes, v._e)) & low_bits)
+    return e8.enumerate_roots()[k] if k >= 0 else None
 
 
-def _first_odd_root(odd: int) -> LatticeVec | None:
-    """The root of the lowest nonzero byte of odd, None if odd is 0."""
-    if not odd:
-        return None
-    return e8.enumerate_roots()[((odd & -odd).bit_length() - 1) >> 3]
+def _odd_byte(odd: int) -> int:
+    """The index of the lowest nonzero byte of odd, -1 if odd is 0."""
+    return ((odd & -odd).bit_length() - 1) >> 3
 
 
 @lru_cache(maxsize=None)
 def _pairing_lanes() -> tuple[tuple[tuple[int, ...], ...], int]:
     """lanes[i+1][t] packs s d_i d_j mod 8 over the roots d (doubled, in
     enumerate_roots order), one root per byte, for the table entry
-    t = s(j+1) at letter i+1; negative t index from the end, as in _ext, and
-    lanes[0] is all zero, as in _fixed_lanes.  A sum of 8 entries stays
-    below 256 in every byte, so its bytes masked by low_bits are the sums
-    mod 8.
+    t = s(j+1) at letter i+1, indexed as in _fixed_lanes, and lanes[0] is
+    all zero, as there.  A sum of 8 entries stays below 256 in every byte,
+    so its bytes masked by low_bits are the sums mod 8.
 
     Byte 240 holds 1 + the diagonal entry t puts at position i (s when
     j = i, else 0), so byte 240 of the sum is the trace plus 8, at most 16;
@@ -565,21 +599,24 @@ def involution_class(v: SignedPerm) -> InvolutionClass:
     The trace and the witness come from one sum over the pairing lanes
     (byte 240 carries the trace, see _pairing_lanes).  The record depends on
     them alone, so it comes from _involution_record, which makes one per
-    key: equal inputs share one frozen record."""
+    key (the trace and the witness's byte index): equal inputs share one
+    frozen record."""
     if not v.is_involution():
         raise ValueError("element is not an involution")
     if v._e == _MINUS_TABLE:
         raise ValueError("central element -1 is excluded")
     lanes, low_bits = _pairing_lanes()
     total = sum(map(getitem, lanes, v._e))
-    return _involution_record((total >> 1920) - 8, _first_odd_root(total & low_bits))
+    return _involution_record((total >> 1920) - 8, _odd_byte(total & low_bits))
 
 
 @lru_cache(maxsize=None)
-def _involution_record(trace: int, witness: LatticeVec | None) -> InvolutionClass:
+def _involution_record(trace: int, odd_byte: int) -> InvolutionClass:
     """The class record of an involution other than +-1 with this trace
-    (one of the 7 even values in -6..6) and parity witness (None or one of
-    the 240 roots), so the cache holds at most 7 * 241 records."""
+    (one of the 7 even values in -6..6) and parity witness, given as the
+    index odd_byte of its root in enumerate_roots (-1 for None), so the
+    cache holds at most 7 * 241 records."""
+    witness = e8.enumerate_roots()[odd_byte] if odd_byte >= 0 else None
     lv = (8 - trace) // 2
     negated = lv > 4
     if negated:
@@ -680,7 +717,7 @@ def _class_rows() -> list:
     for parts in _signed_partitions(8):
         if sum(sign < 0 for _, sign in parts) % 2:
             continue
-        ctype = _intern(parts[::-1])
+        ctype = _intern(_type_code(parts))
         size = 2 ** 8 * factorial(8) // prod((2 * length) ** m * factorial(m)
                                             for (length, _), m in Counter(ctype).items())
         split = all(length % 2 == 0 and sign > 0 for length, sign in ctype)
@@ -786,8 +823,8 @@ def _conjugators() -> tuple[SignedPerm, ...]:
 
 
 def _commute(a: SignedPerm, b: SignedPerm) -> bool:
-    """Whether a and b commute: the two gathers of their tables agree."""
-    return itemgetter(*b._e)(a._e) == itemgetter(*a._e)(b._e)
+    """Whether a and b commute: the tables of a b and b a agree."""
+    return b._e.translate(a._e + _PAD) == a._e.translate(b._e + _PAD)
 
 
 def centralizer_generators(c: SignedPerm) -> list[SignedPerm]:
@@ -803,8 +840,8 @@ def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm
     lists its first point (in the order of `points`) first.
 
     The closure runs on signed tables: the conjugate g y g^-1 of the table
-    y is the gather of g's table at y(g^-1(t)), which is itself the gather
-    of y's table by g^-1's.
+    y reads g(y(g^-1(t))) at t, so it is g^-1's table translated by y's and
+    then by g's.
 
     Certificates: every generator commutes with `center`, so the group lies
     in its centralizer, and every conjugate met lies in `points`, so the set
@@ -813,9 +850,9 @@ def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm
     for g in gens:
         if not _commute(g, center):
             raise CheckFailure("generator %r does not commute with %r" % (g, center))
-        conj.append((g._e, itemgetter(*g.inverse()._e)))
+        conj.append((g._e + _PAD, g.inverse()._e))
     point_of = {x._e: x for x in points}
-    seen: set[Img] = set()
+    seen: set[bytes] = set()
     orbits = []
     for ex in point_of:
         if ex in seen:
@@ -823,11 +860,13 @@ def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm
         seen.add(ex)
         orbit = [ex]
         for y in orbit:
-            for eg, by_g_inv in conj:
-                z = itemgetter(*by_g_inv(y))(eg)
+            y_pad = y + _PAD
+            for g_pad, e_inv in conj:
+                z = e_inv.translate(y_pad).translate(g_pad)
                 if z not in seen:
                     if z not in point_of:
-                        raise CheckFailure("conjugate %r leaves the point set" % (z[1:9],))
+                        raise CheckFailure("conjugate %r leaves the point set"
+                                           % (_from_table(z).image,))
                     seen.add(z)
                     orbit.append(z)
         orbits.append([point_of[z] for z in orbit])
@@ -972,7 +1011,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     Every element that gets multiplied is an atom or the identity, so the
     elements are interned as indices of their signed tables (atoms first,
     then the identity, then any other product met) and each product of two
-    indices is computed once, as one gather, and kept in a table for the
+    indices is computed once, as one translate, and kept in a table for the
     rest of the call.  Every product asked for is still charged one unit of
     budget, and so is every commutation test."""
     avg = Fraction(8 + 15 * 0, 16)
@@ -983,7 +1022,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     elts.append(_LETTERS)
     n_elts = len(elts)
     index = {e: k for k, e in enumerate(elts)}
-    gather = [itemgetter(*e) for e in elts]
+    padded = [e + _PAD for e in elts]
     table: dict[int, int] = {}
 
     def mul(i: int, j: int) -> int:
@@ -991,7 +1030,7 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
         key = i * n_elts + j
         k = table.get(key)
         if k is None:
-            k = table[key] = index.setdefault(gather[j](elts[i]), len(index))
+            k = table[key] = index.setdefault(elts[j].translate(padded[i]), len(index))
         return k
 
     counter = [0]
@@ -1081,9 +1120,9 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
     Conjugating a pair by the centralizer of c keeps it a pair and keeps its
     traces, so a runs over one representative per orbit of square roots
     (certified by conjugation_orbits) and b over every square root; each
-    such pair is tested by one gather of the two tables and one lookup of
-    the product's table among the roots', and charged one unit of budget,
-    row by row."""
+    such pair is tested by one translate of the two tables and one lookup
+    of the product's table among the roots', and charged one unit of
+    budget, row by row."""
     triples: set[tuple[int, int, int]] = set()
     traces: set[int] = set()
     n_orbits = []
@@ -1094,15 +1133,16 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
         traces.update(trace)
         orbits = conjugation_orbits(roots, centralizer_generators(c), c)
         n_orbits.append(len(orbits))
-        index = {v._e: k for k, v in enumerate(roots)}
+        tables = [v._e for v in roots]
+        index = {e: k for k, e in enumerate(tables)}
         for orbit in orbits:
             steps += len(roots)
             if steps > budget:
                 raise SearchBudgetExceeded("budget %d exhausted" % budget)
             ea = orbit[0]._e
-            tr_a = trace[index[ea]]
-            for j, b in enumerate(roots):
-                k = index.get(itemgetter(*b._e)(ea))
+            tr_a, a_pad = trace[index[ea]], ea + _PAD
+            for j, eb in enumerate(tables):
+                k = index.get(eb.translate(a_pad))
                 if k is not None:
                     triples.add((tr_a, trace[j], trace[k]))
     want = (-4, -4, -4)

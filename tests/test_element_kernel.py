@@ -4,10 +4,12 @@ cached signed cycle type against a fresh walk, the type record's order,
 charpoly and trace against the type functions and a two-scan trace,
 involution_class against classifying -v through the product
 minus_one() * v and against the record built field by field, products,
-inverses and conjugates (gathers of signed tables, unchecked) against the
-image comprehension and the checking constructor, the signed table against
-the image on every construction route, trace() against two scans, and the
-compress-selected fixed roots against a generator over the lane bytes.
+inverses and conjugates (translates of byte tables, unchecked) against the
+image comprehension, the checking constructor and the tuple-table gather
+and dictionary routes, the byte table against the image on every
+construction route, the coded cycle walk on every class representative,
+trace() against two scans, and the compress-selected fixed roots against a
+generator over the lane bytes.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
@@ -21,9 +23,10 @@ import pytest
 
 from k3census import e8, sgnperm as sp
 from k3census.sgnperm import InvolutionClass, SignedPerm
-from test_sgnperm_oracles import (reference_all_involutions, reference_signed_cycles,
-                                  seeded_elements, signed_cycle_type_representatives,
-                                  tuple_product)
+from test_sgnperm_oracles import (byte_table, reference_all_involutions,
+                                  reference_signed_cycles, seeded_elements,
+                                  signed_cycle_type_representatives, tuple_product,
+                                  tuple_table)
 
 LETTERS = frozenset(range(1, 9))
 NOT_LETTERS = "not a signed permutation of 8 letters"
@@ -123,6 +126,9 @@ def kernel_inputs():
 
 
 def test_cached_cycle_type_matches_a_fresh_walk():
+    """Checks only the records these inputs meet, so a table outside H that
+    another test walks in the same process cannot make it fail."""
+    table_types = {key[0]: key[0] for key, _, _ in sp.class_table()}
     shared = {}
     for g in kernel_inputs():
         if g._ctype is not None:
@@ -134,9 +140,42 @@ def test_cached_cycle_type_matches_a_fresh_walk():
             pytest.fail("%r: the cycle type is not cached" % (g,))
         if shared.setdefault(ctype, ctype) is not ctype:
             pytest.fail("%r: its cached type is not the tuple shared by its type" % (g,))
-    # the seeded inputs meet 88 of the 95 signed cycle types of H
-    if len(shared) != 88 or len(sp._signed_types) > 95:
-        pytest.fail("%d types met, %d interned" % (len(shared), len(sp._signed_types)))
+    # the seeded inputs meet 88 of the 95 signed cycle types of H, and each
+    # record met is the one that class_table() holds for its type
+    if len(shared) != 88 or len(table_types) != 95:
+        pytest.fail("%d types met, %d in the class table" % (len(shared), len(table_types)))
+    for ctype in shared:
+        if table_types.get(ctype) is not ctype:
+            pytest.fail("%r is not the class table's record of its type" % (ctype,))
+
+
+def reference_code(ctype):
+    """The type code counted per (length, sign): nibble 2 (L - 1) + [s = -1]
+    holds the number of cycles of length L and sign s."""
+    counts = {}
+    for length, sign in ctype:
+        counts[length, sign] = counts.get((length, sign), 0) + 1
+    return sum(n * 16 ** (2 * (length - 1) + (sign < 0)) for (length, sign), n in counts.items())
+
+
+def test_coded_walk_matches_the_reference_on_every_class():
+    """The walk's integer code, on an unwalked copy of each of the 100
+    class_table() representatives: the record it finds equals the reference
+    walk and is the row's own record, interned under the reference code; the
+    95 types have 95 distinct codes."""
+    codes = set()
+    for key, rep, _ in sp.class_table():
+        fresh = sp._from_table(rep._e)
+        ctype = fresh.cycle_type()
+        if ctype != reference_walk(rep) or ctype is not key[0]:
+            pytest.fail("%r: the coded walk gives %r, the reference %r"
+                        % (rep, ctype, reference_walk(rep)))
+        code = reference_code(ctype)
+        if sp._type_code(ctype) != code or sp._signed_types.get(code) is not ctype:
+            pytest.fail("%r: %r is not interned under code %#x" % (rep, ctype, code))
+        codes.add(code)
+    if len(codes) != 95:
+        pytest.fail("%d codes for the 95 signed cycle types" % len(codes))
 
 
 def test_order_and_charpoly_share_the_walk():
@@ -162,7 +201,7 @@ def test_slots_cannot_be_assigned_from_outside():
             delattr(g, name)
     with pytest.raises(AttributeError):
         g.other = 1
-    if g.cycle_type() != reference_walk(g) or g._e != sp._ext(g.image):
+    if g.cycle_type() != reference_walk(g) or g._e != byte_table(g.image):
         pytest.fail("a refused assignment changed the cycle type or the table")
 
 
@@ -262,6 +301,18 @@ def test_involution_records_are_shared_per_key():
         got.label = "2A"
 
 
+def test_involution_record_keys_match_parity_witness():
+    """The record of every involution of H but +-1 is the one cached under
+    (trace, byte index of parity_witness in enumerate_roots, -1 for None),
+    and its witness is parity_witness's."""
+    roots = e8.enumerate_roots()
+    for v in reference_all_involutions():
+        got, w = sp.involution_class(v), sp.parity_witness(v)
+        k = roots.index(w) if w is not None else -1
+        if got.witness != w or sp._involution_record(v.trace(), k) is not got:
+            pytest.fail("%r: record %r, key (%d, %d), witness %r" % (v, got, v.trace(), k, w))
+
+
 # ---------------------------------------------------------------------------
 # products and inverses trusted by closure, lane traces, fixed roots
 
@@ -327,8 +378,36 @@ def test_gathers_match_the_image_comprehension():
             pytest.fail("%r conjugated by %r: %r" % (g, h, g.conjugated_by(h)))
 
 
+LETTER_ORDER = tuple_table(tuple(range(1, 9)))
+
+
+def scatter(letters, values):
+    """The 17-tuple that sends letters[k] to values[k], in table order: the
+    dictionary route the package inverted and conjugated tuple tables by
+    before tables became bytes."""
+    pairs = dict(zip(letters, values))
+    return tuple(pairs[t] for t in LETTER_ORDER)
+
+
+def test_translate_and_maketrans_match_the_tuple_routes():
+    """On kernel_inputs(): the translate product against tuple_product and
+    the gather of tuple tables, and the maketrans inverse and conjugate
+    against scatter, each as its byte encoding."""
+    xs = kernel_inputs()
+    for g, h in zip(xs, xs[1:] + xs[:1]):
+        tg, th = tuple_table(g.image), tuple_table(h.image)
+        product = tuple(tg[t] for t in th)
+        if (g * h)._e != byte_table(product[1:9]) or product[1:9] != tuple_product(g.image, h.image):
+            pytest.fail("%r * %r: table %r, gather %r" % (g, h, (g * h)._e, product))
+        if g.inverse()._e != byte_table(scatter(tg, LETTER_ORDER)[1:9]):
+            pytest.fail("%r: inverse table %r" % (g, g.inverse()._e))
+        conj = scatter(th, tuple(th[t] for t in tg))
+        if g.conjugated_by(h)._e != byte_table(conj[1:9]):
+            pytest.fail("%r conjugated by %r: table %r" % (g, h, g.conjugated_by(h)._e))
+
+
 def test_is_involution_matches_the_image_route():
-    """is_involution (one gather of the table with itself) against the
+    """is_involution (one translate of the table by itself) against the
     image test it replaced, on kernel_inputs(), every involution of H but
     +-1, and +-1 themselves."""
     ident = tuple(range(1, 9))
@@ -376,12 +455,12 @@ def test_conjugation_orbits_under_an_element_of_order_three():
 
 
 def expect_table(g, what):
-    """g._e must be a 17-tuple reading 0 at 0 and +-image[t-1] at +-t."""
+    """g._e must be 17 bytes reading 0 at 0 and +-image[t-1] mod 17 at +-t."""
     e, image = g._e, g.image
-    if type(e) is not tuple or len(e) != 17 or e[0] != 0:
+    if type(e) is not bytes or len(e) != 17 or e[0] != 0:
         pytest.fail("%s: %r has table %r" % (what, g, e))
     for t in range(1, 9):
-        if e[t] != image[t - 1] or e[-t] != -image[t - 1]:
+        if e[t] != image[t - 1] % 17 or e[-t] != -image[t - 1] % 17:
             pytest.fail("%s: %r has table %r" % (what, g, e))
 
 
@@ -416,7 +495,8 @@ def test_type_records_carry_order_charpoly_and_trace():
     for g in class_representatives():
         ctype = g.cycle_type()
         plain = tuple(ctype)
-        if type(ctype) is not sp._SignedType or sp._signed_types[plain] is not ctype:
+        if type(ctype) is not sp._SignedType \
+                or sp._signed_types[sp._type_code(plain)] is not ctype:
             pytest.fail("%r: %r is not the interned record" % (g, ctype))
         if ctype != plain or hash(ctype) != hash(plain) or repr(ctype) != repr(plain):
             pytest.fail("%r: the record differs from the plain tuple" % (g,))
@@ -437,7 +517,8 @@ def test_pairing_lanes_carry_the_trace_in_byte_240():
         total = sum(map(getitem, lanes, g._e))
         if (total >> 1920) - 8 != reference_trace(g):
             pytest.fail("%r: byte 240 reads %d" % (g, total >> 1920))
-        if sp._first_odd_root(total & low_bits) != sp.parity_witness(g):
+        k = sp._odd_byte(total & low_bits)
+        if (e8.enumerate_roots()[k] if k >= 0 else None) != sp.parity_witness(g):
             pytest.fail("%r: the fused witness differs" % (g,))
 
 

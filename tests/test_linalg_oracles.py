@@ -1,16 +1,20 @@
 """sympy as an independent reference for linalg: its Smith normal form for
 the elementary divisors, its rank for consistency and uniqueness of rational
-systems, and the Smith forms of A and [A | b] for integer solvability."""
+systems, and the Smith forms of A and [A | b] for integer solvability.  The
+packed-lane charpoly is pinned to the list-of-lists Faddeev-LeVerrier it
+replaced."""
 
 import random
 from collections import Counter
 from fractions import Fraction
 from operator import mul
 
+import pytest
 from sympy import Matrix, Rational, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from k3census import linalg
+from k3census import linalg, reps
+from k3census.errors import CheckFailure
 
 
 def sympy_divisors(a):
@@ -149,3 +153,58 @@ def test_integer_solve_matches_smith_forms_of_a_and_a_b():
                 assert all(type(v) is int for v in got)
                 assert [sum(map(mul, row, got)) for row in a] == b, (a, b, got)
     assert min(kinds.values()) > 20 and len(kinds) == 3, kinds
+
+
+def list_charpoly(a):
+    """Faddeev-LeVerrier on lists of integer rows, the route charpoly took
+    before its rows were packed into lane integers."""
+    n = len(a)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mcols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in mcols] for row in a]
+        c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        if r:
+            pytest.fail("trace not divisible by %d" % k)
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
+
+
+def lemma45_witnesses():
+    """The integer matrices of the Lemma 4.5 witnesses, the census entries
+    coxeter_witness has a recipe for."""
+    out = [reps.coxeter_witness(p, (dec.r, dec.s, dec.t)) for p in (3, 5, 7)
+           for dec in reps.lemma45_census(p)]
+    return [m for m in out if m is not None]
+
+
+def test_packed_charpoly_matches_the_list_version():
+    """On the 7 Lemma 4.5 witnesses, on seeded square matrices of every
+    kind and size up to 12, on matrices with entries up to 10^6, and on the
+    empty matrix."""
+    rng = random.Random(2301)
+    cases = lemma45_witnesses()
+    if len(cases) != 7:
+        pytest.fail("%d Lemma 4.5 witnesses, not 7" % len(cases))
+    cases += [seeded_matrix(rng, n, n) for n in range(1, 13) for _ in range(12)]
+    cases += [[[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)]
+              for n in (1, 2, 5, 8)]
+    cases.append([])
+    for a in cases:
+        got, want = linalg.charpoly(a), list_charpoly(a)
+        if got != want:
+            pytest.fail("%r: packed %r, list version %r" % (a, got, want))
+
+
+def test_charpoly_carry_past_the_top_lane_raises(monkeypatch):
+    """Lanes narrower than the certified bound leave a carry past the top
+    lane, and charpoly refuses to read them."""
+    monkeypatch.setattr(linalg, "_lane_bits", lambda bound: 3)
+    with pytest.raises(CheckFailure, match="carries"):
+        linalg.charpoly([[5]])
+    with pytest.raises(CheckFailure, match="carries"):
+        linalg.charpoly([[-5]])

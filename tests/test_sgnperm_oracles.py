@@ -540,12 +540,26 @@ def test_type_invariants_are_cached_per_type():
 
 # ---------------------------------------------------------------------------
 # products: the comprehension the package used against the padded-tuple
-# route and the gather of signed tables
+# route and the translate of byte tables
+
+
+def tuple_table(a):
+    """The 17-tuple signed table of the image a, the layout the package
+    stored before tables became bytes: index t in -8..8 reads the signed
+    image of t, so entry 0 is 0, entry t is a[t-1] and entry -t (counted
+    from the end) is -a[t-1]."""
+    return (0, *a, *(-t for t in reversed(a)))
+
+
+def byte_table(a):
+    """The signed table of the image a as the package stores it: each entry
+    of tuple_table(a) as the byte t mod 17."""
+    return bytes([t % 17 for t in tuple_table(a)])
 
 
 def ext_route_mul(a, b):
-    """a after b through the 17-entry padding _ext(a), indexed by b."""
-    return tuple(map(sp._ext(a).__getitem__, b))
+    """a after b through the 17-entry padding tuple_table(a), indexed by b."""
+    return tuple(map(tuple_table(a).__getitem__, b))
 
 
 def test_img_mul_matches_the_ext_route():
@@ -555,5 +569,5 @@ def test_img_mul_matches_the_ext_route():
         for b in imgs:
             want = tuple_product(a, b)
             got = SignedPerm(a) * SignedPerm(b)
-            if ext_route_mul(a, b) != want or got.image != want or got._e != sp._ext(want):
+            if ext_route_mul(a, b) != want or got.image != want or got._e != byte_table(want):
                 pytest.fail("%r * %r: %r, the comprehension gives %r" % (a, b, got, want))
