@@ -6,29 +6,34 @@ vanishing c1^2: isolated-point groups of types (1)-(4), chain-of-spheres
 groups attached to affine ADE graphs, and tori of self-intersection zero.
 Group parameters are residues k mod p, and every numerical consequence
 (Euler numbers, signatures, signature defects, Dirac characters) is
-evaluated exactly by the gindex module, never read off from tables.
+evaluated exactly by the gindex module, never read off from tables.  The
+signature and the Dirac character of a group are characters of Z_p, so
+their values at g^k are the Galois conjugates sigma_k (zeta -> zeta^k) of
+their values at g (Hirzebruch-Zagier 1974): delta_values and nu_values sum
+each group's points once, at k = 1, and conjugate for every other k.
 
 One pipeline serves every prime in GROUP_TYPES.  Stage 1 solves the
 Lefschetz and averaged-signature equations for the group counts of each
 pair of lattice representations; refinement keeps the residue assignments
-that satisfy the exact signature identity, one per relabelling orbit; the
-filters apply the Dirac-character mod-p test, the quotient index bound and
-the boundary Kirby-Siebenmann congruence.  Expected outcome lists live in
-the test suite only.
+that satisfy the exact signature identity, one per relabelling orbit, and
+compares their signatures as packed integers; the filters apply the
+Dirac-character mod-p test to the sum of the candidate's nu_values
+entries, the quotient index bound and the boundary Kirby-Siebenmann
+congruence.  Expected outcome lists live in the test suite only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement
 from math import comb, lcm, prod
-from operator import mul
 
 from . import e8, gindex, reps
 from .cyclotomic import CycNum, embed_str
 from .errors import CheckFailure
 from .gindex import FixedPointData
+from .linalg import _lane_bits
 from .record import record
 from .reps import RepDecomp
 
@@ -55,6 +60,7 @@ PAPER_LABELS = {5: (("a", "b", "c", "d", "e", "f"), ("i", "ii", "iii", "iv"), "b
 FILTERS = ("fang", "furuta", "ks_rochlin")
 
 
+@lru_cache(maxsize=None)
 def group_data(p: int, typ: str, k: int) -> FixedPointData:
     """Fixed-point data of a single type-`typ` group at parameter k."""
     spec = GROUP_TYPES[p][typ]
@@ -92,11 +98,23 @@ def group_residues(p: int, typ: str) -> tuple[int, ...]:
     return (1,) if GROUP_TYPES[p][typ]["surfaces"] else tuple(range(1, (p + 1) // 2))
 
 
+def _galois_table(p: int, at_one) -> dict[str, dict[int, CycNum]]:
+    """Per type, at_one(p, typ, 1) at k = 1 and its Galois conjugate sigma_k
+    at every other parameter k in 1..(p-1)/2.  Right for a character value
+    of Z_p: g^k acts on the same fixed set with every rotation number times
+    k, which is sigma_k applied to each point and surface term."""
+    out = {}
+    for typ in GROUP_TYPES[p]:
+        x = at_one(p, typ, 1)
+        out[typ] = {k: x if k == 1 else x.promoted(p).galois(k) for k in range(1, (p + 1) // 2)}
+    return out
+
+
 @lru_cache(maxsize=None)
 def delta_values(p: int) -> dict[str, dict[int, CycNum]]:
-    """Exact signature contribution of one group per type and parameter k."""
-    return {typ: {k: group_signature(p, typ, k) for k in range(1, (p + 1) // 2)}
-            for typ in GROUP_TYPES[p]}
+    """Exact signature contribution of one group per type and parameter k,
+    summed at k = 1 and Galois-conjugated to the other k."""
+    return _galois_table(p, group_signature)
 
 
 @lru_cache(maxsize=None)
@@ -112,9 +130,9 @@ def delta_coordinates(p: int) -> tuple[int, dict[str, dict[int, tuple[int, ...]]
 
 @lru_cache(maxsize=None)
 def nu_values(p: int) -> dict[str, dict[int, CycNum]]:
-    """Exact Dirac character of one group per type and parameter k."""
-    return {typ: {k: group_spin(p, typ, k) for k in range(1, (p + 1) // 2)}
-            for typ in GROUP_TYPES[p]}
+    """Exact Dirac character of one group per type and parameter k, summed
+    at k = 1 and Galois-conjugated to the other k."""
+    return _galois_table(p, group_spin)
 
 
 def decimal(x: CycNum, digits: int) -> str:
@@ -187,7 +205,10 @@ def stage1(profile: ThetaProfile) -> tuple[tuple[int, ...], ...]:
     sum n_t chi_t = chi(F) (Lefschetz) and sum n_t def_t = 16 - p fix
     (averaged signature with Sign(M) = -16 and Sign(M/G) = -fix).  Both
     sides of the signature equation are scaled by the lcm of the defects'
-    denominators, so it is compared in integers."""
+    denominators, so it is compared in integers.  The counts of all types
+    but the last are enumerated in lexicographic order with their running
+    Euler and scaled defect sums, each count bounded by the Euler
+    characteristic still left; the last count is what the rest leaves."""
     p = profile.p
     *euler, last = [group_data(p, t, 1).euler_characteristic() for t in GROUP_TYPES[p]]
     defect = [group_defect(p, t) for t in GROUP_TYPES[p]]
@@ -195,12 +216,15 @@ def stage1(profile: ThetaProfile) -> tuple[tuple[int, ...], ...]:
     scaled = [d.numerator * (den // d.denominator) for d in defect]
     chi = profile.lefschetz_total()
     rhs = den * (16 - p * (profile.first.fixed_rank() + profile.second.fixed_rank()))
+    heads = [((), 0, 0)]  # (counts, their Euler sum, their scaled defect sum)
+    for e, sd in zip(euler, scaled):
+        heads = [(ns + (k,), eu + k * e, sg + k * sd)
+                 for ns, eu, sg in heads for k in range((chi - eu) // e + 1)]
     out = []
-    for head in product(*(range(chi // e + 1) for e in euler)):
-        rest = chi - sum(map(mul, head, euler))  # left for the last type
-        n = head + (rest // last,)
-        if rest >= 0 and rest % last == 0 and sum(map(mul, scaled, n)) == rhs:
-            out.append(n)
+    for ns, eu, sg in heads:
+        k, rest = divmod(chi - eu, last)
+        if not rest and sg + k * scaled[-1] == rhs:
+            out.append(ns + (k,))
     return tuple(out)
 
 
@@ -219,22 +243,50 @@ def relabel(p: int, residues, c: int):
 def refine(profile: ThetaProfile, counts) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Assignments of residues to the counted groups whose exact signature,
     summed from delta_values(p), equals Sign(g, M); one per relabelling orbit,
-    the lexicographically smallest tuple of sorted per-type residues."""
+    the lexicographically smallest tuple of sorted per-type residues.
+
+    Each integer vector of delta_coordinates(p) is packed into one integer,
+    entry j in a signed lane of B bits at bit B*j, so a sum of vectors is a
+    sum of integers.  No sum of the assignment's vectors has an entry above
+    S = sum over types of n_t times the type's largest |entry|, and the
+    target Sign(g, M) den has one entry; B is chosen so that 2^(B-1)
+    exceeds both, so each side has one signed-lane expansion and equal
+    packed sums mean equal vectors (CheckFailure if B falls short).  The
+    sums of every type but the last are matched against a table of the
+    last type's packed sums."""
     p = profile.p
     den, vectors = delta_coordinates(p)
-    zero = (0,) * (p - 1)
-    target = (profile.sign_target() * den,) + zero[1:]
-    per_type = []
-    for typ, n in zip(GROUP_TYPES[p], counts):
-        ks = combinations_with_replacement(group_residues(p, typ), n)
-        per_type.append([(combo, tuple(map(sum, zip(zero, *(vectors[typ][k] for k in combo)))))
-                         for combo in ks])
+    target = profile.sign_target() * den
+    bound = max(abs(target), sum(n * max(map(abs, chain.from_iterable(vectors[typ].values())))
+                                 for typ, n in zip(GROUP_TYPES[p], counts)))
+    bits = _lane_bits(bound)
+    if bound >> (bits - 1):
+        raise CheckFailure("lanes of %d bits cannot hold signature sums up to %d" % (bits, bound))
+    packed = _packed_deltas(p, bits)
+    *head, last = ([(combo, sum(map(packed[typ].__getitem__, combo)))
+                    for combo in combinations_with_replacement(group_residues(p, typ), n)]
+                   for typ, n in zip(GROUP_TYPES[p], counts))
+    completions: dict[int, list] = {}
+    for combo, value in last:
+        completions.setdefault(target - value, []).append(combo)
+    partial = [((), 0)]
+    for options in head:
+        partial = [(res + (combo,), total + value)
+                   for res, total in partial for combo, value in options]
     found = set()
-    for choice in product(*per_type):
-        if tuple(map(sum, zip(*(value for _, value in choice)))) == target:
-            res = tuple(combo for combo, _ in choice)
-            found.add(min(relabel(p, res, c) for c in range(1, (p + 1) // 2)))
+    for res, total in partial:
+        for combo in completions.get(total, ()):
+            res_c = res + (combo,)  # sorted residues, so g^1 leaves them as they are
+            found.add(min([res_c] + [relabel(p, res_c, c) for c in range(2, (p + 1) // 2)]))
     return tuple(sorted(found))
+
+
+@lru_cache(maxsize=None)
+def _packed_deltas(p: int, bits: int) -> dict[str, dict[int, int]]:
+    """delta_coordinates(p) with each vector packed into signed lanes of
+    the given width, entry j at bit bits*j."""
+    return {typ: {k: sum(x << (bits * j) for j, x in enumerate(xs)) for k, xs in per.items()}
+            for typ, per in delta_coordinates(p)[1].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +349,10 @@ def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
     "not_applicable" with the reason.  Its residue Sign(N) + sum roc must
     first be 8 d_0 mod 16 (d_0 the first Dirac entry), else CheckFailure."""
     data = cand.fixed_point_data()
-    spin_exact = gindex.spin_value(data)
+    p, nu = data.p, nu_values(data.p)
+    # the Dirac character is additive over the groups
+    spin_exact = sum((nu[t][k] for t, ks in zip(GROUP_TYPES[p], cand.residues) for k in ks),
+                     CycNum.rational(0))
     spin = gindex.spin_number(data, spin_exact, ind_dirac=2)
     fang = gindex.fang_test(spin, b2plus=3)
     audits.append(Audit(cand.cid, "fang", fang, "spin=%s (%s), d=%s"

@@ -26,11 +26,12 @@ and those need no inverse: if z^c has order m > 1 then
 
 because (1 - w) sum_k k w^k = sum_{k=1}^{m-1} w^k - (m-1) w^m = -m for a
 primitive m-th root of unity w.  inv_one_minus_zeta memoizes this closed
-form per (n, c) and certifies each entry once by multiplying back; the
-cot*cot, csc^2 and csc*cot elements, the Dirac character's point terms
-(gindex) and the cot ratio of lemma 6.4 (cli) all divide through it, and
-1 / (1 + z^b) is written (1 - z^b) / (1 - z^(2b)).  None of them calls the
-generic inverse, which stays as the field operation behind `/`.
+form per (n, c) and certifies each entry once by multiplying back, by
+1 - z^c as a shift of exponents; the cot*cot, csc^2 and csc*cot elements,
+the Dirac character's point terms (gindex) and the cot ratio of lemma 6.4
+(cli) all divide through it, and 1 / (1 + z^b) is written
+(1 - z^b) / (1 - z^(2b)).  None of them calls the generic inverse, which
+stays as the field operation behind `/`.
 
 Decimal embeddings exist only for display and for comparison against
 published 5-decimal tables; they too run on integers, as fixed-point
@@ -387,12 +388,14 @@ def _closed_form_inverse(n: int, c: int) -> CycNum:
 
 @lru_cache(maxsize=None)
 def inv_one_minus_zeta(n: int, c: int) -> CycNum:
-    """1 / (1 - z^c) in Q(zeta_n) by the closed form; CheckFailure unless
-    (1 - z^c) times it is 1."""
+    """1 / (1 - z^c) in Q(zeta_n) by the closed form u; CheckFailure unless
+    (1 - z^c) u = u - z^c u is 1.  z^c u is u's numerators moved up by c
+    exponents and folded, so no product is formed."""
     if c % n == 0:
         raise ZeroDivisionError("1 - z^%d vanishes in Q(zeta_%d)" % (c, n))
     out = _closed_form_inverse(n, c)
-    if (1 - CycNum.zeta(n, c)) * out != 1:
+    moved = _fold(n, [0] * (c % n) + list(out._num))
+    if [x - y for x, y in zip(out._num, moved)] != [out._den] + [0] * (len(moved) - 1):
         raise CheckFailure("closed-form inverse of 1 - z^%d in Q(zeta_%d) is wrong" % (c, n))
     return out
 
@@ -541,23 +544,29 @@ def _rational_part(x: CycNum, part: int) -> Fraction | None:
     return ((x + y) * Fraction(1, 2)).as_rational()
 
 
-def _settle(x: CycNum, part: int, decide):
-    """decide(s, e, d) on finer and finer enclosures of the real (part 0)
-    or imaginary (part 1) part of x, which lies within e / d of s / d,
-    until it gives an answer.  After the first miss a rational part is
-    passed exactly (e = 0), on which decide always answers, so an exact tie
-    never keeps the loop going; an irrational part is never at a tie or on
-    a rational bound, and the precision doubles until it is settled."""
-    g = 64
+def _settle(x: CycNum, decide_re, decide_im) -> list:
+    """The answers of decide_re on the real part of x and of decide_im on
+    its imaginary part.  Each decide(s, e, d) is called on finer and finer
+    enclosures of its part, which lies within e / d of s / d, until it
+    answers; one enclosure per precision serves both parts.  After the
+    first miss a rational part is passed exactly (e = 0), on which decide
+    always answers, so an exact tie never keeps the loop going; an
+    irrational part is never at a tie or on a rational bound, and the
+    precision doubles until it is settled."""
+    deciders, out, g = (decide_re, decide_im), [None, None], 64
     while True:
-        t = _enclose(x, g)
-        out = decide(t[part], t[2], x._den << g)
-        if out is not None:
-            return out
+        re, im, err = _enclose(x, g)
+        d = x._den << g
+        for part, s in enumerate((re, im)):
+            if out[part] is None:
+                out[part] = deciders[part](s, err, d)
         if g == 64:
-            q = _rational_part(x, part)
-            if q is not None:
-                return decide(q.numerator, 0, q.denominator)
+            for part in (0, 1):
+                q = None if out[part] is not None else _rational_part(x, part)
+                if q is not None:
+                    out[part] = deciders[part](q.numerator, 0, q.denominator)
+        if None not in out:
+            return out
         g *= 2
 
 
@@ -595,7 +604,7 @@ def embed_real(x: CycNum, digits: int = 15) -> tuple[Fraction, Fraction]:
     def close(s, e, d):
         return Fraction(s, d) if e * scale <= d else None
 
-    return _settle(x, 0, close), _settle(x, 1, close)
+    return tuple(_settle(x, close, close))
 
 
 def embed_str(x: CycNum, digits: int = 5) -> str:
@@ -605,8 +614,8 @@ def embed_str(x: CycNum, digits: int = 5) -> str:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     scale = 10**digits
-    re = _settle(x, 0, lambda s, e, d: _nearest(s, e, d, scale))
-    shown, im = _settle(x, 1, lambda s, e, d: _imag_shown(s, e, d, scale))
+    re, (shown, im) = _settle(x, lambda s, e, d: _nearest(s, e, d, scale),
+                              lambda s, e, d: _imag_shown(s, e, d, scale))
     if shown:
         return "%s + %si" % (_decimal(re, digits), _decimal(im, digits))
     return _decimal(re, digits)

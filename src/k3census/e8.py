@@ -19,6 +19,7 @@ from operator import attrgetter, mul, neg
 
 from . import linalg
 from .errors import CheckFailure
+from .linalg import _lane_bits, _unpack
 
 Doubled = tuple[int, ...]
 
@@ -183,8 +184,11 @@ def standard_basis() -> tuple[Root, ...]:
     basis = tuple(fs)
     if not all(is_root(f) for f in basis):
         raise CheckFailure("a basis vector f_i is not a root")
-    # det(F)^2 = det(F^T F) = det C = 1 for the E8 Cartan matrix C
-    if gram(basis) != expected_cartan():
+    # det(F)^2 = det(F^T F) = det C = 1 for the E8 Cartan matrix C; the
+    # products of doubled tuples are 4 times the pairings
+    ds = [f.d for f in basis]
+    doubled_gram = [[_dot(u, v) for v in ds] for u in ds]
+    if doubled_gram != [[4 * x for x in row] for row in expected_cartan()]:
         raise CheckFailure("f1..f8 do not span the lattice: their Gram matrix is not "
                            "the E8 Cartan matrix")
     return basis
@@ -201,14 +205,12 @@ def f7_prime() -> Root:
 DYNKIN_EDGES: tuple[tuple[int, int], ...] = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8))
 
 
-def gram(vectors) -> list[list]:
-    return [[inner(u, v) for v in vectors] for u in vectors]
-
-
 def cartan_matrix() -> list[list[int]]:
     """Gram matrix of f1..f8 in the positive convention: 2 on the diagonal,
-    -1 on Dynkin edges."""
-    return gram(standard_basis())
+    -1 on Dynkin edges.  The pairings of lattice vectors are integers, a
+    quarter of the products of their doubled tuples."""
+    ds = [f.d for f in standard_basis()]
+    return [[_dot(u, v) // 4 for v in ds] for u in ds]
 
 
 def expected_cartan() -> list[list[int]]:
@@ -243,7 +245,8 @@ def _find_a_chain(roots: list[Root], n: int, avoid=()) -> tuple[Root, ...] | Non
     for consecutive roots and 0 otherwise, all orthogonal to `avoid`.
 
     Runs on the doubled tuples, where (r, s) = +-1 is |r.d . s.d| = 4 and
-    (r, s) = 0 is r.d . s.d = 0."""
+    (r, s) = 0 is r.d . s.d = 0.  No root of the chain passes both tests of
+    a new root, as r.d . r.d = 8."""
     avoid = [a.d for a in avoid]
     by_d = {r.d: r for r in roots if not any(_dot(r.d, a) for a in avoid)}
     pool = list(by_d)
@@ -251,11 +254,11 @@ def _find_a_chain(roots: list[Root], n: int, avoid=()) -> tuple[Root, ...] | Non
     def extend(chain):
         if len(chain) == n:
             return tuple(by_d[d] for d in chain)
-        last = chain[-1]
+        last, earlier = chain[-1], chain[:-1]
         for d in pool:
-            if d in chain or abs(_dot(last, d)) != 4:
+            if abs(sum(map(mul, last, d))) != 4:
                 continue
-            if any(_dot(c, d) for c in chain[:-1]):
+            if any(sum(map(mul, c, d)) for c in earlier):
                 continue
             got = extend(chain + [d])
             if got:
@@ -324,25 +327,32 @@ def reflection_matrix(r: Root) -> list[list[Fraction]]:
     return [[Fraction(int(i == j)) - h[i] * h[j] for j in range(8)] for i in range(8)]
 
 
-def word_matrix(word) -> list[list[Fraction]]:
-    """Product of reflections, leftmost applied last.
+def scaled_word_matrix(word) -> list[list[int]]:
+    """4 times the product of reflections, leftmost applied last: an integer
+    matrix, since 4 w_r is 4I - d d^T on doubled coordinates d, and a
+    product of reflections maps the lattice into itself, so its
+    e-coordinate entries are quarter-integral.  For the simple roots of
+    mutually orthogonal chains it is 4 times the product of their Coxeter
+    elements.
 
-    Runs on 4 times the product, which is an integer matrix: 4 w_r is
-    4I - d d^T on doubled coordinates d, and a product of reflections maps
-    the lattice into itself, so its e-coordinate entries are quarter-integral."""
+    w_r sends a row to row - (row . d) d / 4.  An integral root has d = 2e
+    with some e_j = +-1 and a half-integral one has every d_j = +-1, so
+    (row . d) d / 4 is integral exactly when 2, resp. 4, divides row . d;
+    CheckFailure otherwise."""
     m4 = [[4 * (i == j) for j in range(8)] for i in range(8)]
     for r in word:
         if not is_root(r):
             raise ValueError("reflection axis must be a root")
         d = r.d
-        m16 = []
+        step, e = (2, [y // 2 for y in d]) if d[0] % 2 == 0 else (4, d)
+        out = []
         for row in m4:
-            c = sum(map(mul, row, d))
-            m16.append([4 * x - c * y for x, y in zip(row, d)])
-        if any(x % 4 for row in m16 for x in row):
-            raise CheckFailure("product of reflections left the quarter-integral matrices")
-        m4 = [[x // 4 for x in row] for row in m16]
-    return [[Fraction(x, 4) for x in row] for row in m4]
+            c, rem = divmod(sum(map(mul, row, d)), step)
+            if rem:
+                raise CheckFailure("product of reflections left the quarter-integral matrices")
+            out.append([x - c * y for x, y in zip(row, e)])
+        m4 = out
+    return m4
 
 
 @lru_cache(maxsize=None)
@@ -377,22 +387,34 @@ def f_coordinates(v: LatticeVec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def matrix_in_f_basis(m_e) -> list[list[int]]:
-    """Rewrite an e-coordinate action as an integer matrix on the f-basis.
+def matrix_in_f_basis(m_e, scale: int = 1) -> list[list[int]]:
+    """Rewrite the e-coordinate action M = m_e / scale as an integer matrix
+    on the f-basis; m_e has int or Fraction entries (scaled_word_matrix
+    output goes in with scale 4, with no Fraction formed).
 
     The matrix is F^-1 M F for the basis matrix F, computed as the integer
-    product B (t M) (2 F) divided by 2 s t, where F^-1 = B / s and t clears
-    the denominators of M."""
+    product B (t M) D divided by 2 s t, where F^-1 = B / s, D = 2F holds the
+    doubled coordinates and t is scale times the lcm of the denominators of
+    m_e, so t M is integral.  Each row of (t M) D and of B (t M) D is one
+    integer with entry j in a signed lane of W bits at bit W*j, so a row of
+    a product is one sum over packed rows.  Every entry of B (t M) D is at
+    most 2 b m in absolute value, for b and m the largest absolute row sums
+    of B and t M, as D has entries of size at most 2; W is chosen so that
+    2^(W-1) exceeds that bound."""
     s, inv = _basis_inverse()
     t = lcm(*(x.denominator for row in m_e for x in row))
-    m_cols = list(zip(*([x.numerator * (t // x.denominator) for x in row] for row in m_e)))
-    bm = [[sum(map(mul, row, col)) for col in m_cols] for row in inv]
-    scale = 2 * s * t
+    tm = [[x.numerator * (t // x.denominator) for x in row] for row in m_e]
+    bound = 2 * max(sum(map(abs, row)) for row in inv) * max(sum(map(abs, row)) for row in tm)
+    bits = _lane_bits(bound)
+    if bound >> (bits - 1):
+        raise CheckFailure("lanes of %d bits cannot hold entries up to %d" % (bits, bound))
+    md = [sum(map(mul, row, _packed_basis(bits))) for row in tm]
+    scale *= 2 * s * t
     out = []
-    for row in bm:
+    for row in inv:
         out_row = []
-        for f in standard_basis():
-            c, rem = divmod(sum(map(mul, row, f.d)), scale)
+        for x in _unpack(sum(map(mul, row, md)), 8, bits):
+            c, rem = divmod(x, scale)
             if rem:
                 raise ValueError("matrix does not preserve the lattice")
             out_row.append(c)
@@ -400,23 +422,51 @@ def matrix_in_f_basis(m_e) -> list[list[int]]:
     return out
 
 
-def coxeter_matrix(simple_roots) -> list[list[Fraction]]:
-    """Product of the reflections in the given simple roots (a Coxeter
-    element of the subsystem they span; for mutually orthogonal chains this
-    is the product of their Coxeter elements)."""
-    return word_matrix(list(simple_roots))
+@lru_cache(maxsize=None)
+def _packed_basis(bits: int) -> tuple[int, ...]:
+    """Row i of D (the doubled coordinates f_j.d[i] of f1..f8), entry j in
+    a signed lane of the given width at bit bits*j."""
+    return tuple(sum(f.d[i] << (bits * j) for j, f in enumerate(standard_basis()))
+                 for i in range(8))
+
+
+@lru_cache(maxsize=None)
+def _root_pool():
+    """The 240 roots up to sign, normalized once for both chain searches,
+    and a function v -> the integer whose byte i is 8 + pool[i].d . v.
+
+    For doubled tuples of roots |pool[i].d . v| <= 8, so each byte holds
+    one value in 0..16, and every pairing with v comes from one sum over 8
+    packed columns: column j holds pool[i].d[j] + 2 >= 0 in byte i, so the
+    sum with weights v holds pool[i].d . v + 2 sum(v) there, and adding
+    8 - 2 sum(v) to every byte moves it to 8 + pool[i].d . v."""
+    pool = tuple(_normalized_mod_sign(enumerate_roots()))
+    ds = [r.d for r in pool]
+    cols = [int.from_bytes(bytes(x + 2 for x in col), "little") for col in zip(*ds)]
+    ones = (256 ** len(pool) - 1) // 255
+    return pool, lambda v: sum(map(mul, v, cols)) + (8 - 2 * sum(v)) * ones
+
+
+def _orthogonal_pool(chains) -> list[Root]:
+    """The roots of the normalized pool orthogonal to every root of the
+    given chains, in pool order.  Orthogonality is blind to sign, so this
+    is the normalized pool of the orthogonal roots."""
+    pool, pairing = _root_pool()
+    eights = 8 * (256 ** len(pool) - 1) // 255
+    off = 0  # byte i is nonzero once pool root i meets a root of a chain
+    for c in chains:
+        for r in c:
+            off |= pairing(r.d) ^ eights
+    return [r for r, b in zip(pool, off.to_bytes(len(pool), "little")) if not b]
 
 
 @lru_cache(maxsize=None)
 def orthogonal_a4_pair() -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     """Two mutually orthogonal A4 chains inside the root system."""
-    pool = _normalized_mod_sign(enumerate_roots())
-    first = _find_a_chain(pool, 4)
+    first = _find_a_chain(_root_pool()[0], 4)
     if first is None:
         raise CheckFailure("no A4 chain among the roots")
-    # orthogonality is blind to sign, so filtering the normalized pool gives
-    # the normalized pool of the orthogonal roots
-    second = _find_a_chain(_orthogonal_to(pool, first), 4)
+    second = _find_a_chain(_orthogonal_pool([first]), 4)
     if second is None:
         raise CheckFailure("no A4 chain orthogonal to %r" % (first,))
     return first, second
@@ -426,16 +476,9 @@ def orthogonal_a4_pair() -> tuple[tuple[Root, ...], tuple[Root, ...]]:
 def orthogonal_a2_quadruple() -> tuple[tuple[Root, ...], ...]:
     """Four mutually orthogonal A2 chains inside the root system."""
     chains: list[tuple[Root, ...]] = []
-    pool = _normalized_mod_sign(enumerate_roots())
     for _ in range(4):
-        nxt = _find_a_chain(pool, 2)
+        nxt = _find_a_chain(_orthogonal_pool(chains), 2)
         if nxt is None:
             raise CheckFailure("no A2 chain orthogonal to %d earlier chains" % len(chains))
         chains.append(nxt)
-        pool = _orthogonal_to(pool, nxt)
     return tuple(chains)
-
-
-def _orthogonal_to(pool: list[Root], chain) -> list[Root]:
-    """The roots of pool orthogonal to every root of chain, in pool order."""
-    return [r for r in pool if not any(_dot(r.d, c.d) for c in chain)]

@@ -8,8 +8,10 @@ number of its elementary divisors.  solve takes a rational system to an
 integer one by scaling each equation by the lcm of its denominators and
 reads its answer off the Smith form; integer_solve keeps that answer when it
 is integral.  charpoly is Faddeev-LeVerrier over Z, on rows packed into
-lane integers.  Matrix sizes in this package are at most 22x22, so no
-attempt is made at asymptotic cleverness.
+lane integers; charpoly_from_traces is Newton's identities on the power
+traces, for a caller that already holds them.  Matrix sizes in this
+package are at most 22x22, so no attempt is made at asymptotic
+cleverness.
 """
 
 from __future__ import annotations
@@ -31,6 +33,22 @@ def mat_mul(a, b):
 def _lane_bits(bound: int) -> int:
     """Lane width in bits for signed entries of absolute value at most bound."""
     return bound.bit_length() + 1
+
+
+def _unpack(x: int, n: int, bits: int) -> list[int]:
+    """The n signed lanes of x, lowest first; CheckFailure if a carry is
+    left past the top lane."""
+    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = []
+    for _ in range(n):
+        lane = x & mask
+        if lane >= half:
+            lane -= full
+        out.append(lane)
+        x = (x - lane) >> bits
+    if x:
+        raise CheckFailure("packed row carries %d past its %d lanes" % (x, n))
+    return out
 
 
 def charpoly(a) -> list[int]:
@@ -76,6 +94,24 @@ def charpoly(a) -> list[int]:
             raise CheckFailure("Faddeev-LeVerrier trace not divisible by %d" % k)
         coeffs[n - k] = c
         rows = [row + (c << s) for row, s in zip(rows, shifts)]
+    return coeffs
+
+
+def charpoly_from_traces(traces) -> list[int]:
+    """det(xI - A), low degree first, from the power traces
+    traces[j - 1] = tr(A^j), j = 1..n, of an n x n integer matrix A.
+
+    Newton's identities: with c_n = 1, k c_(n-k) = -sum_(i=1..k) c_(n-k+i)
+    tr(A^i) for k = 1..n.  For an integer matrix every c is an integer, so
+    each division by k is exact; a remainder means the traces are not those
+    of an integer matrix and raises CheckFailure."""
+    n = len(traces)
+    coeffs = [0] * n + [1]
+    for k in range(1, n + 1):
+        c, r = divmod(-sum(map(mul, coeffs[n - k + 1:], traces)), k)
+        if r:
+            raise CheckFailure("Newton's identity %d: power-trace sum not divisible by %d" % (k, k))
+        coeffs[n - k] = c
     return coeffs
 
 

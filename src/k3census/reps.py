@@ -29,7 +29,7 @@ from operator import add, mul
 from . import e8, linalg
 from .cyclotomic import cyclotomic_polynomial, poly_mul
 from .errors import CheckFailure
-from .linalg import _lane_bits
+from .linalg import _lane_bits, _unpack
 from .record import record
 from .sgnperm import SignedPerm, class_representative
 
@@ -89,15 +89,25 @@ def lemma45_census(p: int, rank: int = 8) -> tuple[RepDecomp, ...]:
 def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
     """Decompose an order-p integral action given by an integer matrix.
 
+    One pass of packed powers g, g^2, ..., g^p gives the norm N, the check
+    g^p = 1 and the traces tr(g^k) (_norm_and_traces).  (r, s, t) is read
+    off the ranks and the elementary divisors of g - 1 and N, then
+    certified three ways: the norm image has the rank of the fixed
+    sublattice and elementary divisors in {1, p}, the trace of the
+    decomposition is tr(g), and its characteristic polynomial is det(xI - g)
+    (CheckFailure otherwise).
+
     charpoly_hint, when given, must be the characteristic polynomial of the
     action (it is basis independent, so a caller with a cheaper formula can
-    pass it in); otherwise it is computed exactly from the matrix."""
+    pass it in).  Otherwise it comes from the traces by Newton's identities
+    (linalg.charpoly_from_traces): g^p = 1 makes tr(g^j) periodic in j with
+    period p, and tr(g^p) = n, so the p traces give tr(g^j) for every
+    j = 1..n."""
     n = len(m)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    if m == ident:
+    if m == [[int(i == j) for j in range(n)] for i in range(n)]:
         raise ValueError("element has order 1, not %d" % p)
-    norm = norm_matrix(m, p)
-    trace = sum(m[i][i] for i in range(n))
+    norm, traces = _norm_and_traces(m, p)
+    trace = traces[0]
     g_minus_1 = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
     fix_rank = n - len(linalg.elementary_divisors(g_minus_1))
     if (n - fix_rank) % (p - 1):
@@ -122,13 +132,22 @@ def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
     if dec.trace() != trace:
         raise CheckFailure("decomposition %r has trace %d, the matrix %d"
                            % (dec, dec.trace(), trace))
-    _check_charpoly(m, p, dec, charpoly_hint)
+    cp = charpoly_hint
+    if cp is None:
+        cp = linalg.charpoly_from_traces([traces[j % p] for j in range(n)])
+    if tuple(cp) != _expected_charpoly(p, r, s, t):
+        raise CheckFailure("characteristic polynomial %s does not match %r" % (list(cp), dec))
     return dec
 
 
 def norm_matrix(m, p: int) -> list[list[int]]:
     """N = 1 + g + ... + g^(p-1) for the integer matrix g = m, after checking
-    g^p = 1 (ValueError otherwise).
+    g^p = 1 (ValueError otherwise)."""
+    return _norm_and_traces(m, p)[0]
+
+
+def _norm_and_traces(m, p: int) -> tuple[list[list[int]], list[int]]:
+    """norm_matrix(m, p) and the traces tr(g^k) for k = 1..p.
 
     Each row of g^k is kept as one integer holding its entries in signed
     lanes of B bits, entry j at bit B*j, so row i of g^(k+1) is the single
@@ -136,21 +155,27 @@ def norm_matrix(m, p: int) -> list[list[int]]:
     row sum of m (at least 1), every entry of g^k for k <= p is at most
     rho^k and every entry of N at most p rho^(p-1) in absolute value; B is
     chosen so that 2^(B-1) exceeds both, so no lane overflows and packed
-    rows are equal exactly when the matrices are."""
+    rows are equal exactly when the matrices are.  Adding 2^(B-1) to every
+    lane of a row of g^k makes each lane nonnegative, so its diagonal lane
+    is read by a shift and a mask, as in linalg.charpoly."""
     n = len(m)
     rho = max(1, max((sum(map(abs, row)) for row in m), default=0))
     bound = max(rho ** p, p * rho ** (p - 1))
     bits = _lane_bits(bound)
     if bound >> (bits - 1):
         raise CheckFailure("lanes of %d bits cannot hold entries up to %d" % (bits, bound))
-    one = [1 << (bits * i) for i in range(n)]
-    power, norm = one, [0] * n
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    shifts = range(0, bits * n, bits)
+    bias = sum(half << s for s in shifts)
+    one = [1 << s for s in shifts]
+    power, norm, traces = one, [0] * n, []
     for _ in range(p):
         norm = list(map(add, norm, power))
         power = [sum(map(mul, row, power)) for row in m]
+        traces.append(sum((x + bias) >> s & mask for x, s in zip(power, shifts)) - n * half)
     if power != one:
         raise ValueError("element does not have order %d" % p)
-    return [_unpack(x, n, bits) for x in norm]
+    return [_unpack(x, n, bits) for x in norm], traces
 
 
 def _order_divides(m, p: int) -> bool:
@@ -161,29 +186,6 @@ def _order_divides(m, p: int) -> bool:
     for _ in range(p - 1):
         power = [[sum(map(mul, row, col)) for col in cols] for row in power]
     return power == [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _unpack(x: int, n: int, bits: int) -> list[int]:
-    """The n signed lanes of x, lowest first; CheckFailure if a carry is
-    left past the top lane."""
-    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-    out = []
-    for _ in range(n):
-        lane = x & mask
-        if lane >= half:
-            lane -= full
-        out.append(lane)
-        x = (x - lane) >> bits
-    if x:
-        raise CheckFailure("packed row carries %d past its %d lanes" % (x, n))
-    return out
-
-
-def _check_charpoly(m, p: int, dec: RepDecomp, hint=None):
-    """(x^p - 1)^r Phi_p^s (x - 1)^t must equal det(xI - M)."""
-    cp = list(hint) if hint is not None else linalg.charpoly(m)
-    if tuple(cp) != _expected_charpoly(p, dec.r, dec.s, dec.t):
-        raise CheckFailure("characteristic polynomial %s does not match %r" % (cp, dec))
 
 
 @lru_cache(maxsize=None)
@@ -359,15 +361,15 @@ def coxeter_witness(p: int, rst: tuple[int, int, int]):
         return e8.matrix_in_f_basis(SignedPerm.from_cycles([(1, 2, 3, 4, 5, 6, 7)]).matrix_e())
     if p == 5 and rst == (0, 2, 0):
         a, b = e8.orthogonal_a4_pair()
-        return e8.matrix_in_f_basis(e8.coxeter_matrix(a + b))
+        return e8.matrix_in_f_basis(e8.scaled_word_matrix(a + b), 4)
     if p == 3 and rst == (1, 0, 5):
         return e8.matrix_in_f_basis(SignedPerm.from_cycles([(1, 2, 3)]).matrix_e())
     if p == 3 and rst == (2, 0, 2):
         return e8.matrix_in_f_basis(SignedPerm.from_cycles([(1, 2, 3), (4, 5, 6)]).matrix_e())
     if p == 3 and rst == (0, 4, 0):
         chains = e8.orthogonal_a2_quadruple()
-        return e8.matrix_in_f_basis(e8.coxeter_matrix(sum(chains, ())))
+        return e8.matrix_in_f_basis(e8.scaled_word_matrix(sum(chains, ())), 4)
     if p == 3 and rst == (1, 2, 1):
         chains = e8.orthogonal_a2_quadruple()
-        return e8.matrix_in_f_basis(e8.coxeter_matrix(sum(chains[:3], ())))
+        return e8.matrix_in_f_basis(e8.scaled_word_matrix(sum(chains[:3], ())), 4)
     return None

@@ -361,13 +361,13 @@ def rand_element(rng) -> SignedPerm:
 @pytest.fixture(scope="module")
 def witness_inputs():
     """The e-coordinate matrices coxeter_witness hands to matrix_in_f_basis,
-    with its results."""
+    each with its scale (4 for the integer Coxeter words), and its results."""
     seen = []
     original = e8.matrix_in_f_basis
 
-    def record(m_e):
-        seen.append(m_e)
-        return original(m_e)
+    def record(m_e, scale=1):
+        seen.append((m_e, scale))
+        return original(m_e, scale)
 
     e8.matrix_in_f_basis = record
     try:
@@ -400,8 +400,10 @@ def test_charpoly_rejects_non_integer_matrices():
 def test_matrix_in_f_basis_matches_eight_solves(witness_inputs):
     inputs, _ = witness_inputs
     assert len(inputs) == 7
-    for m_e in inputs:
-        assert e8.matrix_in_f_basis(m_e) == eight_solve_f_matrix(m_e)
+    assert sorted(scale for _, scale in inputs) == [1, 1, 1, 1, 4, 4, 4]
+    for m_e, scale in inputs:
+        want = eight_solve_f_matrix([[Fraction(x, scale) for x in row] for row in m_e])
+        assert e8.matrix_in_f_basis(m_e, scale) == want
     rng = random.Random(27182)
     for _ in range(200):
         m_e = rand_element(rng).matrix_e()
@@ -422,4 +424,4 @@ def test_word_matrix_matches_fraction_product():
         want = identity(8)
         for r in word:
             want = linalg.mat_mul(want, e8.reflection_matrix(r))
-        assert e8.word_matrix(word) == want
+        assert e8.scaled_word_matrix(word) == [[4 * x for x in row] for row in want]

@@ -441,24 +441,19 @@ def reference_spin_value(data):
     return total
 
 
-def census_spin_data(monkeypatch):
-    """Every FixedPointData the p = 5 and p = 7 censuses pass to spin_value."""
+def census_spin_data():
+    """Every FixedPointData whose Dirac character the p = 5 and p = 7
+    censuses use: one group of each type at each parameter (nu_values) and
+    each candidate's whole fixed set (the sum that census._filter takes)."""
     seen = []
-    original = gi.spin_value
-
-    def recording(data):
-        seen.append(data)
-        return original(data)
-
-    monkeypatch.setattr(gi, "spin_value", recording)
-    for p in census.GROUP_TYPES:
-        census.run_census(p)
-    monkeypatch.undo()
+    for p, types in census.GROUP_TYPES.items():
+        seen += [census.group_data(p, t, k) for t in types for k in range(1, (p + 1) // 2)]
+        seen += [c.fixed_point_data() for c in census.run_census(p).candidates]
     return seen
 
 
-def test_spin_value_matches_direct_sum_on_census_data(monkeypatch):
-    data = census_spin_data(monkeypatch)
+def test_spin_value_matches_direct_sum_on_census_data():
+    data = census_spin_data()
     points = {(d.p, pt) for d in data for pt in d.isolated}
     assert {p for p, _ in points} == {5, 7}
     for d in data:
