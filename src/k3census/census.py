@@ -29,13 +29,13 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm, prod
 
-from . import e8, gindex, reps
+from . import e8, gindex, linalg, reps
 from .cyclotomic import CycNum, embed_str
 from .errors import CheckFailure
 from .gindex import FixedPointData
-from .linalg import _lane_bits
 from .record import record
 from .reps import RepDecomp
+from .sgnperm import pairings
 
 # local rotation numbers of one group of each type, as multiples of the
 # group parameter k; surfaces are (genus, selfint, c-multiple)
@@ -245,23 +245,19 @@ def refine(profile: ThetaProfile, counts) -> tuple[tuple[tuple[int, ...], ...], 
     summed from delta_values(p), equals Sign(g, M); one per relabelling orbit,
     the lexicographically smallest tuple of sorted per-type residues.
 
-    Each integer vector of delta_coordinates(p) is packed into one integer,
-    entry j in a signed lane of B bits at bit B*j, so a sum of vectors is a
-    sum of integers.  No sum of the assignment's vectors has an entry above
-    S = sum over types of n_t times the type's largest |entry|, and the
-    target Sign(g, M) den has one entry; B is chosen so that 2^(B-1)
-    exceeds both, so each side has one signed-lane expansion and equal
-    packed sums mean equal vectors (CheckFailure if B falls short).  The
-    sums of every type but the last are matched against a table of the
-    last type's packed sums."""
+    Each integer vector of delta_coordinates(p) is packed into one integer
+    (linalg.pack), so a sum of vectors is a sum of integers.  No sum of the
+    assignment's vectors has an entry above S = sum over types of n_t times
+    the type's largest |entry|, and the target Sign(g, M) den has one
+    entry; the lanes are certified for both (linalg.lane_width), so equal
+    packed sums mean equal vectors.  The sums of every type but the last
+    are matched against a table of the last type's packed sums."""
     p = profile.p
     den, vectors = delta_coordinates(p)
     target = profile.sign_target() * den
     bound = max(abs(target), sum(n * max(map(abs, chain.from_iterable(vectors[typ].values())))
                                  for typ, n in zip(GROUP_TYPES[p], counts)))
-    bits = _lane_bits(bound)
-    if bound >> (bits - 1):
-        raise CheckFailure("lanes of %d bits cannot hold signature sums up to %d" % (bits, bound))
+    bits = linalg.lane_width(bound, "census.refine")
     packed = _packed_deltas(p, bits)
     *head, last = ([(combo, sum(map(packed[typ].__getitem__, combo)))
                     for combo in combinations_with_replacement(group_residues(p, typ), n)]
@@ -283,9 +279,9 @@ def refine(profile: ThetaProfile, counts) -> tuple[tuple[tuple[int, ...], ...], 
 
 @lru_cache(maxsize=None)
 def _packed_deltas(p: int, bits: int) -> dict[str, dict[int, int]]:
-    """delta_coordinates(p) with each vector packed into signed lanes of
-    the given width, entry j at bit bits*j."""
-    return {typ: {k: sum(x << (bits * j) for j, x in enumerate(xs)) for k, xs in per.items()}
+    """delta_coordinates(p) with each vector packed into lanes of the
+    given width."""
+    return {typ: {k: linalg.pack(xs, bits) for k, xs in per.items()}
             for typ, per in delta_coordinates(p)[1].items()}
 
 
@@ -611,10 +607,8 @@ def _q8_points_consistent(n: int, s_minus: int) -> tuple[bool, str]:
 
 def _involutions_with_fixed(n: int):
     """Involutive permutations of 8 points with exactly n fixed points."""
-    from .sgnperm import _pairings
-
     k = (8 - n) // 2
-    for pairs in _pairings(tuple(range(8)), k):
+    for pairs in pairings(tuple(range(8)), k):
         perm = list(range(8))
         for a, b in pairs:
             perm[a], perm[b] = b, a

@@ -19,7 +19,6 @@ from operator import attrgetter, mul, neg
 
 from . import linalg
 from .errors import CheckFailure
-from .linalg import _lane_bits, _unpack
 
 Doubled = tuple[int, ...]
 
@@ -366,10 +365,8 @@ def _basis_inverse() -> tuple[int, tuple[tuple[int, ...], ...]]:
     d, u, v = linalg.smith_normal_form(cartan_matrix())
     if d != [[int(i == j) for j in range(8)] for i in range(8)]:
         raise CheckFailure("the Cartan matrix has Smith form %r, not I" % (d,))
-    u_cols = list(zip(*u))
-    c_inv = [[sum(map(mul, row, col)) for col in u_cols] for row in v]
-    ds = [f.d for f in standard_basis()]  # the columns of D
-    b = tuple(tuple(sum(map(mul, row, col)) for col in zip(*ds)) for row in c_inv)
+    ds = [f.d for f in standard_basis()]  # the columns of D, so the rows of D^T
+    b = tuple(map(tuple, linalg.mat_mul(linalg.mat_mul(v, u), ds)))
     if any(_dot(row, dj) != 4 * (i == j) for i, row in enumerate(b) for j, dj in enumerate(ds)):
         raise CheckFailure("B D is not 4 I: the Cartan inverse is wrong")
     return 2, b
@@ -396,24 +393,22 @@ def matrix_in_f_basis(m_e, scale: int = 1) -> list[list[int]]:
     product B (t M) D divided by 2 s t, where F^-1 = B / s, D = 2F holds the
     doubled coordinates and t is scale times the lcm of the denominators of
     m_e, so t M is integral.  Each row of (t M) D and of B (t M) D is one
-    integer with entry j in a signed lane of W bits at bit W*j, so a row of
-    a product is one sum over packed rows.  Every entry of B (t M) D is at
-    most 2 b m in absolute value, for b and m the largest absolute row sums
-    of B and t M, as D has entries of size at most 2; W is chosen so that
-    2^(W-1) exceeds that bound."""
+    packed integer (linalg.pack), so a row of a product is one sum over
+    packed rows.  Every entry of B (t M) D is at most 2 b m in absolute
+    value, for b and m the largest absolute row sums of B and t M, as D has
+    entries of size at most 2; that bound certifies the lanes
+    (linalg.lane_width)."""
     s, inv = _basis_inverse()
     t = lcm(*(x.denominator for row in m_e for x in row))
     tm = [[x.numerator * (t // x.denominator) for x in row] for row in m_e]
     bound = 2 * max(sum(map(abs, row)) for row in inv) * max(sum(map(abs, row)) for row in tm)
-    bits = _lane_bits(bound)
-    if bound >> (bits - 1):
-        raise CheckFailure("lanes of %d bits cannot hold entries up to %d" % (bits, bound))
+    bits = linalg.lane_width(bound, "e8.matrix_in_f_basis")
     md = [sum(map(mul, row, _packed_basis(bits))) for row in tm]
     scale *= 2 * s * t
     out = []
     for row in inv:
         out_row = []
-        for x in _unpack(sum(map(mul, row, md)), 8, bits):
+        for x in linalg.unpack(sum(map(mul, row, md)), 8, bits):
             c, rem = divmod(x, scale)
             if rem:
                 raise ValueError("matrix does not preserve the lattice")
@@ -424,10 +419,9 @@ def matrix_in_f_basis(m_e, scale: int = 1) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _packed_basis(bits: int) -> tuple[int, ...]:
-    """Row i of D (the doubled coordinates f_j.d[i] of f1..f8), entry j in
-    a signed lane of the given width at bit bits*j."""
-    return tuple(sum(f.d[i] << (bits * j) for j, f in enumerate(standard_basis()))
-                 for i in range(8))
+    """Row i of D (the doubled coordinates f_j.d[i] of f1..f8), packed in
+    lanes of the given width."""
+    return tuple(linalg.pack([f.d[i] for f in standard_basis()], bits) for i in range(8))
 
 
 @lru_cache(maxsize=None)

@@ -7,18 +7,21 @@ elementary_divisors only reduces the matrix, and the rank of a matrix is the
 number of its elementary divisors.  solve takes a rational system to an
 integer one by scaling each equation by the lcm of its denominators and
 reads its answer off the Smith form; integer_solve keeps that answer when it
-is integral.  charpoly is Faddeev-LeVerrier over Z, on rows packed into
-lane integers; charpoly_from_traces is Newton's identities on the power
-traces, for a caller that already holds them.  Matrix sizes in this
-package are at most 22x22, so no attempt is made at asymptotic
-cleverness.
+is integral.
+
+Integer rows packed into signed lanes of one integer are this module's
+alone: lane_width certifies a width against an entry bound, pack and
+unpack convert, and packed_powers is the one packed matrix-power loop.
+charpoly is Newton's identities (charpoly_from_traces) on its traces.
+Matrix sizes in this package are at most 22x22, so no attempt is made at
+asymptotic cleverness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import lshift, mul
 
 from .errors import CheckFailure
 
@@ -30,12 +33,33 @@ def mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in bcols] for row in a]
 
 
+# ---------------------------------------------------------------------------
+# signed lanes: a row of integers as one integer, so that a combination of
+# rows is one sum of integers
+
+
 def _lane_bits(bound: int) -> int:
     """Lane width in bits for signed entries of absolute value at most bound."""
     return bound.bit_length() + 1
 
 
-def _unpack(x: int, n: int, bits: int) -> list[int]:
+def lane_width(bound: int, site: str) -> int:
+    """The lane width B for entries of absolute value at most bound,
+    certified: 2^(B-1) exceeds bound (CheckFailure naming site otherwise),
+    so such rows pack one to one."""
+    bits = _lane_bits(bound)
+    if bound >> (bits - 1):
+        raise CheckFailure("%s: lanes of %d bits cannot hold entries up to %d"
+                           % (site, bits, bound))
+    return bits
+
+
+def pack(row, bits: int) -> int:
+    """The integer holding row, entry j in a signed lane at bit bits*j."""
+    return sum(map(lshift, row, range(0, bits * len(row), bits)))
+
+
+def unpack(x: int, n: int, bits: int) -> list[int]:
     """The n signed lanes of x, lowest first; CheckFailure if a carry is
     left past the top lane."""
     mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
@@ -51,50 +75,37 @@ def _unpack(x: int, n: int, bits: int) -> list[int]:
     return out
 
 
+def packed_powers(a, k: int, bits: int):
+    """Yield (rows, trace) for A^1, ..., A^k: rows[i] is row i of the power
+    packed in lanes of the given width, and trace its trace.
+
+    Row i of A^(j+1) is the single sum over l of A[i][l] times row l of A^j.
+    The caller certifies the width for every entry of the powers.  Adding
+    2^(B-1) to every lane of a row makes each lane nonnegative, so the
+    diagonal lane is read by a shift and a mask."""
+    n = len(a)
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    shifts = range(0, bits * n, bits)
+    bias = sum(half << s for s in shifts)
+    rows = [1 << s for s in shifts]
+    for _ in range(k):
+        rows = [sum(map(mul, arow, rows)) for arow in a]
+        yield rows, sum((x + bias) >> s & mask for x, s in zip(rows, shifts)) - n * half
+
+
 def charpoly(a) -> list[int]:
     """Characteristic polynomial det(xI - A) of an integer matrix,
-    coefficients low degree first.
-
-    Faddeev-LeVerrier over Z: with M_1 = I, step k = 1..n forms A M_k, reads
-    c_(n-k) = -tr(A M_k) / k and sets M_(k+1) = A M_k + c_(n-k) I.  Every
-    division by k is exact for an integer matrix, and each one is checked.
-
-    Each row of M_k is kept as one integer holding its entries in signed
-    lanes of B bits, entry j at bit B*j, as reps.norm_matrix keeps its
-    rows, so row i of A M_k is the single sum over l of A[i][l] times row l
-    of M_k.  With rho the largest absolute row sum of A (at least 1), every
-    eigenvalue is at most rho in absolute value, so |c_(n-j)| <= C(n, j)
-    rho^j; M_k = sum_(j<k) c_(n-j) A^(k-1-j) then has row sums at most
-    2^n rho^(k-1), and A M_k at most 2^n rho^k.  So (2 rho)^n bounds every
-    entry, and B is chosen so that 2^(B-1) exceeds it.  Adding 2^(B-1) to
-    every lane makes each lane of a row nonnegative, so lane i of row i, the
-    diagonal entry, is read by a shift and a mask; a carry left past the
-    top lane raises CheckFailure.
-    """
+    coefficients low degree first: Newton's identities on the traces of
+    A^1..A^n from packed_powers.  With rho the largest absolute row sum of
+    A (at least 1), every entry of A^k is at most rho^k in absolute value,
+    so rho^n bounds the lanes."""
     n = len(a)
     am = [[int(x) for x in row] for row in a]
     if any(x != y for ra, rb in zip(am, a) for x, y in zip(ra, rb)):
         raise ValueError("charpoly needs an integer matrix")
     rho = max(1, max((sum(map(abs, row)) for row in am), default=0))
-    bits = _lane_bits((2 * rho) ** n)
-    half, mask, top = 1 << (bits - 1), (1 << bits) - 1, bits * n
-    shifts = [bits * i for i in range(n)]
-    bias = sum(half << s for s in shifts)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    rows = [1 << s for s in shifts]
-    for k in range(1, n + 1):
-        rows = [sum(map(mul, arow, rows)) for arow in am]
-        biased = [row + bias for row in rows]
-        if any(b >> top for b in biased):
-            raise CheckFailure("packed row carries past its %d lanes" % n)
-        trace = sum(b >> s & mask for b, s in zip(biased, shifts)) - n * half
-        c, r = divmod(-trace, k)
-        if r:
-            raise CheckFailure("Faddeev-LeVerrier trace not divisible by %d" % k)
-        coeffs[n - k] = c
-        rows = [row + (c << s) for row, s in zip(rows, shifts)]
-    return coeffs
+    bits = lane_width(rho ** n, "linalg.charpoly")
+    return charpoly_from_traces([trace for _, trace in packed_powers(am, n, bits)])
 
 
 def charpoly_from_traces(traces) -> list[int]:

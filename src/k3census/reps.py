@@ -29,7 +29,6 @@ from operator import add, mul
 from . import e8, linalg
 from .cyclotomic import cyclotomic_polynomial, poly_mul
 from .errors import CheckFailure
-from .linalg import _lane_bits, _unpack
 from .record import record
 from .sgnperm import SignedPerm, class_representative
 
@@ -86,7 +85,7 @@ def lemma45_census(p: int, rank: int = 8) -> tuple[RepDecomp, ...]:
 # decomposing concrete lattice actions
 
 
-def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
+def decompose_matrix(m, p: int) -> RepDecomp:
     """Decompose an order-p integral action given by an integer matrix.
 
     One pass of packed powers g, g^2, ..., g^p gives the norm N, the check
@@ -95,14 +94,10 @@ def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
     certified three ways: the norm image has the rank of the fixed
     sublattice and elementary divisors in {1, p}, the trace of the
     decomposition is tr(g), and its characteristic polynomial is det(xI - g)
-    (CheckFailure otherwise).
-
-    charpoly_hint, when given, must be the characteristic polynomial of the
-    action (it is basis independent, so a caller with a cheaper formula can
-    pass it in).  Otherwise it comes from the traces by Newton's identities
-    (linalg.charpoly_from_traces): g^p = 1 makes tr(g^j) periodic in j with
-    period p, and tr(g^p) = n, so the p traces give tr(g^j) for every
-    j = 1..n."""
+    (CheckFailure otherwise).  det(xI - g) comes from the traces by Newton's
+    identities (linalg.charpoly_from_traces): g^p = 1 makes tr(g^j)
+    periodic in j with period p, and tr(g^p) = n, so the p traces give
+    tr(g^j) for every j = 1..n."""
     n = len(m)
     if m == [[int(i == j) for j in range(n)] for i in range(n)]:
         raise ValueError("element has order 1, not %d" % p)
@@ -132,9 +127,7 @@ def decompose_matrix(m, p: int, charpoly_hint=None) -> RepDecomp:
     if dec.trace() != trace:
         raise CheckFailure("decomposition %r has trace %d, the matrix %d"
                            % (dec, dec.trace(), trace))
-    cp = charpoly_hint
-    if cp is None:
-        cp = linalg.charpoly_from_traces([traces[j % p] for j in range(n)])
+    cp = linalg.charpoly_from_traces([traces[j % p] for j in range(n)])
     if tuple(cp) != _expected_charpoly(p, r, s, t):
         raise CheckFailure("characteristic polynomial %s does not match %r" % (list(cp), dec))
     return dec
@@ -147,45 +140,31 @@ def norm_matrix(m, p: int) -> list[list[int]]:
 
 
 def _norm_and_traces(m, p: int) -> tuple[list[list[int]], list[int]]:
-    """norm_matrix(m, p) and the traces tr(g^k) for k = 1..p.
-
-    Each row of g^k is kept as one integer holding its entries in signed
-    lanes of B bits, entry j at bit B*j, so row i of g^(k+1) is the single
-    sum over l of m[i][l] times row l of g^k.  With rho the largest absolute
+    """norm_matrix(m, p) and the traces tr(g^k) for k = 1..p, from the
+    packed powers of linalg.packed_powers.  With rho the largest absolute
     row sum of m (at least 1), every entry of g^k for k <= p is at most
-    rho^k and every entry of N at most p rho^(p-1) in absolute value; B is
-    chosen so that 2^(B-1) exceeds both, so no lane overflows and packed
-    rows are equal exactly when the matrices are.  Adding 2^(B-1) to every
-    lane of a row of g^k makes each lane nonnegative, so its diagonal lane
-    is read by a shift and a mask, as in linalg.charpoly."""
+    rho^k and every entry of N at most p rho^(p-1) in absolute value, so
+    that bound certifies the lanes, and packed rows are equal exactly when
+    the matrices are."""
     n = len(m)
     rho = max(1, max((sum(map(abs, row)) for row in m), default=0))
-    bound = max(rho ** p, p * rho ** (p - 1))
-    bits = _lane_bits(bound)
-    if bound >> (bits - 1):
-        raise CheckFailure("lanes of %d bits cannot hold entries up to %d" % (bits, bound))
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    shifts = range(0, bits * n, bits)
-    bias = sum(half << s for s in shifts)
-    one = [1 << s for s in shifts]
-    power, norm, traces = one, [0] * n, []
-    for _ in range(p):
+    bits = linalg.lane_width(max(rho ** p, p * rho ** (p - 1)), "reps.norm_matrix")
+    norm, traces = [0] * n, []
+    for power, trace in linalg.packed_powers(m, p, bits):
         norm = list(map(add, norm, power))
-        power = [sum(map(mul, row, power)) for row in m]
-        traces.append(sum((x + bias) >> s & mask for x, s in zip(power, shifts)) - n * half)
-    if power != one:
+        traces.append(trace)
+    # g^p = 1 makes g + ... + g^p the norm 1 + g + ... + g^(p-1)
+    if tuple(power) != _packed_identity(n, bits):
         raise ValueError("element does not have order %d" % p)
-    return [_unpack(x, n, bits) for x in norm], traces
+    return [linalg.unpack(x, n, bits) for x in norm], traces
 
 
-def _order_divides(m, p: int) -> bool:
-    """Whether g^p = 1 for the integer matrix g = m."""
-    n = len(m)
-    cols = list(zip(*m))
-    power = [list(row) for row in m]
-    for _ in range(p - 1):
-        power = [[sum(map(mul, row, col)) for col in cols] for row in power]
-    return power == [[int(i == j) for j in range(n)] for i in range(n)]
+@lru_cache(maxsize=None)
+def _packed_identity(n: int, bits: int) -> tuple[int, ...]:
+    """The rows of the n x n identity packed in lanes of the given width,
+    built once per (n, bits), as packing them on every call cost more
+    than one packed power."""
+    return tuple(linalg.pack([int(i == j) for j in range(n)], bits) for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +207,7 @@ def _class_decomposition(key, p: int) -> RepDecomp:
     H has at most four classes of order 3, 5 or 7."""
     rep = class_representative(key)
     m = e8.matrix_in_f_basis(rep.matrix_e())
-    return decompose_matrix(m, p, charpoly_hint=rep.charpoly())
+    return decompose_matrix(m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +295,10 @@ def lift_summand(action, sub_basis, quotient_gen, kind: str | None = None) -> Li
         cond = [[action[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
         label = "fixed preimage"
     elif kind == "cyclotomic":
-        if not _order_divides(action, p):
+        try:
+            cond = norm_matrix(action, p)
+        except ValueError:
             return LiftResult(kind, None, "the action does not have order %d on the lattice" % p)
-        cond = norm_matrix(action, p)
         label = "norm-annihilated preimage"
     else:
         raise ValueError("unknown summand kind %r" % kind)
@@ -330,8 +310,7 @@ def lift_summand(action, sub_basis, quotient_gen, kind: str | None = None) -> Li
         else:
             return LiftResult(kind, None, "no %s exists" % label)
     else:
-        cols = [[sum(cond[i][j] * sub_basis[b][j] for j in range(n)) for b in range(len(sub_basis))]
-                for i in range(n)]
+        cols = linalg.mat_mul(cond, list(zip(*sub_basis)))
         c = linalg.integer_solve(cols, rhs)
         if c is None:
             return LiftResult(kind, None, "no %s exists" % label)

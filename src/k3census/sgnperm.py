@@ -513,21 +513,30 @@ _ZERO_BYTE = b"\x01" + bytes(255)
 
 @lru_cache(maxsize=None)
 def _fixed_lanes() -> tuple[tuple[int, ...], ...]:
-    """lanes[i+1][t] packs (s d_i - d_j)^2 over the roots d (doubled, in
-    enumerate_roots order), one root per byte, for the table entry
+    """_root_lanes of the bytes (s d_i - d_j)^2.  Each is at most 16, so a
+    sum of 8 stays at most 128 in every byte, and it is 0 exactly when the
+    element fixes that root."""
+    return _root_lanes(lambda xs, ys: [(x - y) ** 2 for x, y in zip(xs, ys)], False)
+
+
+def _root_lanes(root_bytes, trace_byte: bool) -> tuple[tuple[int, ...], ...]:
+    """lanes[i+1][t] packs the bytes root_bytes(s d_i, d_j) over the roots d
+    (doubled, in enumerate_roots order, one root per byte; root_bytes maps
+    the two coordinate columns to a list of bytes) for the table entry
     t = s(j+1) at letter i+1; a negative t indexes from the end, at the
     byte t mod 17 that stands for t in a table (see _ext).  lanes[0] is all
     zero, for the table's entry 0, so a table indexes the lanes as it
-    stands.  Each entry is at most 16, so a sum of 8 stays at most 128 in
-    every byte, and it is 0 exactly when the element fixes that root."""
-    ds = [r.d for r in e8.enumerate_roots()]
+    stands.  With trace_byte, byte 240 holds 1 + the diagonal entry t puts
+    at position i (s when j = i, else 0)."""
+    cols = list(zip(*(r.d for r in e8.enumerate_roots())))
     lanes = [(0,) * 17]
     for i in range(8):
         row = [0] * 17
-        for j in range(8):
-            for s in (1, -1):
-                row[s * (j + 1)] = int.from_bytes(
-                    bytes([(s * d[i] - d[j]) ** 2 for d in ds]), "little")
+        for s in (1, -1):
+            xs = [s * x for x in cols[i]]
+            for j in range(8):
+                tail = [1 + s * (j == i)] if trace_byte else []
+                row[s * (j + 1)] = int.from_bytes(bytes(root_bytes(xs, cols[j]) + tail), "little")
         lanes.append(tuple(row))
     return tuple(lanes)
 
@@ -567,25 +576,12 @@ def _odd_byte(odd: int) -> int:
 
 @lru_cache(maxsize=None)
 def _pairing_lanes() -> tuple[tuple[tuple[int, ...], ...], int]:
-    """lanes[i+1][t] packs s d_i d_j mod 8 over the roots d (doubled, in
-    enumerate_roots order), one root per byte, for the table entry
-    t = s(j+1) at letter i+1, indexed as in _fixed_lanes, and lanes[0] is
-    all zero, as there.  A sum of 8 entries stays below 256 in every byte,
-    so its bytes masked by low_bits are the sums mod 8.
-
-    Byte 240 holds 1 + the diagonal entry t puts at position i (s when
-    j = i, else 0), so byte 240 of the sum is the trace plus 8, at most 16;
-    low_bits leaves it out."""
-    ds = [r.d for r in e8.enumerate_roots()]
-    lanes = [(0,) * 17]
-    for i in range(8):
-        row = [0] * 17
-        for j in range(8):
-            for s in (1, -1):
-                row[s * (j + 1)] = int.from_bytes(
-                    bytes([s * d[i] * d[j] % 8 for d in ds] + [1 + s * (j == i)]), "little")
-        lanes.append(tuple(row))
-    return tuple(lanes), int.from_bytes(b"\x07" * len(ds), "little")
+    """_root_lanes of the bytes s d_i d_j mod 8, with the trace byte.  A sum
+    of 8 entries stays below 256 in every byte, so its bytes masked by
+    low_bits are the sums mod 8.  Byte 240 of the sum is the trace plus 8,
+    at most 16; low_bits leaves it out."""
+    lanes = _root_lanes(lambda xs, ys: [x * y % 8 for x, y in zip(xs, ys)], True)
+    return lanes, int.from_bytes(b"\x07" * 240, "little")
 
 
 def involution_class(v: SignedPerm) -> InvolutionClass:
@@ -647,7 +643,7 @@ def is_4a_prime_shape(v: SignedPerm) -> bool:
     return moved == 8 and n_minus % 4 == 0
 
 
-def _pairings(items: tuple[int, ...], k: int):
+def pairings(items: tuple[int, ...], k: int):
     """All ways to choose k disjoint unordered pairs from items."""
     if k == 0:
         yield ()

@@ -6,7 +6,7 @@ replaced, on every case the package computes:
 * the packed refinement against the tuple-by-tuple one, on all 15 stage-1
   solutions of p = 5 and p = 7;
 * the charpoly decompose_matrix takes from Newton's identities on the
-  power traces against Faddeev-LeVerrier (linalg.charpoly), on the 7
+  power traces against Faddeev-LeVerrier (list_charpoly), on the 7
   Lemma 4.5 witnesses and on every order-3, -5 and -7 class representative
   of H;
 * each candidate's Dirac character, summed over its groups, against
@@ -20,6 +20,7 @@ import pytest
 
 from k3census import census, e8, gindex, linalg, reps, sgnperm as sp
 from k3census.cyclotomic import CycNum
+from test_linalg_oracles import list_charpoly
 
 
 def table_cases():
@@ -79,7 +80,7 @@ def test_packed_refinement_matches_tuple_refinement():
 
 def newton_and_leverrier(m, p):
     """The charpoly decompose_matrix(m, p) computes from Newton's identities,
-    captured on its way, and linalg.charpoly(m)."""
+    captured on its way, and Faddeev-LeVerrier on m's lists of rows."""
     seen = []
     genuine = linalg.charpoly_from_traces
 
@@ -93,7 +94,7 @@ def newton_and_leverrier(m, p):
     finally:
         linalg.charpoly_from_traces = genuine
     assert len(seen) == 1
-    return seen[0], linalg.charpoly(m)
+    return seen[0], list_charpoly(m)
 
 
 def test_newton_charpoly_matches_leverrier_on_the_witnesses():

@@ -1,8 +1,8 @@
 """The certificates of reps.decompose_matrix, of the Newton charpoly from
 power traces, and of the lane widths of census.refine and
 e8.matrix_in_f_basis, each fired on purpose.  No genuine input reaches
-them, so each test breaks one input: the packed norm pass, a hint, the
-traces, the Newton step or the lane width, and expects the site's own
+them, so each test breaks one input: the packed norm pass, the traces,
+the Newton step or the lane width, and expects the site's own
 message, directly and, for one of them, through the command line as exit 1
 with no traceback.
 
@@ -66,12 +66,6 @@ def test_trace_mismatch_raises(monkeypatch):
         reps.decompose_matrix(five_cycle(), 5)
 
 
-def test_charpoly_hint_mismatch_raises():
-    wrong = list(sp.std_cycle(3).charpoly())
-    with pytest.raises(CheckFailure, match="characteristic polynomial .* does not match"):
-        reps.decompose_matrix(five_cycle(), 5, charpoly_hint=wrong)
-
-
 def test_newton_charpoly_mismatch_raises(monkeypatch):
     genuine = linalg.charpoly_from_traces
     monkeypatch.setattr(linalg, "charpoly_from_traces",
@@ -96,16 +90,16 @@ def narrow_lanes(bound):
 
 
 def test_refine_lane_width_below_the_bound_raises(monkeypatch):
-    monkeypatch.setattr(census, "_lane_bits", narrow_lanes)
     profile = census.nontrivial_profiles(7)[0]
     counts = census.stage1(profile)[0]
-    with pytest.raises(CheckFailure, match="cannot hold signature sums"):
+    monkeypatch.setattr(linalg, "_lane_bits", narrow_lanes)
+    with pytest.raises(CheckFailure, match="census.refine: lanes .* cannot hold entries"):
         census.refine(profile, counts)
 
 
 def test_f_basis_lane_width_below_the_bound_raises(monkeypatch):
-    monkeypatch.setattr(e8, "_lane_bits", narrow_lanes)
-    with pytest.raises(CheckFailure, match="cannot hold entries"):
+    monkeypatch.setattr(linalg, "_lane_bits", narrow_lanes)
+    with pytest.raises(CheckFailure, match="e8.matrix_in_f_basis: lanes .* cannot hold entries"):
         five_cycle()
 
 

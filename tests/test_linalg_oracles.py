@@ -1,8 +1,8 @@
 """sympy as an independent reference for linalg: its Smith normal form for
 the elementary divisors, its rank for consistency and uniqueness of rational
 systems, and the Smith forms of A and [A | b] for integer solvability.  The
-packed-lane charpoly is pinned to the list-of-lists Faddeev-LeVerrier it
-replaced."""
+Newton charpoly on packed powers is pinned to a list-of-lists
+Faddeev-LeVerrier kept here, and the packed powers to dense ones."""
 
 import random
 from collections import Counter
@@ -156,8 +156,9 @@ def test_integer_solve_matches_smith_forms_of_a_and_a_b():
 
 
 def list_charpoly(a):
-    """Faddeev-LeVerrier on lists of integer rows, the route charpoly took
-    before its rows were packed into lane integers."""
+    """Faddeev-LeVerrier on lists of integer rows: a second algorithm on a
+    second representation beside linalg.charpoly, Newton's identities on
+    packed powers."""
     n = len(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -182,6 +183,37 @@ def lemma45_witnesses():
     return [m for m in out if m is not None]
 
 
+def dense_powers(a, k):
+    """A^1, ..., A^k by the schoolbook product on lists of rows."""
+    n, out = len(a), [a]
+    while len(out) < k:
+        out.append([[sum(a[i][l] * out[-1][l][j] for l in range(n)) for j in range(n)]
+                    for i in range(n)])
+    return out
+
+
+def test_packed_powers_match_dense_powers():
+    """The rows and traces packed_powers yields, unpacked, against dense
+    integer powers: on seeded square matrices of every kind and size up to
+    10, up to the 9th power, and on the 7 Lemma 4.5 witnesses up to the
+    8th."""
+    rng = random.Random(2501)
+    cases = [(m, 8) for m in lemma45_witnesses()]
+    if len(cases) != 7:
+        pytest.fail("%d Lemma 4.5 witnesses, not 7" % len(cases))
+    cases += [(seeded_matrix(rng, n, n), rng.randint(1, 9)) for n in range(1, 11)
+              for _ in range(8)]
+    for a, k in cases:
+        n = len(a)
+        rho = max(1, max(sum(map(abs, row)) for row in a))
+        bits = linalg.lane_width(rho ** k, "test")
+        got = [([linalg.unpack(x, n, bits) for x in rows], trace)
+               for rows, trace in linalg.packed_powers(a, k, bits)]
+        want = [(p, sum(p[i][i] for i in range(n))) for p in dense_powers(a, k)]
+        if got != want:
+            pytest.fail("%r to the %d: packed %r, dense %r" % (a, k, got, want))
+
+
 def test_packed_charpoly_matches_the_list_version():
     """On the 7 Lemma 4.5 witnesses, on seeded square matrices of every
     kind and size up to 12, on matrices with entries up to 10^6, and on the
@@ -200,11 +232,11 @@ def test_packed_charpoly_matches_the_list_version():
             pytest.fail("%r: packed %r, list version %r" % (a, got, want))
 
 
-def test_charpoly_carry_past_the_top_lane_raises(monkeypatch):
-    """Lanes narrower than the certified bound leave a carry past the top
-    lane, and charpoly refuses to read them."""
+def test_charpoly_lane_width_below_the_bound_raises(monkeypatch):
+    """Lanes narrower than the certified bound are refused before any
+    packed power is formed, in charpoly's name."""
     monkeypatch.setattr(linalg, "_lane_bits", lambda bound: 3)
-    with pytest.raises(CheckFailure, match="carries"):
+    with pytest.raises(CheckFailure, match="linalg.charpoly: lanes of 3 bits cannot hold"):
         linalg.charpoly([[5]])
-    with pytest.raises(CheckFailure, match="carries"):
+    with pytest.raises(CheckFailure, match="linalg.charpoly: lanes of 3 bits cannot hold"):
         linalg.charpoly([[-5]])

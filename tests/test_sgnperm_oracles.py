@@ -118,7 +118,7 @@ def reference_all_involutions():
     minus = SignedPerm.minus_one()
     ident = signed_identity()
     for n_trans in range(5):
-        for pairs in sp._pairings(tuple(range(8)), n_trans):
+        for pairs in sp.pairings(tuple(range(8)), n_trans):
             moved = [i for pr in pairs for i in pr]
             fixed = [i for i in range(8) if i not in moved]
             for pair_signs in product((1, -1), repeat=n_trans):
