@@ -110,9 +110,10 @@ def verify_lemma_5_2(cfg: RunConfig) -> dict:
     representative per H-class (sgnperm.involution_classes, whose class
     sizes are certified to cover all 17038 involutions): pairing parity
     because H lies in Aut(E8) and conjugation preserves the pairing, and the
-    shape because it depends only on the signed cycle type.  The order-4
-    loop stays exhaustive over every square root of d0 and pperm, the
-    certified starts (sgnperm.even_pairing_starts) to which every
+    shape because it is constant on each H-class, though not on each signed
+    cycle type (test_shape_and_parity_are_constant_on_each_type).  The
+    order-4 loop stays exhaustive over every square root of the certified
+    starts d0 and pperm (sgnperm.even_pairing_starts), to which every
     even-pairing involution is conjugate."""
     classes = sgnperm.involution_classes()
     n = bad = 0

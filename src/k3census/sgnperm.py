@@ -664,29 +664,6 @@ def _perfect_matchings(support: tuple[int, ...]):
             yield (pair,) + more
 
 
-@lru_cache(maxsize=None)
-def four_a_prime_elements() -> tuple[SignedPerm, ...]:
-    """All 910 elements of H in the even-pairing involution class, built
-    from the shape that is_4a_prime_shape tests: the 70 diagonal elements
-    with four -1 entries, and for each of the 105 perfect matchings of the
-    coordinates the 8 sign patterns that are constant on its pairs and
-    negate an even number of pairs (so the count of -1 entries is 0, 4 or 8)."""
-    out = [SignedPerm.diagonal(tuple(-1 if i in minus else 1 for i in range(8)))
-           for minus in combinations(range(8), 4)]
-    for pairs in _perfect_matchings(tuple(range(8))):
-        perm = list(range(8))
-        for a, b in pairs:
-            perm[a], perm[b] = b, a
-        for pair_signs in product((1, -1), repeat=4):
-            if pair_signs.count(-1) % 2:
-                continue
-            eps = [0] * 8
-            for (a, b), s in zip(pairs, pair_signs):
-                eps[a] = eps[b] = s
-            out.append(SignedPerm.from_eps_perm(tuple(eps), tuple(perm)))
-    return tuple(sorted(out, key=lambda v: v.image))
-
-
 # ---------------------------------------------------------------------------
 # conjugacy classes and conjugation orbits
 #
@@ -776,32 +753,44 @@ _PPERM = SignedPerm((2, 1, 4, 3, 6, 5, 8, 7))
 
 
 @lru_cache(maxsize=None)
-def even_pairing_starts() -> tuple[SignedPerm, SignedPerm]:
-    """d0 = diag(-1, -1, -1, -1, 1, 1, 1, 1) and pperm = (1 2)(3 4)(5 6)(7 8),
-    with the certificate that every one of the 910 even-pairing involutions
-    (the atoms, four_a_prime_elements) is conjugate to one of them.
+def four_a_prime_elements() -> tuple[SignedPerm, ...]:
+    """All 910 elements of H in the even-pairing involution class, sorted by
+    image: the H-classes of d0 = diag(-1, -1, -1, -1, 1, 1, 1, 1) and
+    pperm = (1 2)(3 4)(5 6)(7 8), each closed from its start under
+    conjugation by _conjugators().
 
-    Certificate: the atoms are distinct, d0 and pperm are atoms, and
-    conjugation_orbits of the atoms under _conjugators() (centre the
-    identity) finds them closed under conjugation, in exactly two orbits,
-    one holding d0 and one holding pperm; CheckFailure otherwise.  That is
-    enough: the 7 adjacent transpositions and the sign change of
-    coordinates 1 and 2 among the _conjugators generate H, so each orbit is
-    an H-class, and every atom lies in the class of d0 or of pperm."""
-    atoms = four_a_prime_elements()
-    tables = {v._e for v in atoms}
-    if len(tables) != len(atoms):
-        raise CheckFailure("the %d atoms are not distinct" % len(atoms))
-    for start in (_D0, _PPERM):
-        if start._e not in tables:
-            raise CheckFailure("start %r is not an atom" % (start,))
-    orbits = conjugation_orbits(atoms, _conjugators(), SignedPerm(_IDENT_IMG))
-    if len(orbits) != 2:
-        raise CheckFailure("the atoms form %d orbits of sizes %r, not 2"
-                           % (len(orbits), [len(orbit) for orbit in orbits]))
-    orbit_of = {x._e: k for k, orbit in enumerate(orbits) for x in orbit}
-    if orbit_of[_D0._e] == orbit_of[_PPERM._e]:
-        raise CheckFailure("d0 and pperm lie in one orbit")
+    Certificate, against the class table: exactly two involution_classes()
+    rows have a representative of the shape that is_4a_prime_shape tests,
+    their class keys are those of d0 and pperm, and the two closed orbits
+    have their rows' sizes (70 and 840); CheckFailure otherwise.  An orbit
+    lies in its start's H-class, so an orbit of the class's size is the
+    whole class.  The shape is constant on each H-class (checked over every
+    involution by test_shape_and_parity_are_constant_on_each_type), and the
+    rows cover every involution of H but +-1, so the result is exactly the
+    set of elements of that shape."""
+    starts = (_D0, _PPERM)
+    rows = [(rep.class_conjugator()[0], size) for rep, size in involution_classes()
+            if is_4a_prime_shape(rep)]
+    if len(rows) != 2:
+        raise CheckFailure("%d involution classes have the 4A' shape, not 2" % len(rows))
+    size = dict(rows)
+    keys = [start.class_conjugator()[0] for start in starts]
+    if set(keys) != set(size):
+        raise CheckFailure("the starts %r are not one per 4A'-shaped class"
+                           % ([start.image for start in starts],))
+    orbits = _closure([start._e for start in starts], _conjugators())
+    got, want = [len(orbit) for orbit in orbits], [size[key] for key in keys]
+    if got != want:
+        raise CheckFailure("the orbits of d0 and pperm have %r elements, their classes %r"
+                           % (got, want))
+    return tuple(sorted((_from_table(e) for orbit in orbits for e in orbit),
+                        key=lambda v: v.image))
+
+
+def even_pairing_starts() -> tuple[SignedPerm, SignedPerm]:
+    """d0 and pperm, one start in each of the two even-pairing H-classes, as
+    certified by four_a_prime_elements."""
+    four_a_prime_elements()
     return _D0, _PPERM
 
 
@@ -830,27 +819,19 @@ def centralizer_generators(c: SignedPerm) -> list[SignedPerm]:
     return [g for g in _conjugators() if _commute(g, c)]
 
 
-def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm]]:
-    """Orbits of the elements `points` under conjugation x -> g x g^-1 by
-    the group the elements `gens` generate, found by closure.  Each orbit
-    lists its first point (in the order of `points`) first.
+def _closure(starts, gens, points=None) -> list[list[bytes]]:
+    """Orbits of the signed tables `starts` under conjugation x -> g x g^-1
+    by the group the elements `gens` generate, found by closure: one orbit
+    per start not met before, its start first.
 
     The closure runs on signed tables: the conjugate g y g^-1 of the table
     y reads g(y(g^-1(t))) at t, so it is g^-1's table translated by y's and
-    then by g's.
-
-    Certificates: every generator commutes with `center`, so the group lies
-    in its centralizer, and every conjugate met lies in `points`, so the set
-    is closed under the group.  Either failing raises CheckFailure."""
-    conj = []
-    for g in gens:
-        if not _commute(g, center):
-            raise CheckFailure("generator %r does not commute with %r" % (g, center))
-        conj.append((g._e + _PAD, g.inverse()._e))
-    point_of = {x._e: x for x in points}
+    then by g's.  With `points` given (a container of tables), a conjugate
+    outside it raises CheckFailure."""
+    conj = [(g._e + _PAD, g.inverse()._e) for g in gens]
     seen: set[bytes] = set()
     orbits = []
-    for ex in point_of:
+    for ex in starts:
         if ex in seen:
             continue
         seen.add(ex)
@@ -860,13 +841,28 @@ def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm
             for g_pad, e_inv in conj:
                 z = e_inv.translate(y_pad).translate(g_pad)
                 if z not in seen:
-                    if z not in point_of:
+                    if points is not None and z not in points:
                         raise CheckFailure("conjugate %r leaves the point set"
                                            % (_from_table(z).image,))
                     seen.add(z)
                     orbit.append(z)
-        orbits.append([point_of[z] for z in orbit])
+        orbits.append(orbit)
     return orbits
+
+
+def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm]]:
+    """Orbits of the elements `points` under conjugation x -> g x g^-1 by
+    the group the elements `gens` generate, found by closure (_closure).
+    Each orbit lists its first point (in the order of `points`) first.
+
+    Certificates: every generator commutes with `center`, so the group lies
+    in its centralizer, and every conjugate met lies in `points`, so the set
+    is closed under the group.  Either failing raises CheckFailure."""
+    for g in gens:
+        if not _commute(g, center):
+            raise CheckFailure("generator %r does not commute with %r" % (g, center))
+    point_of = {x._e: x for x in points}
+    return [[point_of[z] for z in orbit] for orbit in _closure(point_of, gens, point_of)]
 
 
 # ---------------------------------------------------------------------------
@@ -994,9 +990,11 @@ def search_z2_4_obstruction(budget: int = 20_000_000) -> Z24Report:
     such subgroup exists (the best possible rank is 3).
 
     Conjugating a subgroup moves any one of its involutions g1 to d0 or
-    pperm (certified by even_pairing_starts), so those two start the search.
-    Its other elements then lie in level 1: the even-pairing h != g1 that
-    commute with g1 and whose product with g1 is again of even-pairing type.
+    pperm, so those two start the search (even_pairing_starts; the atoms
+    four_a_prime_elements are certified to be the whole classes of the two,
+    that is every involution of the even-pairing shape).  Its other
+    elements then lie in level 1: the even-pairing h != g1 that commute with
+    g1 and whose product with g1 is again of even-pairing type.
     Conjugating by the centralizer of g1 moves a second generator h to the
     representative of its level-1 orbit (conjugation_orbits certifies the
     orbits), so h runs over one representative per orbit, and the
@@ -1108,7 +1106,7 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
     even-pairing type and b a b^-1 = a^-1, records the realizable trace
     triples (tr a, tr b, tr ab), and checks that no two triples sum to
     (-4, -4, -4) coordinatewise.  Up to conjugacy c is d0 or pperm
-    (certified by even_pairing_starts).
+    (even_pairing_starts, certified by four_a_prime_elements).
 
     Given a^2 = b^2 = c, b a b^-1 = a^-1 holds exactly when (ab)^2 = c:
     b a = a^-1 b gives abab = b^2 = c, and abab = c = b^2 gives aba = b.

@@ -19,10 +19,11 @@ from k3census.sgnperm import SignedPerm
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Clear the certified start classes around each test."""
-    sp.even_pairing_starts.cache_clear()
+    """Clear the certified even-pairing atoms, from which the searches take
+    their starts, around each test."""
+    sp.four_a_prime_elements.cache_clear()
     yield
-    sp.even_pairing_starts.cache_clear()
+    sp.four_a_prime_elements.cache_clear()
 
 
 def expect_failure(capsys, message, *argv):
@@ -49,22 +50,17 @@ def test_ks_residue_off_by_four_fails(monkeypatch, capsys):
 def test_all_even_pairing_z2_4_fails(monkeypatch, capsys):
     """The 28 diagonal elements with two -1 entries added to the atoms: the
     diagonal (Z2)^4 generated by the sign changes on 1234, 1235, 1245 and
-    1345 then has all its involutions among them.  The start certificate
-    would reject the enlarged atom set first (the new atoms are conjugate
-    to no start), so this test certifies the starts on the genuine atoms
-    before it adds them."""
+    1345 then has all its involutions among them.  The patch replaces the
+    certified atoms themselves, so their certificate does not run."""
     genuine = sp.four_a_prime_elements
     extra = tuple(SignedPerm.diagonal(tuple(-1 if i in minus else 1 for i in range(8)))
                   for minus in combinations(range(8), 2))
-    sp.even_pairing_starts()
     monkeypatch.setattr(sp, "four_a_prime_elements", lambda: genuine() + extra)
     expect_failure(capsys, "found an all-even-pairing (Z2)^4", "verify", "theorem-1.7")
 
 
 def test_no_commuting_pair_fails(monkeypatch, capsys):
-    """No second generator to try: every level-1 orbit list is empty.  The
-    starts are certified first, on the genuine orbits."""
-    sp.even_pairing_starts()
+    """No second generator to try: every level-1 orbit list is empty."""
     monkeypatch.setattr(sp, "conjugation_orbits", lambda points, gens, center: [])
     expect_failure(capsys, "no commuting pair", "verify", "theorem-1.7")
 

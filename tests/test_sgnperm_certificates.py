@@ -1,15 +1,14 @@
 """Each symmetry reduction of the sgnperm searches rests on a certificate
 checked when it runs: the class table of H (class_table), its
-involution rows (against d8_involution_count), the orbit certificate of
-the search starts (even_pairing_starts) and the conjugation orbits.  These
+involution rows (against d8_involution_count), the even-pairing atoms
+closed from the search starts d0 and pperm (four_a_prime_elements, against
+the involution rows of the 4A' shape) and the conjugation orbits.  These
 tests hand each certificate a broken input and expect CheckFailure, both
 directly and through the command line, where it is exit 1 with no
 traceback.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
-
-from itertools import product
 
 import pytest
 
@@ -24,8 +23,9 @@ IDENTITY = SignedPerm(tuple(range(1, 9)))
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the certified tables around a test that swaps their inputs."""
-    cached = (sp.class_table, sp.involution_classes, sp.even_pairing_starts)
+    """Clear the certified tables and atoms around a test that swaps their
+    inputs."""
+    cached = (sp.class_table, sp.involution_classes, sp.four_a_prime_elements)
     for f in cached:
         f.cache_clear()
     yield
@@ -64,6 +64,8 @@ def test_genuine_certificates_pass(monkeypatch, fresh_caches):
     certify(monkeypatch, sp._class_rows())
     if sp.even_pairing_starts() != (D0, PPERM):
         pytest.fail("starts %r" % (sp.even_pairing_starts(),))
+    if len(sp.four_a_prime_elements()) != 910:
+        pytest.fail("%d atoms" % len(sp.four_a_prime_elements()))
     sp.conjugation_orbits([D0], sp.centralizer_generators(D0), D0)
 
 
@@ -112,32 +114,9 @@ def test_involution_count_off_by_one_raises(monkeypatch, fresh_caches):
         sp.involution_classes()
 
 
-def start_certificate(monkeypatch, atoms, pperm=PPERM):
-    """even_pairing_starts() certified on the atoms `atoms`, with pperm
-    replaced by `pperm`."""
-    monkeypatch.setattr(sp, "four_a_prime_elements", lambda: tuple(atoms))
-    monkeypatch.setattr(sp, "_PPERM", pperm)
-    return sp.even_pairing_starts()
-
-
-def odd_four_transpositions():
-    """The 840 elements (a b)(c d)(e f)(g h) that negate an odd number of
-    their pairs: the H-class of the 4A involution (-2, -1, 4, 3, 6, 5, 8, 7),
-    the other half of pperm's W(B8)-class."""
-    out = []
-    for pairs in sp._perfect_matchings(tuple(range(8))):
-        for signs in product((1, -1), repeat=4):
-            if signs.count(-1) % 2:
-                image = [0] * 8
-                for (a, b), s in zip(pairs, signs):
-                    image[a], image[b] = s * (b + 1), s * (a + 1)
-                out.append(SignedPerm(tuple(image)))
-    return out
-
-
 def test_start_orbits_are_the_classes_of_d0_and_pperm():
-    """The two orbits the start certificate finds have the class_table
-    sizes of the class keys of d0 and pperm."""
+    """The 910 atoms split under conjugation_orbits into two orbits, with
+    the class_table sizes of the class keys of d0 and pperm."""
     orbits = sp.conjugation_orbits(sp.four_a_prime_elements(), sp._conjugators(), IDENTITY)
     size = {key: n for key, _, n in sp.class_table()}
     for start in (D0, PPERM):
@@ -149,37 +128,41 @@ def test_start_orbits_are_the_classes_of_d0_and_pperm():
         pytest.fail("orbit sizes %r" % sorted(map(len, orbits)))
 
 
-def test_repeated_atom_raises(monkeypatch, fresh_caches):
-    atoms = sp.four_a_prime_elements()
-    with pytest.raises(CheckFailure, match="the 911 atoms are not distinct"):
-        start_certificate(monkeypatch, atoms + atoms[:1])
-
-
-def test_atom_list_missing_an_atom_raises(monkeypatch, fresh_caches):
-    """An atom left out: conjugating its neighbours reaches it."""
-    with pytest.raises(CheckFailure, match="leaves the point set"):
-        start_certificate(monkeypatch, sp.four_a_prime_elements()[1:])
-
-
-def test_atom_of_an_uncovered_class_raises(monkeypatch, fresh_caches):
-    """The whole 4A class of (-2, -1, 4, 3, 6, 5, 8, 7) added to the atoms:
-    closed under conjugation, but a third orbit, conjugate to no start."""
-    atoms = sp.four_a_prime_elements() + tuple(odd_four_transpositions())
-    with pytest.raises(CheckFailure, match=r"3 orbits of sizes \[840, 70, 840\], not 2"):
-        start_certificate(monkeypatch, atoms)
-
-
-def test_missing_start_raises(monkeypatch, fresh_caches):
-    """pperm replaced by an atom of d0's orbit: no start in pperm's."""
-    other = SignedPerm.diagonal((1, 1, 1, 1, -1, -1, -1, -1))
-    with pytest.raises(CheckFailure, match="d0 and pperm lie in one orbit"):
-        start_certificate(monkeypatch, sp.four_a_prime_elements(), other)
+def atoms_from(monkeypatch, name, value):
+    """four_a_prime_elements() certified with the module attribute `name`
+    (a start, the conjugators or the involution rows) replaced by `value`."""
+    monkeypatch.setattr(sp, name, value)
+    return sp.four_a_prime_elements()
 
 
 def test_start_outside_the_atoms_raises(monkeypatch, fresh_caches):
-    with pytest.raises(CheckFailure, match=r"start SignedPerm\(\(-2, -1, .*is not an atom"):
-        start_certificate(monkeypatch, sp.four_a_prime_elements(),
-                          SignedPerm((-2, -1, 4, 3, 6, 5, 8, 7)))
+    """pperm replaced by the 4A involution of its signed cycle type: d0 and
+    it are not one start per class of the 4A' shape."""
+    with pytest.raises(CheckFailure, match=r"starts \[.*\(-2, -1, 4, .*not one per 4A'-shaped class"):
+        atoms_from(monkeypatch, "_PPERM", SignedPerm((-2, -1, 4, 3, 6, 5, 8, 7)))
+
+
+def test_missing_start_raises(monkeypatch, fresh_caches):
+    """pperm replaced by an atom of d0's class: no start in pperm's."""
+    other = SignedPerm.diagonal((1, 1, 1, 1, -1, -1, -1, -1))
+    with pytest.raises(CheckFailure, match="not one per 4A'-shaped class"):
+        atoms_from(monkeypatch, "_PPERM", other)
+
+
+def test_transpositions_alone_raise(monkeypatch, fresh_caches):
+    """The conjugators cut to the 7 adjacent transpositions: pperm's orbit
+    is its 105 perfect matchings, not its class of 840."""
+    cut = sp._conjugators()[:7]
+    with pytest.raises(CheckFailure, match=r"have \[70, 105\] elements, their classes \[70, 840\]"):
+        atoms_from(monkeypatch, "_conjugators", lambda: cut)
+
+
+def test_third_shaped_row_raises(monkeypatch, fresh_caches):
+    """One more involution row, of the 4A' shape: d0 and pperm no longer
+    cover every shaped class."""
+    rows = sp.involution_classes() + ((SignedPerm.diagonal((1, 1, 1, 1, -1, -1, -1, -1)), 70),)
+    with pytest.raises(CheckFailure, match="3 involution classes have the 4A' shape, not 2"):
+        atoms_from(monkeypatch, "involution_classes", lambda: rows)
 
 
 def test_generator_not_commuting_with_center_raises():
@@ -206,8 +189,10 @@ def test_cli_fails_on_a_bad_involution_count(monkeypatch, capsys, fresh_caches):
 
 
 def test_cli_fails_on_a_missing_atom(monkeypatch, capsys, fresh_caches):
-    short = sp.four_a_prime_elements()[1:]
-    monkeypatch.setattr(sp, "four_a_prime_elements", lambda: short)
+    """The conjugators cut to the 7 adjacent transpositions: the closure of
+    pperm misses 735 atoms of its class."""
+    cut = sp._conjugators()[:7]
+    monkeypatch.setattr(sp, "_conjugators", lambda: cut)
     expect_cli_failure(capsys, "verify", "theorem-1.7")
 
 
