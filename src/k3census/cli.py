@@ -112,9 +112,9 @@ def verify_lemma_5_2(cfg: RunConfig) -> dict:
     because H lies in Aut(E8) and conjugation preserves the pairing, and the
     shape because it is constant on each H-class, though not on each signed
     cycle type (test_shape_and_parity_are_constant_on_each_type).  The
-    order-4 loop stays exhaustive over every square root of the certified
-    starts d0 and pperm (sgnperm.even_pairing_starts), to which every
-    even-pairing involution is conjugate."""
+    order-4 loop runs over every square root of the starts d0 and pperm
+    (even_pairing_starts), to which every even-pairing involution is
+    conjugate; square_roots certifies each class's roots by its count."""
     classes = sgnperm.involution_classes()
     n = bad = 0
     for v, size in classes:

@@ -73,22 +73,6 @@ _SIGNED: Img = tuple(range(9)) + tuple(range(-8, 0))
 _maketrans = bytes.maketrans
 
 
-def _cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation of range(8), each from its least element."""
-    seen = [False] * 8
-    out = []
-    for start in range(8):
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = p[i]
-        if cyc:
-            out.append(tuple(cyc))
-    return out
-
-
 class SignedPerm:
     """Element of H.  Immutable; it compares, hashes, prints and pickles as
     its image tuple: tables are equal exactly when images are, and
@@ -757,17 +741,16 @@ def four_a_prime_elements() -> tuple[SignedPerm, ...]:
     """All 910 elements of H in the even-pairing involution class, sorted by
     image: the H-classes of d0 = diag(-1, -1, -1, -1, 1, 1, 1, 1) and
     pperm = (1 2)(3 4)(5 6)(7 8), each closed from its start under
-    conjugation by _conjugators().
+    conjugation by _conjugators() (_sized_closure).
 
     Certificate, against the class table: exactly two involution_classes()
     rows have a representative of the shape that is_4a_prime_shape tests,
     their class keys are those of d0 and pperm, and the two closed orbits
-    have their rows' sizes (70 and 840); CheckFailure otherwise.  An orbit
-    lies in its start's H-class, so an orbit of the class's size is the
-    whole class.  The shape is constant on each H-class (checked over every
-    involution by test_shape_and_parity_are_constant_on_each_type), and the
-    rows cover every involution of H but +-1, so the result is exactly the
-    set of elements of that shape."""
+    have their rows' sizes (70 and 840), so they are the whole classes;
+    CheckFailure otherwise.  The shape is constant on each H-class (checked
+    over every involution by test_shape_and_parity_are_constant_on_each_type),
+    and the rows cover every involution of H but +-1, so the result is
+    exactly the set of elements of that shape."""
     starts = (_D0, _PPERM)
     rows = [(rep.class_conjugator()[0], size) for rep, size in involution_classes()
             if is_4a_prime_shape(rep)]
@@ -778,18 +761,12 @@ def four_a_prime_elements() -> tuple[SignedPerm, ...]:
     if set(keys) != set(size):
         raise CheckFailure("the starts %r are not one per 4A'-shaped class"
                            % ([start.image for start in starts],))
-    orbits = _closure([start._e for start in starts], _conjugators())
-    got, want = [len(orbit) for orbit in orbits], [size[key] for key in keys]
-    if got != want:
-        raise CheckFailure("the orbits of d0 and pperm have %r elements, their classes %r"
-                           % (got, want))
-    return tuple(sorted((_from_table(e) for orbit in orbits for e in orbit),
-                        key=lambda v: v.image))
+    return _sized_closure([start._e for start in starts], _conjugators(),
+                          [size[key] for key in keys], "d0 and pperm")
 
 
 def even_pairing_starts() -> tuple[SignedPerm, SignedPerm]:
-    """d0 and pperm, one start in each of the two even-pairing H-classes, as
-    certified by four_a_prime_elements."""
+    """d0 and pperm, one in each even-pairing H-class, as certified by four_a_prime_elements."""
     four_a_prime_elements()
     return _D0, _PPERM
 
@@ -814,20 +791,26 @@ def _commute(a: SignedPerm, b: SignedPerm) -> bool:
 
 def centralizer_generators(c: SignedPerm) -> list[SignedPerm]:
     """The _conjugators that commute with the element c.  They generate a
-    subgroup of the centralizer of c in H, perhaps a proper one: its orbits
-    are then finer, which only costs a few more representatives."""
+    subgroup of the centralizer of c in H, perhaps a proper one: square_roots
+    certifies that they reach every root of d0 and pperm in each class, and
+    finer level-1 orbits only cost search_z2_4_obstruction a few more starts."""
     return [g for g in _conjugators() if _commute(g, c)]
+
+
+def _check_commuting(gens, center: SignedPerm) -> None:
+    """CheckFailure unless every element of gens commutes with center."""
+    for g in gens:
+        if not _commute(g, center):
+            raise CheckFailure("generator %r does not commute with %r" % (g, center))
 
 
 def _closure(starts, gens, points=None) -> list[list[bytes]]:
     """Orbits of the signed tables `starts` under conjugation x -> g x g^-1
     by the group the elements `gens` generate, found by closure: one orbit
-    per start not met before, its start first.
-
-    The closure runs on signed tables: the conjugate g y g^-1 of the table
-    y reads g(y(g^-1(t))) at t, so it is g^-1's table translated by y's and
-    then by g's.  With `points` given (a container of tables), a conjugate
-    outside it raises CheckFailure."""
+    per start not met before, its start first.  The conjugate g y g^-1 of
+    the table y reads g(y(g^-1(t))) at t, so it is g^-1's table translated
+    by y's and then by g's.  With `points` given (a container of tables), a
+    conjugate outside it raises CheckFailure."""
     conj = [(g._e + _PAD, g.inverse()._e) for g in gens]
     seen: set[bytes] = set()
     orbits = []
@@ -850,6 +833,20 @@ def _closure(starts, gens, points=None) -> list[list[bytes]]:
     return orbits
 
 
+def _sized_closure(starts, gens, sizes: list[int], what: str) -> tuple[SignedPerm, ...]:
+    """The orbits of the signed tables `starts` under conjugation by `gens`
+    (_closure) as one tuple sorted by image.  Start k lies in a set the group
+    keeps (an H-class, or the roots of c in one) of the class table's size
+    sizes[k]; CheckFailure unless its orbit has that size, so is all of it."""
+    orbits = _closure(starts, gens)
+    got = [len(orbit) for orbit in orbits]
+    if got != sizes:
+        raise CheckFailure("the orbits of %s have %r elements, their classes %r"
+                           % (what, got, sizes))
+    return tuple(sorted((_from_table(e) for orbit in orbits for e in orbit),
+                        key=lambda v: v.image))
+
+
 def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm]]:
     """Orbits of the elements `points` under conjugation x -> g x g^-1 by
     the group the elements `gens` generate, found by closure (_closure).
@@ -858,9 +855,7 @@ def conjugation_orbits(points, gens, center: SignedPerm) -> list[list[SignedPerm
     Certificates: every generator commutes with `center`, so the group lies
     in its centralizer, and every conjugate met lies in `points`, so the set
     is closed under the group.  Either failing raises CheckFailure."""
-    for g in gens:
-        if not _commute(g, center):
-            raise CheckFailure("generator %r does not commute with %r" % (g, center))
+    _check_commuting(gens, center)
     point_of = {x._e: x for x in points}
     return [[point_of[z] for z in orbit] for orbit in _closure(point_of, gens, point_of)]
 
@@ -911,63 +906,49 @@ def classify_order4(v: SignedPerm) -> Order4Shape:
     return Order4Shape("i", n_trans, tr)
 
 
-def square_roots(c: SignedPerm) -> tuple[SignedPerm, ...]:
-    """All v in H with v*v = c, sorted by image.
+@lru_cache(maxsize=None)
+def _order4_squares() -> tuple:
+    """The class power map on the class_table rows (key, r, size) of order 4:
+    (key', h, r, size) with h r^2 h^-1 = class_representative(key')."""
+    return tuple((*(r * r).class_conjugator(), r, size)
+                 for (ctype, _), r, size in class_table() if ctype.order == 4)
 
-    The permutation part p of v must satisfy p(p(i)) = pi_c(i); those p are
-    found by backtracking (_perm_square_roots).  Writing v(e_i) = s_p(i) e_p(i)
-    and c(e_i) = t_pi_c(i) e_pi_c(i), v*v = c asks s_j s_p(j) = t_p(j) for
-    every j.  Along a cycle of p the first sign is free and fixes the rest;
-    the cycle is consistent exactly when the t over it multiply to +1, and a
-    lift lies in H when all its signs multiply to +1."""
-    ceps = c.eps()
+
+def _root_starts(c: SignedPerm) -> list[tuple[bytes, int]]:
+    """(table of s, |C| / |class of c|) per H-class C that squares into the
+    class of c (d0 or pperm, else ValueError), s a root of c in C: squaring
+    commutes with conjugation, so its fibres over the class of c have one
+    size.  A root of an involution has order 4; with h' r^2 h'^-1 = h c h^-1
+    (_order4_squares, c.class_conjugator()), s is r conjugated by h^-1 h'.
+    Certificate: s^2 = c, else CheckFailure."""
+    if c != _D0 and c != _PPERM:
+        raise ValueError("square roots are derived for d0 and pperm only, not %r" % (c,))
+    key, h = c.class_conjugator()
+    n_c = next(size for row_key, _, size in class_table() if row_key == key)
     out = []
-    for p in _perm_square_roots(c.perm()):
-        cycles = _cycles(p)
-        if any(prod(ceps[j] for j in cyc) != 1 for cyc in cycles):
-            continue
-        for starts in product((1, -1), repeat=len(cycles)):
-            eps = [0] * 8
-            for cyc, s in zip(cycles, starts):
-                for j in cyc:
-                    eps[j] = s
-                    s *= ceps[p[j]]
-            if prod(eps) == 1:
-                out.append(SignedPerm.from_eps_perm(tuple(eps), p))
-    return tuple(sorted(out, key=lambda v: v.image))
+    for square_key, h_r, r, size in _order4_squares():
+        if square_key == key:
+            s = r.conjugated_by(h.inverse() * h_r)
+            if s * s != c:
+                raise CheckFailure("the start %r does not square to %r" % (s, c))
+            out.append((s._e, size // n_c))
+    return out
 
 
-def _perm_square_roots(target: tuple[int, ...]):
-    """Every permutation p of range(8) with p(p(i)) = target(i).  Choosing
-    p(i) = j forces p(j) = target(i), which forces the next value in turn;
-    the backtracking branches only on the least unassigned i."""
-    p, taken = [-1] * 8, [False] * 8
-
-    def assign(i: int, j: int, trail: list[int]) -> bool:
-        while p[i] < 0:
-            if taken[j]:
-                return False
-            p[i] = j
-            taken[j] = True
-            trail.append(i)
-            i, j = j, target[i]
-        return p[i] == j
-
-    def extend(i: int):
-        while i < 8 and p[i] >= 0:
-            i += 1
-        if i == 8:
-            yield tuple(p)
-            return
-        for j in range(8):
-            trail: list[int] = []
-            if assign(i, j, trail):
-                yield from extend(i + 1)
-            for k in trail:
-                taken[p[k]] = False
-                p[k] = -1
-
-    yield from extend(0)
+def square_roots(c: SignedPerm) -> tuple[SignedPerm, ...]:
+    """All v in H with v*v = c, sorted by image, for c = d0 or pperm (else
+    ValueError).  The roots of c in one H-class are one orbit of the
+    centralizer of c (if v and h v h^-1 both square to c, h commutes with
+    c), so each start of _root_starts is closed under
+    centralizer_generators(c).  Certificates (CheckFailure): every
+    generator commutes with c, and each orbit has its class's count of
+    roots (_sized_closure), so it is all of them.  The _conjugators do not
+    generate every centralizer in H; the counts hold for d0 and pperm."""
+    starts = _root_starts(c)
+    gens = centralizer_generators(c)
+    _check_commuting(gens, c)
+    return _sized_closure([e for e, _ in starts], gens, [n for _, n in starts],
+                          "the square roots of %s" % ("d0" if c == _D0 else "pperm"))
 
 
 # ---------------------------------------------------------------------------
@@ -1112,28 +1093,27 @@ def search_q8_obstruction(budget: int = 4_000_000) -> Q8Report:
     b a = a^-1 b gives abab = b^2 = c, and abab = c = b^2 gives aba = b.
     So a pair qualifies exactly when ab is again a square root of c.
     Conjugating a pair by the centralizer of c keeps it a pair and keeps its
-    traces, so a runs over one representative per orbit of square roots
-    (certified by conjugation_orbits) and b over every square root; each
-    such pair is tested by one translate of the two tables and one lookup
-    of the product's table among the roots', and charged one unit of
-    budget, row by row."""
+    traces, so a runs over the starts of _root_starts, one root per H-class
+    (square_roots certifies each class's roots to be one orbit of the
+    centralizer), its trace read through its index among the roots, and b
+    over every root.  Each pair is tested by one translate of the two tables
+    and one lookup of the product's table among the roots', and charged one
+    unit of budget, row by row."""
     triples: set[tuple[int, int, int]] = set()
     traces: set[int] = set()
-    n_orbits = []
-    steps = 0
+    n_orbits, steps = [], 0
     for c in even_pairing_starts():
         roots = square_roots(c)
         trace = [v.trace() for v in roots]
         traces.update(trace)
-        orbits = conjugation_orbits(roots, centralizer_generators(c), c)
-        n_orbits.append(len(orbits))
         tables = [v._e for v in roots]
         index = {e: k for k, e in enumerate(tables)}
-        for orbit in orbits:
+        starts = _root_starts(c)
+        n_orbits.append(len(starts))
+        for ea, _ in starts:
             steps += len(roots)
             if steps > budget:
                 raise SearchBudgetExceeded("budget %d exhausted" % budget)
-            ea = orbit[0]._e
             tr_a, a_pad = trace[index[ea]], ea + _PAD
             for j, eb in enumerate(tables):
                 k = index.get(eb.translate(a_pad))

@@ -23,7 +23,7 @@ import pytest
 
 from k3census import e8, sgnperm as sp
 from k3census.sgnperm import InvolutionClass, SignedPerm
-from test_sgnperm_oracles import (byte_table, reference_all_involutions,
+from test_sgnperm_oracles import (byte_table, cycles, reference_all_involutions,
                                   reference_signed_cycles, seeded_elements,
                                   signed_cycle_type_representatives, tuple_product,
                                   tuple_table)
@@ -475,8 +475,8 @@ def test_signed_table_matches_the_image_on_every_route():
         signs = [rng.choice((1, -1)) for _ in range(8)]
         signs[7] *= prod(signs)
         expect_table(SignedPerm.diagonal(signs), "diagonal")
-        cycles = [tuple(j + 1 for j in cyc) for cyc in sp._cycles(perm)]
-        expect_table(SignedPerm.from_cycles(cycles, eps), "from_cycles")
+        one_based = [tuple(j + 1 for j in cyc) for cyc in cycles(perm)]
+        expect_table(SignedPerm.from_cycles(one_based, eps), "from_cycles")
         expect_table(pickle.loads(pickle.dumps(g)), "unpickling")
         expect_table(g * h, "product")
         expect_table(g.inverse(), "inverse")

@@ -2,10 +2,11 @@
 checked when it runs: the class table of H (class_table), its
 involution rows (against d8_involution_count), the even-pairing atoms
 closed from the search starts d0 and pperm (four_a_prime_elements, against
-the involution rows of the 4A' shape) and the conjugation orbits.  These
-tests hand each certificate a broken input and expect CheckFailure, both
-directly and through the command line, where it is exit 1 with no
-traceback.
+the involution rows of the 4A' shape), the square roots of d0 and pperm
+closed from one start per class (square_roots, against the class sizes)
+and the conjugation orbits.  These tests hand each certificate a broken
+input and expect CheckFailure, both directly and through the command line,
+where it is exit 1 with no traceback.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
@@ -25,7 +26,8 @@ IDENTITY = SignedPerm(tuple(range(1, 9)))
 def fresh_caches():
     """Clear the certified tables and atoms around a test that swaps their
     inputs."""
-    cached = (sp.class_table, sp.involution_classes, sp.four_a_prime_elements)
+    cached = (sp.class_table, sp.involution_classes, sp.four_a_prime_elements,
+              sp._order4_squares)
     for f in cached:
         f.cache_clear()
     yield
@@ -33,13 +35,15 @@ def fresh_caches():
         f.cache_clear()
 
 
-def expect_cli_failure(capsys, *argv):
+def expect_cli_failure(capsys, *argv, message="FAIL: "):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     if code != 1:
         pytest.fail("exit %r, not 1, for %r" % (code, argv))
     if out or not err.startswith("FAIL: ") or err.count("\n") != 1 or "Traceback" in err:
         pytest.fail("unexpected output %r / %r" % (out, err))
+    if message not in err:
+        pytest.fail("%r does not name %r" % (err, message))
 
 
 def off_by_one_table():
@@ -67,6 +71,8 @@ def test_genuine_certificates_pass(monkeypatch, fresh_caches):
     if len(sp.four_a_prime_elements()) != 910:
         pytest.fail("%d atoms" % len(sp.four_a_prime_elements()))
     sp.conjugation_orbits([D0], sp.centralizer_generators(D0), D0)
+    if [len(sp.square_roots(c)) for c in (D0, PPERM)] != [528, 48]:
+        pytest.fail("%r square roots" % ([len(sp.square_roots(c)) for c in (D0, PPERM)],))
 
 
 def test_class_size_off_by_one_raises(monkeypatch, fresh_caches):
@@ -198,4 +204,64 @@ def test_cli_fails_on_a_missing_atom(monkeypatch, capsys, fresh_caches):
 
 def test_cli_fails_on_a_non_commuting_generator(monkeypatch, capsys, fresh_caches):
     monkeypatch.setattr(sp, "centralizer_generators", lambda c: [SWAP_4_5])
-    expect_cli_failure(capsys, "census", "q8")
+    expect_cli_failure(capsys, "census", "q8", message="does not commute with")
+
+
+def moved_class_size():
+    """The class rows with 70 moved to the first order-4 class whose squares
+    lie in the class of d0, from a class of order neither 2 nor 4: the sizes
+    still add up to |H| and the involution rows are untouched, but the
+    class table now counts one root of d0 too many in that class."""
+    rows = sp._class_rows()
+    d0_key = D0.class_conjugator()[0]
+    i = next(k for k, ((ctype, _), r, _) in enumerate(rows)
+             if ctype.order == 4 and (r * r).class_conjugator()[0] == d0_key)
+    j = next(k for k, ((ctype, _), _, n) in enumerate(rows)
+             if ctype.order not in (2, 4) and n > 70)
+    rows[i] = rows[i][:2] + (rows[i][2] + 70,)
+    rows[j] = rows[j][:2] + (rows[j][2] - 70,)
+    return rows
+
+
+def test_transpositions_alone_leave_root_orbits_too_small(monkeypatch, fresh_caches):
+    """The conjugators cut to the 7 adjacent transpositions: the 6 of them
+    that commute with d0 do not reach every root of a class."""
+    cut = sp._conjugators()[:7]
+    monkeypatch.setattr(sp, "_conjugators", lambda: cut)
+    with pytest.raises(CheckFailure, match=r"the orbits of the square roots of d0 have \["):
+        sp.square_roots(D0)
+
+
+def test_class_size_off_gives_a_root_count_mismatch(monkeypatch, fresh_caches):
+    certify(monkeypatch, moved_class_size())
+    with pytest.raises(CheckFailure, match="the orbits of the square roots of d0 have .*, "
+                                           "their classes .*145"):
+        sp.square_roots(D0)
+
+
+def test_non_commuting_root_generator_raises(monkeypatch):
+    monkeypatch.setattr(sp, "centralizer_generators", lambda c: [SWAP_4_5])
+    with pytest.raises(CheckFailure, match="does not commute with"):
+        sp.square_roots(D0)
+
+
+def test_start_that_is_no_root_raises(monkeypatch):
+    """The power map with every conjugator h replaced by the identity: the
+    row representative r itself, whose square is the class representative
+    of its square's class and not d0, is taken as a start."""
+    rows = tuple((key, IDENTITY, r, n) for key, _, r, n in sp._order4_squares())
+    monkeypatch.setattr(sp, "_order4_squares", lambda: rows)
+    with pytest.raises(CheckFailure, match="does not square to"):
+        sp.square_roots(D0)
+
+
+def test_square_roots_of_other_elements_raise_value_error():
+    for c in (SignedPerm.from_cycles([(1, 2), (3, 4)]), IDENTITY, SignedPerm.minus_one()):
+        with pytest.raises(ValueError, match="d0 and pperm only"):
+            sp.square_roots(c)
+
+
+def test_cli_fails_on_a_root_count_mismatch(monkeypatch, capsys, fresh_caches):
+    rows = moved_class_size()
+    monkeypatch.setattr(sp, "_class_rows", lambda: rows)
+    expect_cli_failure(capsys, "verify", "lemma-5.2", message="the square roots of d0")

