@@ -349,7 +349,7 @@ def _filter(cand: Candidate, digits: int, audits: list[Audit]) -> None:
     # the Dirac character is additive over the groups
     spin_exact = sum((nu[t][k] for t, ks in zip(GROUP_TYPES[p], cand.residues) for k in ks),
                      CycNum.rational(0))
-    spin = gindex.spin_number(data, spin_exact, ind_dirac=2)
+    spin = gindex.spin_number(data, spin_exact)
     fang = gindex.fang_test(spin, b2plus=3)
     audits.append(Audit(cand.cid, "fang", fang, "spin=%s (%s), d=%s"
                         % (spin_exact, decimal(spin_exact, digits), spin.d)))

@@ -30,8 +30,8 @@ form per (n, c) and certifies each entry once by multiplying back, by
 1 - z^c as a shift of exponents; the cot*cot, csc^2 and csc*cot elements,
 the Dirac character's point terms (gindex) and the cot ratio of lemma 6.4
 (cli) all divide through it, and 1 / (1 + z^b) is written
-(1 - z^b) / (1 - z^(2b)).  None of them calls the generic inverse, which
-stays as the field operation behind `/`.
+(1 - z^b) / (1 - z^(2b)).  None of them calls the generic inverse,
+CycNum.inverse, which stays as the reference the tests check them against.
 
 Decimal embeddings exist only for display and for comparison against
 published 5-decimal tables; they too run on integers, as fixed-point
@@ -293,28 +293,6 @@ class CycNum:
         sign = -1 if norm < 0 else 1
         return CycNum._make(n, [sign * norm.denominator * x for x in others._num],
                             abs(norm.numerator) * others._den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(self, other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycNum.rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- structure ------------------------------------------------------
 

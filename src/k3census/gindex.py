@@ -232,11 +232,11 @@ def spin_value(data: FixedPointData) -> CycNum:
     return total
 
 
-def spin_number(data: FixedPointData, val: CycNum, ind_dirac: int = 2) -> SpinVector:
+def spin_number(data: FixedPointData, val: CycNum) -> SpinVector:
     """The character val = spin_value(data) as an integer vector
     (d_0, ..., d_{p-1}); the vector is only defined up to adding multiples
-    of (1, ..., 1), and the stated total index of the Dirac operator (2 for
-    K3-type input, i.e. -Sign/8) fixes the normalization."""
+    of (1, ..., 1), and the total index of the Dirac operator fixes the
+    normalization: it is 2 = -Sign/8 for K3, the only input."""
     p = data.p
     if val.n == 1:
         coeffs = [val.coeffs[0]] + [Fraction(0)] * (p - 2)
@@ -247,7 +247,7 @@ def spin_number(data: FixedPointData, val: CycNum, ind_dirac: int = 2) -> SpinVe
     if any(c.denominator != 1 for c in coeffs):
         raise CheckFailure("character has non-integral coefficients %r" % (coeffs,))
     ints = [int(c) for c in coeffs] + [0]  # coefficient of mu^{p-1} is 0 in the power basis
-    shift = Fraction(ind_dirac - sum(ints), p)
+    shift = Fraction(2 - sum(ints), p)
     if shift.denominator != 1:
         raise CheckFailure("character does not normalize to the stated index")
     d = tuple(x + int(shift) for x in ints)
@@ -258,11 +258,12 @@ def spin_number(data: FixedPointData, val: CycNum, ind_dirac: int = 2) -> SpinVe
 # obstruction tests
 
 
-def fang_test(d: SpinVector, b2plus: int, sw_nonzero_mod_p: bool = True) -> str:
+def fang_test(d: SpinVector, b2plus: int) -> str:
     """Mod-p vanishing constraint: if 2 d_k <= b2plus - 1 for every k then
-    the corresponding invariant must vanish mod p; a known nonzero value is
-    then a contradiction.  Returns "ruled_out" or "survives"."""
-    if all(2 * dk <= b2plus - 1 for dk in d.d) and sw_nonzero_mod_p:
+    the corresponding invariant must vanish mod p, a contradiction, since
+    for a symplectic action the Seiberg-Witten invariant is nonzero mod p.
+    Returns "ruled_out" or "survives"."""
+    if all(2 * dk <= b2plus - 1 for dk in d.d):
         return "ruled_out"
     return "survives"
 

@@ -60,20 +60,20 @@ class RepDecomp:
         return (self.r, self.t, self.s)
 
 
-def lemma45_census(p: int, rank: int = 8) -> tuple[RepDecomp, ...]:
-    """All decompositions realizable on the E8 form: p r + (p-1) s + t = 8
-    with s even, excluding the trivial representation and, because the form
-    does not split an orthogonal pair of proper pieces, excluding r = 0 with
-    both s > 0 and t > 0."""
+def lemma45_census(p: int) -> tuple[RepDecomp, ...]:
+    """All decompositions realizable on the E8 form: p r + (p-1) s + t = 8,
+    the E8 rank, with s even, excluding the trivial representation and,
+    because the form does not split an orthogonal pair of proper pieces,
+    excluding r = 0 with both s > 0 and t > 0."""
     if p not in (3, 5, 7):
         raise ValueError("census is stated for p in {3, 5, 7}")
     out = []
-    for r in range(rank // p + 1):
-        for s in range(0, (rank - p * r) // (p - 1) + 1, 2):
-            t = rank - p * r - (p - 1) * s
+    for r in range(8 // p + 1):
+        for s in range(0, (8 - p * r) // (p - 1) + 1, 2):
+            t = 8 - p * r - (p - 1) * s
             if t < 0:
                 continue
-            if (r, s, t) == (0, 0, rank):
+            if (r, s, t) == (0, 0, 8):
                 continue
             if r == 0 and s > 0 and t > 0:
                 continue

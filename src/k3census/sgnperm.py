@@ -476,52 +476,55 @@ def fixed_roots(gens) -> tuple[LatticeVec, ...]:
     """Roots fixed by every generator (a single SignedPerm is allowed), in
     enumerate_roots order.
 
-    g(r) = r exactly when sum_i (s_i d_i - d_pi(i))^2 = 0 in doubled
-    coordinates; the sum is taken for all 240 roots at once, one root per
-    byte of an integer (see _fixed_lanes), and OR-ed over the generators.
-    Translating its bytes by _ZERO_BYTE turns them into the selectors of
-    the fixed roots."""
+    g(r) = r exactly when (g(r), r) = 2, since both have norm 2, that is
+    when byte r of g's sum over _root_lanes() is 40; in 24..40 only 40 has
+    both bit 3 and bit 5 set.  Bit 0 of each root byte of
+    total >> 3 & total >> 5 is set exactly there; the AND over the
+    generators, started from _ONES, selects the fixed roots."""
     if isinstance(gens, SignedPerm):
         gens = [gens]
-    lanes = _fixed_lanes()
-    moved = 0
+    lanes = _root_lanes()
+    fixed = _ONES
     for g in gens:
-        moved |= sum(map(getitem, lanes, g._e))
-    return tuple(compress(e8.enumerate_roots(),
-                          moved.to_bytes(240, "little").translate(_ZERO_BYTE)))
+        total = sum(map(getitem, lanes, g._e))
+        fixed &= total >> 3 & total >> 5
+    return tuple(compress(e8.enumerate_roots(), fixed.to_bytes(240, "little")))
 
 
-# byte translation table: 0 -> 1, every other byte -> 0
-_ZERO_BYTE = b"\x01" + bytes(255)
+# bit 0 (_ONES) and bit 2 (_FOURS) of each of the 240 root bytes
+_ONES = int.from_bytes(b"\x01" * 240, "little")
+_FOURS = _ONES << 2
 
 
 @lru_cache(maxsize=None)
-def _fixed_lanes() -> tuple[tuple[int, ...], ...]:
-    """_root_lanes of the bytes (s d_i - d_j)^2.  Each is at most 16, so a
-    sum of 8 stays at most 128 in every byte, and it is 0 exactly when the
-    element fixes that root."""
-    return _root_lanes(lambda xs, ys: [(x - y) ** 2 for x, y in zip(xs, ys)], False)
+def _root_lanes() -> tuple[tuple[int, ...], ...]:
+    """The root-pairing lanes.  lanes[i+1][t] packs the bytes 4 + s d_i d_j
+    over the roots d (doubled, in enumerate_roots order, one root per
+    byte), then 1 + s [j = i] in byte 240, for the table entry t = s(j+1)
+    at letter i+1; a negative t indexes from the end, at the byte t mod 17
+    that stands for t in a table (see _ext).  lanes[0] is all zero, for the
+    table's entry 0, so a table indexes the lanes as it stands.
 
+    With v(e_i) = s_i e_pi(i), byte r of v's sum over the lanes is
+    32 + sum_i s_i d_i d_pi(i) = 32 + 4 (v(r), r).  By Cauchy-Schwarz on
+    the norm-2 roots |(v(r), r)| <= 2, so it lies in 24..40; byte 240 is
+    8 + tr v, in 0..16, and no byte carries into the next.
 
-def _root_lanes(root_bytes, trace_byte: bool) -> tuple[tuple[int, ...], ...]:
-    """lanes[i+1][t] packs the bytes root_bytes(s d_i, d_j) over the roots d
-    (doubled, in enumerate_roots order, one root per byte; root_bytes maps
-    the two coordinate columns to a list of bytes) for the table entry
-    t = s(j+1) at letter i+1; a negative t indexes from the end, at the
-    byte t mod 17 that stands for t in a table (see _ext).  lanes[0] is all
-    zero, for the table's entry 0, so a table indexes the lanes as it
-    stands.  With trace_byte, byte 240 holds 1 + the diagonal entry t puts
-    at position i (s when j = i, else 0)."""
+    Certificate, run once: the identity's sum reads 40 in every root byte
+    and 16 in byte 240, else CheckFailure."""
     cols = list(zip(*(r.d for r in e8.enumerate_roots())))
     lanes = [(0,) * 17]
     for i in range(8):
         row = [0] * 17
         for s in (1, -1):
-            xs = [s * x for x in cols[i]]
             for j in range(8):
-                tail = [1 + s * (j == i)] if trace_byte else []
-                row[s * (j + 1)] = int.from_bytes(bytes(root_bytes(xs, cols[j]) + tail), "little")
+                row[s * (j + 1)] = int.from_bytes(
+                    bytes([4 + s * x * y for x, y in zip(cols[i], cols[j])] + [1 + s * (j == i)]),
+                    "little")
         lanes.append(tuple(row))
+    if sum(map(getitem, lanes, _LETTERS)) != 40 * _ONES + (16 << 1920):
+        raise CheckFailure("the identity's root-pairing lanes do not read (r, r) = 2 "
+                           "and trace 8")
     return tuple(lanes)
 
 
@@ -544,28 +547,15 @@ def parity_witness(v: SignedPerm) -> LatticeVec | None:
     """The first root r, in enumerate_roots order, with (v(r), r) odd, or
     None if all pairings are even.
 
-    With v(e_i) = s_i e_pi(i) and doubled coordinates d = 2r, the pairing is
-    (v(r), r) = sum_i s_i d_i d_pi(i) / 4, so it is odd exactly when that
-    integer sum is not 0 mod 8.  The sum is taken for all 240 roots at once,
-    one root per byte of an integer (see _pairing_lanes)."""
-    lanes, low_bits = _pairing_lanes()
-    k = _odd_byte(sum(map(getitem, lanes, v._e)) & low_bits)
+    Byte r of v's sum over _root_lanes() is 32 + 4 (v(r), r), so the
+    pairing is odd exactly when its bit 2 is set; _FOURS picks those bits."""
+    k = _odd_byte(sum(map(getitem, _root_lanes(), v._e)) & _FOURS)
     return e8.enumerate_roots()[k] if k >= 0 else None
 
 
 def _odd_byte(odd: int) -> int:
     """The index of the lowest nonzero byte of odd, -1 if odd is 0."""
     return ((odd & -odd).bit_length() - 1) >> 3
-
-
-@lru_cache(maxsize=None)
-def _pairing_lanes() -> tuple[tuple[tuple[int, ...], ...], int]:
-    """_root_lanes of the bytes s d_i d_j mod 8, with the trace byte.  A sum
-    of 8 entries stays below 256 in every byte, so its bytes masked by
-    low_bits are the sums mod 8.  Byte 240 of the sum is the trace plus 8,
-    at most 16; low_bits leaves it out."""
-    lanes = _root_lanes(lambda xs, ys: [x * y % 8 for x, y in zip(xs, ys)], True)
-    return lanes, int.from_bytes(b"\x07" * 240, "little")
 
 
 def involution_class(v: SignedPerm) -> InvolutionClass:
@@ -576,18 +566,17 @@ def involution_class(v: SignedPerm) -> InvolutionClass:
     is read off v itself: (-v(r), r) = -(v(r), r), so v and -v have the same
     roots with odd pairing, and the same first one.
 
-    The trace and the witness come from one sum over the pairing lanes
-    (byte 240 carries the trace, see _pairing_lanes).  The record depends on
-    them alone, so it comes from _involution_record, which makes one per
-    key (the trace and the witness's byte index): equal inputs share one
-    frozen record."""
+    The trace and the witness come from one sum over _root_lanes(): byte
+    240 is 8 + tr v, and bit 2 of root byte r is the parity of (v(r), r)
+    (see parity_witness).  The record depends on them alone, so it comes
+    from _involution_record, which makes one per key (the trace and the
+    witness's byte index): equal inputs share one frozen record."""
     if not v.is_involution():
         raise ValueError("element is not an involution")
     if v._e == _MINUS_TABLE:
         raise ValueError("central element -1 is excluded")
-    lanes, low_bits = _pairing_lanes()
-    total = sum(map(getitem, lanes, v._e))
-    return _involution_record((total >> 1920) - 8, _odd_byte(total & low_bits))
+    total = sum(map(getitem, _root_lanes(), v._e))
+    return _involution_record((total >> 1920) - 8, _odd_byte(total & _FOURS))
 
 
 @lru_cache(maxsize=None)

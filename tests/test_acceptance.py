@@ -127,7 +127,7 @@ def test_criterion_06_spin_numbers():
         val = gi.spin_value(data)
         if rational is not None:
             assert val.as_rational() == rational
-        sv = gi.spin_number(data, val, ind_dirac=2)
+        sv = gi.spin_number(data, val)
         assert sv.d == dvec
         assert sv.d[0] % 2 == 0
         assert all(sv.d[k] == sv.d[5 - k] for k in range(1, 5))
@@ -183,7 +183,9 @@ def test_criterion_08_kirby_siebenmann():
 def test_criterion_09_minimal_polynomials():
     one = cy.CycNum.rational(1)
     z1, z2 = cy.cyc_make(5, 1), cy.cyc_make(5, 2)
-    ratio = ((one + z1) / (one - z1)) / ((one + z2) / (one - z2))
+    i_cot1 = (one + z1) * (one - z1).inverse()
+    i_cot2 = (one + z2) * (one - z2).inverse()
+    ratio = i_cot1 * i_cot2.inverse()
     assert cy.minimal_polynomial(ratio) == (Fraction(-1), Fraction(-4), Fraction(1))
     cosv = cy.cos_angle(5, 1)
     assert cy.minimal_polynomial(cosv) == (Fraction(-1, 4), Fraction(-1, 2), Fraction(1))

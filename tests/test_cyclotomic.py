@@ -77,7 +77,9 @@ def test_embed_digit_stability():
 def test_minimal_polynomial_examples():
     one = CycNum.rational(1)
     z1, z2 = cyc_make(5, 1), cyc_make(5, 2)
-    ratio = ((one + z1) / (one - z1)) / ((one + z2) / (one - z2))  # cot ratio
+    i_cot1 = (one + z1) * (one - z1).inverse()
+    i_cot2 = (one + z2) * (one - z2).inverse()
+    ratio = i_cot1 * i_cot2.inverse()  # cot ratio
     assert cy.minimal_polynomial(ratio) == (Fraction(-1), Fraction(-4), Fraction(1))
     assert cy.minimal_polynomial(CycNum.rational(1)) == (Fraction(-1), Fraction(1))
     assert cy.minimal_polynomial(cy.cos_angle(5, 1)) == \

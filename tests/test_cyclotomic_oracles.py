@@ -249,24 +249,25 @@ def test_closed_form_inverse_matches_generic_inverse():
 
 
 def division_route(p):
-    """The cot, csc and point-term elements as quotients through `/`."""
+    """The cot, csc and point-term elements as quotients through the
+    generic inverse, CycNum.inverse."""
     one = CycNum.rational(1)
 
     def z(k):
         return CycNum.zeta(p, k)
 
     def cot_product(a, b):
-        return ((one + z(a)) * (one + z(b))) / ((one - z(a)) * (one - z(b)))
+        return (one + z(a)) * (one + z(b)) * ((one - z(a)) * (one - z(b))).inverse()
 
     def csc_squared(c):
-        return CycNum.rational(4) / ((one - z(c)) * (one - z(-c)))
+        return CycNum.rational(4) * ((one - z(c)) * (one - z(-c))).inverse()
 
     def point_term(a, b):
         r = next(r for r in range(p) if (2 * r + a + b) % p == 0)
-        return z(r) / ((one - z(-a)) * (one - z(-b)))
+        return z(r) * ((one - z(-a)) * (one - z(-b))).inverse()
 
     def cot_ratio(a, b):
-        return ((one + z(a)) * (one - z(b))) / ((one - z(a)) * (one + z(b)))
+        return (one + z(a)) * (one - z(b)) * ((one - z(a)) * (one + z(b))).inverse()
 
     return cot_product, csc_squared, point_term, cot_ratio
 
@@ -306,7 +307,9 @@ def test_minimal_polynomials_match_sympy():
 
     one = CycNum.rational(1)
     z1, z2 = cy.cyc_make(5, 1), cy.cyc_make(5, 2)
-    ratio = ((one + z1) / (one - z1)) / ((one + z2) / (one - z2))
+    i_cot1 = (one + z1) * (one - z1).inverse()
+    i_cot2 = (one + z2) * (one - z2).inverse()
+    ratio = i_cot1 * i_cot2.inverse()
     assert cy.minimal_polynomial(ratio) == \
         monic(sympy.cot(sympy.pi / 5) / sympy.cot(2 * sympy.pi / 5))
     assert cy.minimal_polynomial(cy.cos_angle(5, 1)) == monic(sympy.cos(sympy.pi / 5))

@@ -8,20 +8,24 @@ inverses and conjugates (translates of byte tables, unchecked) against the
 image comprehension, the checking constructor and the tuple-table gather
 and dictionary routes, the byte table against the image on every
 construction route, the coded cycle walk on every class representative,
-trace() against two scans, and the compress-selected fixed roots against a
-generator over the lane bytes.
+trace() against two scans, the root-pairing lanes against
+32 + 4 e8.inner(v(r), r) and their identity certificate, and the fixed roots
+read off the root-pairing lanes against the old route, a generator over the
+zero bytes of a table of (s d_i - d_j)^2.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
 
 import pickle
 import random
+from functools import lru_cache
 from math import prod
 from operator import eq, getitem
 
 import pytest
 
 from k3census import e8, sgnperm as sp
+from k3census.errors import CheckFailure
 from k3census.sgnperm import InvolutionClass, SignedPerm
 from test_sgnperm_oracles import (byte_table, cycles, reference_all_involutions,
                                   reference_signed_cycles, seeded_elements,
@@ -509,17 +513,43 @@ def test_type_records_carry_order_charpoly_and_trace():
 
 
 def test_pairing_lanes_carry_the_trace_in_byte_240():
-    """One sum over the pairing lanes gives the trace (byte 240, minus 8)
-    and, under low_bits, the parity sums: on kernel_inputs() the trace is
+    """One sum over the root-pairing lanes gives the trace (byte 240, minus
+    8) and, under _FOURS, the parity bits: on kernel_inputs() the trace is
     the two-scan trace and the witness is parity_witness's."""
-    lanes, low_bits = sp._pairing_lanes()
+    lanes = sp._root_lanes()
     for g in kernel_inputs():
         total = sum(map(getitem, lanes, g._e))
         if (total >> 1920) - 8 != reference_trace(g):
             pytest.fail("%r: byte 240 reads %d" % (g, total >> 1920))
-        k = sp._odd_byte(total & low_bits)
+        k = sp._odd_byte(total & sp._FOURS)
         if (e8.enumerate_roots()[k] if k >= 0 else None) != sp.parity_witness(g):
             pytest.fail("%r: the fused witness differs" % (g,))
+
+
+def test_root_bytes_are_the_pairings():
+    """On the 100 class_table() representatives and 1000 seeded elements,
+    byte r of the sum over the lanes is 32 + 4 (v(r), r), the pairing
+    taken by e8.inner on the applied root."""
+    lanes = sp._root_lanes()
+    roots = e8.enumerate_roots()
+    for v in [rep for _, rep, _ in sp.class_table()] + seeded_elements(1000, seed=2901):
+        got = sum(map(getitem, lanes, v._e)).to_bytes(241, "little")[:240]
+        want = bytes(32 + 4 * e8.inner(v.apply(r), r) for r in roots)
+        if got != want:
+            pytest.fail("%r: root bytes %r, pairings %r" % (v, got, want))
+
+
+def test_lane_certificate_fires_on_a_corrupted_root_list(monkeypatch):
+    """A zero vector in place of the first root reads 32, not 40, in the
+    identity's sum: the builder raises CheckFailure."""
+    corrupted = (e8.LatticeVec((0,) * 8),) + e8.enumerate_roots()[1:]
+    sp._root_lanes.cache_clear()
+    monkeypatch.setattr(e8, "enumerate_roots", lambda: corrupted)
+    try:
+        with pytest.raises(CheckFailure, match="identity's root-pairing lanes"):
+            sp._root_lanes()
+    finally:
+        sp._root_lanes.cache_clear()
 
 
 def class_representatives():
@@ -546,10 +576,28 @@ def test_lane_trace_matches_two_scans():
             pytest.fail("%r: trace %d, two scans %d" % (g, g.trace(), reference_trace(g)))
 
 
+@lru_cache(maxsize=None)
+def reference_fixed_lanes():
+    """lanes[i+1][s(j+1)] packs the bytes (s d_i - d_j)^2 over the doubled
+    roots d, one per byte in enumerate_roots order; lanes[0] is all zero.
+    A sum of 8 stays at most 128 in every byte, and it is 0 exactly when the
+    element fixes that root."""
+    cols = list(zip(*(r.d for r in e8.enumerate_roots())))
+    lanes = [(0,) * 17]
+    for i in range(8):
+        row = [0] * 17
+        for s in (1, -1):
+            for j in range(8):
+                row[s * (j + 1)] = int.from_bytes(
+                    bytes((s * x - y) ** 2 for x, y in zip(cols[i], cols[j])), "little")
+        lanes.append(tuple(row))
+    return tuple(lanes)
+
+
 def reference_fixed_roots(gens):
-    """The roots whose byte of the packed lane sum is 0, picked by a
-    generator over the bytes."""
-    lanes = sp._fixed_lanes()
+    """The roots whose byte of the packed (s d_i - d_j)^2 sum is 0, picked by
+    a generator over the bytes."""
+    lanes = reference_fixed_lanes()
     moved = 0
     for g in gens:
         moved |= sum(map(getitem, lanes, g._e))

@@ -114,9 +114,6 @@ def test_fang():
     assert gi.fang_test(SpinVector(5, (-2, 1, 1, 1, 1)), 3) == "ruled_out"
     assert gi.fang_test(SpinVector(5, (-2, 0, 2, 2, 0)), 3) == "survives"
     assert gi.fang_test(SpinVector(5, (0, 0, 1, 1, 0)), 3) == "ruled_out"
-    # with vanishing invariant nothing is ruled out
-    assert gi.fang_test(SpinVector(5, (-2, 1, 1, 1, 1)), 3,
-                        sw_nonzero_mod_p=False) == "survives"
 
 
 def test_furuta():

@@ -431,7 +431,7 @@ def reference_spin_value(data):
         r = next(r for r in range(p) if (2 * r + a + b) % p == 0)
         num = cyc_make(p, r)
         den = (CycNum.rational(1) - cyc_make(p, -a)) * (CycNum.rational(1) - cyc_make(p, -b))
-        total = total + num / den
+        total = total + num * den.inverse()
     for _, selfint, c in data.surfaces:
         if selfint == 0:
             continue
