@@ -40,7 +40,6 @@ class FixedPointData:
     p: int
     isolated: tuple[tuple[int, int], ...] = ()
     surfaces: tuple[tuple[int, int, int], ...] = ()  # (genus, selfint, c)
-    power: int = 1
 
     def __post_init__(self):
         if self.p < 2:
@@ -62,8 +61,6 @@ class FixedPointData:
             surf.append((g, si, c))
         object.__setattr__(self, "isolated", tuple(sorted(iso)))
         object.__setattr__(self, "surfaces", tuple(sorted(surf)))
-        if self.power % self.p == 0:
-            raise ValueError("power must be nonzero mod p")
 
     def at_power(self, k: int) -> "FixedPointData":
         """The same fixed set seen by g^k: all rotation numbers scale by k."""
@@ -71,7 +68,6 @@ class FixedPointData:
             self.p,
             tuple((k * a, k * b) for a, b in self.isolated),
             tuple((g, si, k * c) for g, si, c in self.surfaces),
-            power=self.power * k,
         )
 
     def euler_characteristic(self) -> int:

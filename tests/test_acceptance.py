@@ -13,8 +13,7 @@ from k3census import census as cs
 from k3census import cyclotomic as cy
 from k3census import e8, gindex as gi, kummer as km, reps, sgnperm as sp
 from k3census.gindex import FixedPointData, SpinVector
-from k3census.sgnperm import SignedPerm
-from conftest import profile_from_rts
+from conftest import profile_from_rts, rand_element
 
 
 def _ok(num, msg):
@@ -274,12 +273,7 @@ def test_criterion_14_property_suites():
     # isometry of signed permutations
     fs = e8.standard_basis()
     for _ in range(50):
-        perm = list(range(8))
-        rng.shuffle(perm)
-        eps = [rng.choice((1, -1)) for _ in range(8)]
-        if eps.count(-1) % 2:
-            eps[0] = -eps[0]
-        g = SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+        g = rand_element(rng)
         u = sum((f.scaled(rng.randint(-2, 2)) for f in fs), e8.LatticeVec((0,) * 8))
         v = sum((f.scaled(rng.randint(-2, 2)) for f in fs), e8.LatticeVec((0,) * 8))
         assert e8.inner(g.apply(u), g.apply(v)) == e8.inner(u, v)

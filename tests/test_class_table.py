@@ -13,8 +13,7 @@ import pytest
 
 from k3census import sgnperm as sp
 from k3census.sgnperm import SignedPerm
-from test_sgnperm_oracles import (reference_all_involutions, reference_signed_cycles,
-                                  seeded_elements)
+from conftest import reference_signed_cycles, seeded_elements
 
 # generators of H: the 7 adjacent transpositions and one double sign change
 GENERATORS = ([SignedPerm.from_cycles([(i, i + 1)]) for i in range(1, 8)]
@@ -84,10 +83,10 @@ def test_small_class_sizes_match_orbit_closure():
         pytest.fail("only %d classes checked" % checked)
 
 
-def test_involution_rows_match_brute_force_counts():
+def test_involution_rows_match_brute_force_counts(involutions):
     """The 14 involution rows against every involution of H but +-1,
     counted per class key."""
     rows = {v.class_conjugator()[0]: n for v, n in sp.involution_classes()}
-    counts = Counter(v.class_conjugator()[0] for v in reference_all_involutions())
+    counts = Counter(x.element.class_conjugator()[0] for x in involutions)
     if len(rows) != 14 or sum(rows.values()) != 17038 or dict(counts) != rows:
         pytest.fail("rows %r, counted %r" % (rows, dict(counts)))

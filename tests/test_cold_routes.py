@@ -97,11 +97,10 @@ def newton_and_leverrier(m, p):
     return seen[0], list_charpoly(m)
 
 
-def test_newton_charpoly_matches_leverrier_on_the_witnesses():
-    witnesses = [(p, reps.coxeter_witness(p, (d.r, d.s, d.t)))
-                 for p in (3, 5, 7) for d in reps.lemma45_census(p)]
+def test_newton_charpoly_matches_leverrier_on_the_witnesses(witness_inputs):
+    witnesses = witness_inputs.witnesses
     assert len(witnesses) == 7
-    for p, m in witnesses:
+    for p, _, m in witnesses:
         newton, leverrier = newton_and_leverrier(m, p)
         assert newton == leverrier, (p, m)
 

@@ -1,13 +1,11 @@
-"""Plain Fraction reference versions of the cyclotomic and lattice-matrix
-kernels, kept here and nowhere in the package.  Each pins an integer kernel
-(CycNum products, inverses and conjugates, the integer characteristic
-polynomial, the f-basis change, the reflection word product) to the rational
-polynomial or linear-algebra route it replaces.  The closed-form
-1 / (1 - z^c) is pinned by its reference product with 1 - z^c, and the cot,
-csc and Dirac point-term elements built on it to the `/` route they
-replaced."""
+"""Plain Fraction reference versions of the cyclotomic kernels, kept here
+and nowhere in the package.  Each pins an integer kernel (CycNum
+construction, products, inverses and conjugates) to the rational polynomial
+route it replaces.  The closed-form 1 / (1 - z^c) is pinned by its
+reference product with 1 - z^c, and the cot, csc and Dirac point-term
+elements built on it to the `/` route they replaced, whose CycNum.inverse
+is pinned to the Fraction extended Euclid."""
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -16,11 +14,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from k3census import cli, cyclotomic as cy, e8, gindex, linalg, reps
+from k3census import cli, cyclotomic as cy, gindex
 from k3census.cyclotomic import CycNum
-from k3census.sgnperm import SignedPerm
-from test_e8_oracles import ref_basis_inverse
-from test_linalg import identity
 
 CONDUCTORS = (1, 3, 4, 5, 7, 8, 10, 12, 14, 15)
 ORACLE = settings(derandomize=True, max_examples=80, deadline=None)
@@ -138,8 +133,23 @@ def elements(draw, conductors=CONDUCTORS):
 @ORACLE
 @given(elements())
 def test_construction_reduces_like_reference(elt):
+    """Construction reduces like ref_reduce, the stored form is canonical
+    (the same repr, lowest terms over a positive denominator), and the
+    inverse is the Fraction extended Euclid's; zero has none."""
     n, c = elt
-    assert CycNum(n, c).coeffs == ref_reduce(c, n)
+    x = CycNum(n, c)
+    assert x.coeffs == ref_reduce(c, n)
+    y = CycNum(n, x.coeffs)
+    assert x == y and repr(x) == repr(y)
+    num, den = x._num, x._den
+    assert den > 0 and gcd(den, *num) == 1
+    assert (y._num, y._den) == (num, den)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert x.inverse().coeffs == ref_inverse(x.coeffs, n)
+    assert x * x.inverse() == 1
 
 
 @ORACLE
@@ -151,19 +161,6 @@ def test_products_match_reference(data):
     want = ref_mul(ref_reduce(a, n), b, n)
     assert (x * y).coeffs == want
     assert (y * x).coeffs == want
-
-
-@ORACLE
-@given(elements())
-def test_inverses_match_reference(elt):
-    n, c = elt
-    x = CycNum(n, c)
-    if x.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-        return
-    assert x.inverse().coeffs == ref_inverse(x.coeffs, n)
-    assert x * x.inverse() == 1
 
 
 @ORACLE
@@ -190,37 +187,6 @@ def test_promotion_and_mixed_conductors_match_reference(data):
     assert (x + y).coeffs == tuple(u + v for u, v in zip(up, y.coeffs))
     assert (x * y).coeffs == ref_mul(up, y.coeffs, m)
     assert x.promoted(m) == x
-
-
-@ORACLE
-@given(elements())
-def test_representation_is_canonical(elt):
-    n, c = elt
-    x = CycNum(n, c)
-    y = CycNum(n, x.coeffs)
-    assert x == y and repr(x) == repr(y)
-    num, den = x._num, x._den
-    assert den > 0 and gcd(den, *num) == 1
-    assert (y._num, y._den) == (num, den)
-
-
-def test_trig_elements_match_reference():
-    def one_plus(k, sign, p):  # 1 + sign * z^k
-        z = ref_zeta(p, k)
-        return ref_reduce([1 + sign * z[0]] + [sign * x for x in z[1:]], p)
-
-    for p in (3, 5, 7):
-        for a in range(1, p):
-            for b in range(1, p):
-                want = ref_mul(ref_mul(one_plus(a, 1, p), one_plus(b, 1, p), p),
-                               ref_inverse(ref_mul(one_plus(a, -1, p), one_plus(b, -1, p), p), p),
-                               p)
-                assert cy.cot_product(p, a, b).coeffs == want
-                assert cy.cot_product(p, a + p, b - p) is cy.cot_product(p, a + p, b - p)
-            csc2 = ref_mul(ref_reduce([Fraction(4)], p),
-                           ref_inverse(ref_mul(one_plus(a, -1, p), one_plus(-a, -1, p), p), p), p)
-            assert cy.csc_squared(p, a).coeffs == csc2
-            assert cy.csc_cot(p, a).coeffs == ref_mul(cy.cos_angle(p, a).coeffs, csc2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +239,15 @@ def division_route(p):
 
 
 def test_trig_elements_match_division_route():
+    """cot_product, _point_term, _cot_ratio, csc_squared and csc_cot against
+    quotients through CycNum.inverse, for p up to 13; cot_product is
+    memoized."""
     for p in DIVISION_PRIMES:
         cot_product, csc_squared, point_term, cot_ratio = division_route(p)
         for a in range(1, p):
             for b in range(1, p):
+                if cy.cot_product(p, a + p, b - p) is not cy.cot_product(p, a + p, b - p):
+                    pytest.fail("cot_product(%d, %d, %d) is not memoized" % (p, a + p, b - p))
                 checks = ((cy.cot_product(p, a, b), cot_product(a, b), "cot_product"),
                           (gindex._point_term(p, a, b), point_term(a, b), "_point_term"),
                           (cli._cot_ratio(p, a, b), cot_ratio(a, b), "_cot_ratio"))
@@ -313,118 +284,3 @@ def test_minimal_polynomials_match_sympy():
     assert cy.minimal_polynomial(ratio) == \
         monic(sympy.cot(sympy.pi / 5) / sympy.cot(2 * sympy.pi / 5))
     assert cy.minimal_polynomial(cy.cos_angle(5, 1)) == monic(sympy.cos(sympy.pi / 5))
-
-
-# ---------------------------------------------------------------------------
-# lattice matrices against the Fraction routes
-
-
-def fraction_charpoly(a):
-    """Faddeev-LeVerrier over Fraction."""
-    n = len(a)
-    am = [[Fraction(x) for x in row] for row in a]
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = identity(n)
-    for k in range(1, n + 1):
-        m = [[sum(am[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
-
-
-def eight_solve_f_matrix(m_e):
-    """Column j is the solution x = F^-1 M f_j of F x = M f_j, with
-    F^-1 = B / s from sympy's exact inverse (independent of the Smith
-    elimination behind e8.matrix_in_f_basis)."""
-    s, b = ref_basis_inverse()
-    fs = e8.standard_basis()
-    f = [[fs[j].halves()[i] for j in range(8)] for i in range(8)]
-    out = [[None] * 8 for _ in range(8)]
-    for j in range(8):
-        col = [sum(Fraction(m_e[i][k]) * f[k][j] for k in range(8)) for i in range(8)]
-        coords = [sum(x * c for x, c in zip(row, col)) / s for row in b]
-        for i in range(8):
-            if coords[i].denominator != 1:
-                raise ValueError("matrix does not preserve the lattice")
-            out[i][j] = int(coords[i])
-    return out
-
-
-def rand_element(rng) -> SignedPerm:
-    perm = list(range(8))
-    rng.shuffle(perm)
-    eps = [rng.choice((1, -1)) for _ in range(8)]
-    if eps.count(-1) % 2:
-        eps[0] = -eps[0]
-    return SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
-
-
-@pytest.fixture(scope="module")
-def witness_inputs():
-    """The e-coordinate matrices coxeter_witness hands to matrix_in_f_basis,
-    each with its scale (4 for the integer Coxeter words), and its results."""
-    seen = []
-    original = e8.matrix_in_f_basis
-
-    def record(m_e, scale=1):
-        seen.append((m_e, scale))
-        return original(m_e, scale)
-
-    e8.matrix_in_f_basis = record
-    try:
-        results = [reps.coxeter_witness(p, (d.r, d.s, d.t))
-                   for p in (3, 5, 7) for d in reps.lemma45_census(p)]
-    finally:
-        e8.matrix_in_f_basis = original
-    return seen, [m for m in results if m is not None]
-
-
-def test_charpoly_matches_fraction_leverrier(witness_inputs):
-    _, witnesses = witness_inputs
-    assert len(witnesses) == 7
-    for m in witnesses:
-        assert linalg.charpoly(m) == fraction_charpoly(m)
-    rng = random.Random(31415)
-    for _ in range(200):
-        g = rand_element(rng)
-        m = e8.matrix_in_f_basis(g.matrix_e())
-        cp = linalg.charpoly(m)
-        assert cp == fraction_charpoly(m) == list(g.charpoly())
-        assert all(type(c) is int for c in cp)
-
-
-def test_charpoly_rejects_non_integer_matrices():
-    with pytest.raises(ValueError):
-        linalg.charpoly([[Fraction(1, 2)]])
-
-
-def test_matrix_in_f_basis_matches_eight_solves(witness_inputs):
-    inputs, _ = witness_inputs
-    assert len(inputs) == 7
-    assert sorted(scale for _, scale in inputs) == [1, 1, 1, 1, 4, 4, 4]
-    for m_e, scale in inputs:
-        want = eight_solve_f_matrix([[Fraction(x, scale) for x in row] for row in m_e])
-        assert e8.matrix_in_f_basis(m_e, scale) == want
-    rng = random.Random(27182)
-    for _ in range(200):
-        m_e = rand_element(rng).matrix_e()
-        assert e8.matrix_in_f_basis(m_e) == eight_solve_f_matrix(m_e)
-    # a matrix that does not preserve the lattice fails on both routes
-    half = [[Fraction(int(i == j), 1 + (i == j == 0)) for j in range(8)] for i in range(8)]
-    for route in (e8.matrix_in_f_basis, eight_solve_f_matrix):
-        with pytest.raises(ValueError):
-            route(half)
-
-
-def test_word_matrix_matches_fraction_product():
-    rng = random.Random(1729)
-    roots = e8.enumerate_roots()
-    words = [list(ch) for ch in e8.orthogonal_a2_quadruple()] + list(map(list, e8.orthogonal_a4_pair()))
-    words += [[rng.choice(roots) for _ in range(rng.randint(0, 6))] for _ in range(30)]
-    for word in words:
-        want = identity(8)
-        for r in word:
-            want = linalg.mat_mul(want, e8.reflection_matrix(r))
-        assert e8.scaled_word_matrix(word) == [[4 * x for x in row] for row in want]

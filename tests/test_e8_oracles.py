@@ -7,7 +7,9 @@ the routes it replaced: the same depth-first search over `inner` on
 `LatticeVec` objects, sorted with `LatticeVec.__lt__`.  They must visit
 the roots in the same order and so return identical witnesses.  The f-basis
 inverse, now C^-1 D^T from the Smith form of the Cartan matrix, is compared
-with sympy's exact inverse of the basis matrix.
+with sympy's exact inverse of the basis matrix, and matrix_in_f_basis with
+eight rational solves through that inverse.  The scaled reflection word
+product is compared with the Fraction product of reflection matrices.
 
 No check uses the assert statement, so the file keeps its meaning under
 `python -O`."""
@@ -20,9 +22,10 @@ from math import lcm
 import pytest
 import sympy
 
-from k3census import e8, sgnperm as sp
+from k3census import e8, linalg, sgnperm as sp
 from k3census.e8 import inner
-from test_linalg import det
+from conftest import seeded_elements
+from test_linalg import det, identity
 
 
 def ref_normalized_mod_sign(roots):
@@ -110,17 +113,8 @@ def ref_basis_inverse():
 def fixed_root_sets():
     """Root sets the package searches: all roots, and the roots fixed by
     seeded elements of H of every order up to 8."""
-    rng = random.Random(8128)
-    sets = [list(e8.enumerate_roots())]
-    for _ in range(40):
-        perm = list(range(8))
-        rng.shuffle(perm)
-        eps = [rng.choice((1, -1)) for _ in range(8)]
-        if eps.count(-1) % 2:
-            eps[0] = -eps[0]
-        g = sp.SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
-        sets.append(list(sp.fixed_roots(g)))
-    return sets
+    return [list(e8.enumerate_roots())] + [list(sp.fixed_roots(g))
+                                           for g in seeded_elements(40, seed=8128)]
 
 
 def test_normalization_matches_lattice_vec_order():
@@ -202,3 +196,57 @@ def test_span_check_is_the_cartan_matrix():
     f = [[Fraction(x, 2) for x in fv.d] for fv in e8.standard_basis()]
     if abs(det(f)) != 1 or det(e8.expected_cartan()) != 1:
         pytest.fail("det F or det C is not +-1")
+
+
+# ---------------------------------------------------------------------------
+# lattice matrices against the Fraction routes
+
+
+def eight_solve_f_matrix(m_e):
+    """Column j is the solution x = F^-1 M f_j of F x = M f_j, with
+    F^-1 = B / s from sympy's exact inverse (independent of the Smith
+    elimination behind e8.matrix_in_f_basis)."""
+    s, b = ref_basis_inverse()
+    fs = e8.standard_basis()
+    f = [[fs[j].halves()[i] for j in range(8)] for i in range(8)]
+    out = [[None] * 8 for _ in range(8)]
+    for j in range(8):
+        col = [sum(Fraction(m_e[i][k]) * f[k][j] for k in range(8)) for i in range(8)]
+        coords = [sum(x * c for x, c in zip(row, col)) / s for row in b]
+        for i in range(8):
+            if coords[i].denominator != 1:
+                raise ValueError("matrix does not preserve the lattice")
+            out[i][j] = int(coords[i])
+    return out
+
+
+def test_matrix_in_f_basis_matches_eight_solves(witness_inputs):
+    inputs = witness_inputs.e_inputs
+    if len(inputs) != 7 or sorted(scale for _, scale in inputs) != [1, 1, 1, 1, 4, 4, 4]:
+        pytest.fail("witness inputs with scales %r" % sorted(scale for _, scale in inputs))
+    for m_e, scale in inputs:
+        want = eight_solve_f_matrix([[Fraction(x, scale) for x in row] for row in m_e])
+        if e8.matrix_in_f_basis(m_e, scale) != want:
+            pytest.fail("%r / %d: f-basis matrix differs from eight solves" % (m_e, scale))
+    for g in seeded_elements(200, seed=27182):
+        m_e = g.matrix_e()
+        if e8.matrix_in_f_basis(m_e) != eight_solve_f_matrix(m_e):
+            pytest.fail("%r: f-basis matrix differs from eight solves" % (g,))
+    # a matrix that does not preserve the lattice fails on both routes
+    half = [[Fraction(int(i == j), 1 + (i == j == 0)) for j in range(8)] for i in range(8)]
+    for route in (e8.matrix_in_f_basis, eight_solve_f_matrix):
+        with pytest.raises(ValueError):
+            route(half)
+
+
+def test_word_matrix_matches_fraction_product():
+    rng = random.Random(1729)
+    roots = e8.enumerate_roots()
+    words = [list(ch) for ch in e8.orthogonal_a2_quadruple()] + list(map(list, e8.orthogonal_a4_pair()))
+    words += [[rng.choice(roots) for _ in range(rng.randint(0, 6))] for _ in range(30)]
+    for word in words:
+        want = identity(8)
+        for r in word:
+            want = linalg.mat_mul(want, e8.reflection_matrix(r))
+        if e8.scaled_word_matrix(word) != [[4 * x for x in row] for row in want]:
+            pytest.fail("%r: scaled word matrix differs from the Fraction product" % (word,))

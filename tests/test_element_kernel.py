@@ -2,35 +2,31 @@
 one-pass letter-code check against the old set-and-product check, the
 cached signed cycle type against a fresh walk, the type record's order,
 charpoly and trace against the type functions and a two-scan trace,
-involution_class against classifying -v through the product
-minus_one() * v and against the record built field by field, products,
-inverses and conjugates (translates of byte tables, unchecked) against the
-image comprehension, the checking constructor and the tuple-table gather
-and dictionary routes, the byte table against the image on every
-construction route, the coded cycle walk on every class representative,
-trace() against two scans, the root-pairing lanes against
-32 + 4 e8.inner(v(r), r) and their identity certificate, and the fixed roots
-read off the root-pairing lanes against the old route, a generator over the
-zero bytes of a table of (s d_i - d_j)^2.
+involution_class against the record built field by field from the
+reference trace and parity witness of the `involutions` fixture, products,
+inverses and conjugates (translates of byte tables, unchecked) against
+tuple_product, inverse_image and byte_table, the byte table against the
+image on every construction route, the coded cycle walk on every class
+representative, trace() against two scans, and the root-pairing lanes
+against 32 + 4 (v(r), r) from the lattice action and their identity
+certificate.
 
 They check with pytest.raises and pytest.fail, never with the assert
 statement, so they keep their meaning under `python -O -m pytest`."""
 
 import pickle
 import random
-from functools import lru_cache
 from math import prod
-from operator import eq, getitem
+from operator import getitem, mul
 
 import pytest
 
 from k3census import e8, sgnperm as sp
 from k3census.errors import CheckFailure
 from k3census.sgnperm import InvolutionClass, SignedPerm
-from test_sgnperm_oracles import (byte_table, cycles, reference_all_involutions,
-                                  reference_signed_cycles, seeded_elements,
-                                  signed_cycle_type_representatives, tuple_product,
-                                  tuple_table)
+from conftest import (IDENT, byte_table, class_representatives, cycles, inverse_image,
+                      reference_signed_cycles, reference_trace, root_images,
+                      seeded_elements, signed_identity, tuple_product)
 
 LETTERS = frozenset(range(1, 9))
 NOT_LETTERS = "not a signed permutation of 8 letters"
@@ -119,22 +115,13 @@ def reference_walk(g):
     return tuple(sorted((len(cyc), sign) for cyc, sign in reference_signed_cycles(g)))
 
 
-def kernel_inputs():
-    """10^4 seeded elements with the product, inverse and conjugate of
-    neighbours, each freshly constructed."""
-    gs = seeded_elements(10_000, seed=1517)
-    out = list(gs)
-    for g, h in zip(gs, gs[1:] + gs[:1]):
-        out += [g * h, g.inverse(), g.conjugated_by(h)]
-    return out
-
-
-def test_cached_cycle_type_matches_a_fresh_walk():
-    """Checks only the records these inputs meet, so a table outside H that
-    another test walks in the same process cannot make it fail."""
+def test_cached_cycle_type_matches_a_fresh_walk(element_inputs):
+    """On unwalked copies of element_inputs.  Checks only the records these
+    inputs meet, so a table outside H that another test walks in the same
+    process cannot make it fail."""
     table_types = {key[0]: key[0] for key, _, _ in sp.class_table()}
     shared = {}
-    for g in kernel_inputs():
+    for g in map(sp._from_table, (x._e for x in element_inputs)):
         if g._ctype is not None:
             pytest.fail("%r has a cycle type before the first call" % (g,))
         ctype = g.cycle_type()
@@ -244,60 +231,36 @@ def test_eq_hash_repr_and_pickle_follow_the_table():
 # involution classes without the -1 product
 
 
-def reference_involution_class(v):
-    """The old route: at l(v) > 4 classify -v = minus_one() * v instead,
-    witness included."""
-    lv = (8 - v.trace()) // 2
-    negated = False
-    if lv > 4:
-        v = SignedPerm.minus_one() * v
-        lv = 8 - lv
-        negated = True
-    w = sp.parity_witness(v)
-    if lv <= 3:
-        return InvolutionClass({1: "1A'", 2: "2A", 3: "3A"}[lv], lv, negated, w)
-    return InvolutionClass("4A" if w is not None else "4A'", 4, negated, w)
-
-
-def test_involution_class_matches_the_minus_one_route():
-    n = negated = 0
-    for v in reference_all_involutions():
-        got, want = sp.involution_class(v), reference_involution_class(v)
-        if got != want:
-            pytest.fail("%r: %r, the -1 route gives %r" % (v, got, want))
-        n += 1
-        negated += want.negated
-    if (n, negated) != (17038, 5124):
-        pytest.fail("%d involutions, %d negated" % (n, negated))
-
-
-def reference_record(v):
-    """The record of an involution built field by field from its two-scan
-    trace and its parity_witness, as involution_class built it before
-    records were shared and before one lane sum gave trace and witness."""
-    lv = (8 - reference_trace(v)) // 2
+def reference_record(x):
+    """The record of the Involution x built field by field from its
+    reference trace and parity witness: l(v) > 4 is classified as -v."""
+    lv = (8 - x.trace) // 2
     negated = lv > 4
     if negated:
         lv = 8 - lv
-    w = sp.parity_witness(v)
+    w = x.witness
     if lv <= 3:
         return InvolutionClass({1: "1A'", 2: "2A", 3: "3A"}[lv], lv, negated, w)
     return InvolutionClass("4A" if w is not None else "4A'", 4, negated, w)
 
 
-def test_involution_class_matches_the_field_by_field_record():
-    for v in reference_all_involutions():
-        got, want = sp.involution_class(v), reference_record(v)
+def test_involution_class_matches_the_field_by_field_record(involutions):
+    negated = 0
+    for x in involutions:
+        got, want = sp.involution_class(x.element), reference_record(x)
         if got != want:
-            pytest.fail("%r: %r, field by field %r" % (v, got, want))
+            pytest.fail("%r: %r, field by field %r" % (x.element, got, want))
+        negated += want.negated
+    if (len(involutions), negated) != (17038, 5124):
+        pytest.fail("%d involutions, %d negated" % (len(involutions), negated))
 
 
-def test_involution_records_are_shared_per_key():
+def test_involution_records_are_shared_per_key(involutions):
     shared = {}
-    for v in reference_all_involutions():
-        got = sp.involution_class(v)
-        if shared.setdefault((v.trace(), sp.parity_witness(v)), got) is not got:
-            pytest.fail("%r: equal keys give two records" % (v,))
+    for x in involutions:
+        got = sp.involution_class(x.element)
+        if shared.setdefault((x.trace, x.witness), got) is not got:
+            pytest.fail("%r: equal keys give two records" % (x.element,))
     size = sp._involution_record.cache_info().currsize
     if not len(shared) <= size <= 7 * 241:
         pytest.fail("%d keys met, %d records cached" % (len(shared), size))
@@ -305,125 +268,67 @@ def test_involution_records_are_shared_per_key():
         got.label = "2A"
 
 
-def test_involution_record_keys_match_parity_witness():
+def test_involution_record_keys_match_parity_witness(involutions):
     """The record of every involution of H but +-1 is the one cached under
-    (trace, byte index of parity_witness in enumerate_roots, -1 for None),
-    and its witness is parity_witness's."""
+    (trace, byte index of the parity witness in enumerate_roots, -1 for
+    None), and its witness is the reference witness."""
     roots = e8.enumerate_roots()
-    for v in reference_all_involutions():
-        got, w = sp.involution_class(v), sp.parity_witness(v)
+    for v, trace, w, _, _ in involutions:
+        got = sp.involution_class(v)
         k = roots.index(w) if w is not None else -1
-        if got.witness != w or sp._involution_record(v.trace(), k) is not got:
-            pytest.fail("%r: record %r, key (%d, %d), witness %r" % (v, got, v.trace(), k, w))
+        if got.witness != w or sp._involution_record(trace, k) is not got:
+            pytest.fail("%r: record %r, key (%d, %d), witness %r" % (v, got, trace, k, w))
 
 
 # ---------------------------------------------------------------------------
 # products and inverses trusted by closure, lane traces, fixed roots
 
 
-def reference_product(g, h):
-    return SignedPerm(tuple_product(g.image, h.image))
-
-
-def reference_inverse(g):
-    """The inverse through the checking constructor: e_j goes back to
-    +-e_i where g sends e_i to +-e_j."""
-    out = [0] * 8
-    for i, t in enumerate(g.image):
-        out[abs(t) - 1] = (i + 1) if t > 0 else -(i + 1)
-    return SignedPerm(tuple(out))
-
-
-def expect_checked(got, want, what):
-    """got must equal the checked want, with its signed table, be a plain
-    SignedPerm with a tuple image, and leave its cycle type for the first
-    call."""
-    if got != want or got.image != want.image or got._e != want._e \
-            or type(got) is not SignedPerm or type(got.image) is not tuple:
-        pytest.fail("%s: %r, checked route %r" % (what, got, want))
+def expect_image(got, want, what, *operands):
+    """got must be a plain SignedPerm with the tuple image want, the signed
+    table byte_table(want), and its cycle type left for the first call; the
+    message what % operands is formatted only on a failure."""
+    image = got.image
+    if type(got) is not SignedPerm or type(image) is not tuple \
+            or image != want or got._e != byte_table(want):
+        pytest.fail("%s: %r, the tuple reference gives %r" % (what % operands, got, want))
     if got._ctype is not None:
-        pytest.fail("%s: %r has a cycle type before the first call" % (what, got))
+        pytest.fail("%s: %r has a cycle type before the first call" % (what % operands, got))
 
 
-def test_products_inverses_and_conjugates_match_the_checking_constructor():
-    xs = kernel_inputs()
-    for g, h in zip(xs, xs[1:] + xs[:1]):
+def test_products_inverses_and_conjugates_match_the_checking_constructor(element_inputs):
+    """Image, signed table, type and empty cycle-type cache of every
+    product, inverse and conjugate against the one reference, tuple_product,
+    inverse_image and byte_table on image tuples: on each element of
+    element_inputs followed by 10^4 elements of seed 2002 with its
+    neighbour (and the last of element_inputs with its first), and on every
+    pair of 200 elements of seed 2468 and +-1."""
+    xs = list(element_inputs) + seeded_elements(10_000, seed=2002)
+    pairs = list(zip(xs, xs[1:] + xs[:1])) + [(element_inputs[-1], element_inputs[0])]
+    few = seeded_elements(200, seed=2468) + [signed_identity(), SignedPerm.minus_one()]
+    pairs += [(g, h) for g in few for h in few]
+    for g, h in pairs:
         g.cycle_type()  # a filled cache on a factor must not reach the result
-        expect_checked(g * h, reference_product(g, h), "%r * %r" % (g, h))
-        expect_checked(g.inverse(), reference_inverse(g), "%r inverse" % (g,))
-        want = reference_product(reference_product(h, g), reference_inverse(h))
-        expect_checked(g.conjugated_by(h), want, "%r conjugated by %r" % (g, h))
-
-
-def old_inverse(image):
-    """The inverse image tuple by the loop the package used before inverses
-    became a gather of the signed table."""
-    out = [0] * 8
-    for i, t in enumerate(image, 1):
-        if t > 0:
-            out[t - 1] = i
-        else:
-            out[-t - 1] = -i
-    return tuple(out)
-
-
-def test_gathers_match_the_image_comprehension():
-    """Product, inverse and conjugate images against the comprehension and
-    loop they replaced, on kernel_inputs() and on 10^4 further seeded
-    elements."""
-    xs = kernel_inputs() + seeded_elements(10_000, seed=2002)
-    for g, h in zip(xs, xs[1:] + xs[:1]):
         a, b = g.image, h.image
-        if (g * h).image != tuple_product(a, b):
-            pytest.fail("%r * %r: %r" % (g, h, g * h))
-        if g.inverse().image != old_inverse(a):
-            pytest.fail("%r: inverse %r" % (g, g.inverse()))
-        if g.conjugated_by(h).image != tuple_product(tuple_product(b, a), old_inverse(b)):
-            pytest.fail("%r conjugated by %r: %r" % (g, h, g.conjugated_by(h)))
+        expect_image(g * h, tuple_product(a, b), "%r * %r", g, h)
+        expect_image(g.inverse(), inverse_image(a), "%r inverse", g)
+        expect_image(g.conjugated_by(h), tuple_product(tuple_product(b, a), inverse_image(b)),
+                     "%r conjugated by %r", g, h)
 
 
-LETTER_ORDER = tuple_table(tuple(range(1, 9)))
-
-
-def scatter(letters, values):
-    """The 17-tuple that sends letters[k] to values[k], in table order: the
-    dictionary route the package inverted and conjugated tuple tables by
-    before tables became bytes."""
-    pairs = dict(zip(letters, values))
-    return tuple(pairs[t] for t in LETTER_ORDER)
-
-
-def test_translate_and_maketrans_match_the_tuple_routes():
-    """On kernel_inputs(): the translate product against tuple_product and
-    the gather of tuple tables, and the maketrans inverse and conjugate
-    against scatter, each as its byte encoding."""
-    xs = kernel_inputs()
-    for g, h in zip(xs, xs[1:] + xs[:1]):
-        tg, th = tuple_table(g.image), tuple_table(h.image)
-        product = tuple(tg[t] for t in th)
-        if (g * h)._e != byte_table(product[1:9]) or product[1:9] != tuple_product(g.image, h.image):
-            pytest.fail("%r * %r: table %r, gather %r" % (g, h, (g * h)._e, product))
-        if g.inverse()._e != byte_table(scatter(tg, LETTER_ORDER)[1:9]):
-            pytest.fail("%r: inverse table %r" % (g, g.inverse()._e))
-        conj = scatter(th, tuple(th[t] for t in tg))
-        if g.conjugated_by(h)._e != byte_table(conj[1:9]):
-            pytest.fail("%r conjugated by %r: table %r" % (g, h, g.conjugated_by(h)._e))
-
-
-def test_is_involution_matches_the_image_route():
+def test_is_involution_matches_the_image_route(element_inputs, involutions):
     """is_involution (one translate of the table by itself) against the
-    image test it replaced, on kernel_inputs(), every involution of H but
+    image test it replaced, on element_inputs, every involution of H but
     +-1, and +-1 themselves."""
-    ident = tuple(range(1, 9))
-    xs = kernel_inputs() + list(reference_all_involutions())
-    xs += [SignedPerm(ident), SignedPerm.minus_one()]
+    xs = list(element_inputs) + [x.element for x in involutions]
+    xs += [SignedPerm(IDENT), SignedPerm.minus_one()]
     n = 0
     for g in xs:
-        want = g.image != ident and tuple_product(g.image, g.image) == ident
+        want = g.image != IDENT and tuple_product(g.image, g.image) == IDENT
         if g.is_involution() != want:
             pytest.fail("%r: is_involution() is %r" % (g, g.is_involution()))
         n += want
-    if SignedPerm(ident).is_involution() or not SignedPerm.minus_one().is_involution():
+    if SignedPerm(IDENT).is_involution() or not SignedPerm.minus_one().is_involution():
         pytest.fail("+-1 misjudged")
     if n < 17039:
         pytest.fail("only %d involutions met" % n)
@@ -504,7 +409,7 @@ def test_type_records_carry_order_charpoly_and_trace():
             pytest.fail("%r: %r is not the interned record" % (g, ctype))
         if ctype != plain or hash(ctype) != hash(plain) or repr(ctype) != repr(plain):
             pytest.fail("%r: the record differs from the plain tuple" % (g,))
-        trace = reference_trace(g)
+        trace = reference_trace(g.image)
         if (ctype.order, ctype.charpoly, ctype.trace) != \
                 (sp._type_order(plain), sp._type_charpoly(plain), trace):
             pytest.fail("%r: record %r, %r, %r" % (g, ctype.order, ctype.charpoly, ctype.trace))
@@ -512,14 +417,14 @@ def test_type_records_carry_order_charpoly_and_trace():
             pytest.fail("%r: a walked element does not read its record" % (g,))
 
 
-def test_pairing_lanes_carry_the_trace_in_byte_240():
+def test_pairing_lanes_carry_the_trace_in_byte_240(element_inputs):
     """One sum over the root-pairing lanes gives the trace (byte 240, minus
-    8) and, under _FOURS, the parity bits: on kernel_inputs() the trace is
+    8) and, under _FOURS, the parity bits: on element_inputs the trace is
     the two-scan trace and the witness is parity_witness's."""
     lanes = sp._root_lanes()
-    for g in kernel_inputs():
+    for g in element_inputs:
         total = sum(map(getitem, lanes, g._e))
-        if (total >> 1920) - 8 != reference_trace(g):
+        if (total >> 1920) - 8 != reference_trace(g.image):
             pytest.fail("%r: byte 240 reads %d" % (g, total >> 1920))
         k = sp._odd_byte(total & sp._FOURS)
         if (e8.enumerate_roots()[k] if k >= 0 else None) != sp.parity_witness(g):
@@ -528,13 +433,12 @@ def test_pairing_lanes_carry_the_trace_in_byte_240():
 
 def test_root_bytes_are_the_pairings():
     """On the 100 class_table() representatives and 1000 seeded elements,
-    byte r of the sum over the lanes is 32 + 4 (v(r), r), the pairing
-    taken by e8.inner on the applied root."""
+    byte r of the sum over the lanes is 32 + 4 (v(r), r), the doubled
+    pairing of the lattice action's image of r with r."""
     lanes = sp._root_lanes()
-    roots = e8.enumerate_roots()
     for v in [rep for _, rep, _ in sp.class_table()] + seeded_elements(1000, seed=2901):
         got = sum(map(getitem, lanes, v._e)).to_bytes(241, "little")[:240]
-        want = bytes(32 + 4 * e8.inner(v.apply(r), r) for r in roots)
+        want = bytes(32 + sum(map(mul, image, r.d)) for r, image in root_images(v))
         if got != want:
             pytest.fail("%r: root bytes %r, pairings %r" % (v, got, want))
 
@@ -552,67 +456,9 @@ def test_lane_certificate_fires_on_a_corrupted_root_list(monkeypatch):
         sp._root_lanes.cache_clear()
 
 
-def class_representatives():
-    """The element built for each of the 95 signed cycle types, and the
-    class_representative of its class key."""
-    built = signed_cycle_type_representatives()
-    out = built + [sp.class_representative(g.class_conjugator()[0]) for g in built]
-    if len({g.cycle_type() for g in built}) != 95:
-        pytest.fail("%d signed cycle types" % len(built))
-    return out
-
-
-def reference_trace(g):
-    """Fixed letters minus negated letters, in two scans."""
-    image = g.image
-    return sum(map(eq, image, sp._IDENT_IMG)) - sum(map(eq, image, sp._MINUS_IMG))
-
-
-def test_lane_trace_matches_two_scans():
-    """trace(), read off the type record after one walk, on unwalked
-    elements and on class representatives."""
-    for g in kernel_inputs() + class_representatives():
-        if g.trace() != reference_trace(g):
-            pytest.fail("%r: trace %d, two scans %d" % (g, g.trace(), reference_trace(g)))
-
-
-@lru_cache(maxsize=None)
-def reference_fixed_lanes():
-    """lanes[i+1][s(j+1)] packs the bytes (s d_i - d_j)^2 over the doubled
-    roots d, one per byte in enumerate_roots order; lanes[0] is all zero.
-    A sum of 8 stays at most 128 in every byte, and it is 0 exactly when the
-    element fixes that root."""
-    cols = list(zip(*(r.d for r in e8.enumerate_roots())))
-    lanes = [(0,) * 17]
-    for i in range(8):
-        row = [0] * 17
-        for s in (1, -1):
-            for j in range(8):
-                row[s * (j + 1)] = int.from_bytes(
-                    bytes((s * x - y) ** 2 for x, y in zip(cols[i], cols[j])), "little")
-        lanes.append(tuple(row))
-    return tuple(lanes)
-
-
-def reference_fixed_roots(gens):
-    """The roots whose byte of the packed (s d_i - d_j)^2 sum is 0, picked by
-    a generator over the bytes."""
-    lanes = reference_fixed_lanes()
-    moved = 0
-    for g in gens:
-        moved |= sum(map(getitem, lanes, g._e))
-    return tuple(r for r, b in zip(e8.enumerate_roots(), moved.to_bytes(240, "little"))
-                 if not b)
-
-
-def test_fixed_roots_match_the_generator_route():
-    order_p = [g for g in seeded_elements(20_000, seed=1902) if g.order() in (3, 5, 7)]
-    reps = class_representatives()
-    if {g.order() for g in order_p} != {3, 5, 7}:
-        pytest.fail("the sample misses an order")
-    for g in order_p + reps:
-        if sp.fixed_roots(g) != reference_fixed_roots([g]):
-            pytest.fail("%r: fixed roots differ from the generator route" % (g,))
-    for gens in zip(reps, reps[1:]):
-        if sp.fixed_roots(gens) != reference_fixed_roots(gens):
-            pytest.fail("%r: fixed roots differ from the generator route" % (gens,))
+def test_lane_trace_matches_two_scans(element_inputs):
+    """trace(), read off the type record after one walk, on unwalked copies
+    of element_inputs and on class representatives."""
+    for g in [sp._from_table(x._e) for x in element_inputs] + class_representatives():
+        if g.trace() != reference_trace(g.image):
+            pytest.fail("%r: trace %d, two scans %d" % (g, g.trace(), reference_trace(g.image)))

@@ -1,8 +1,16 @@
-"""sympy as an independent reference for linalg: its Smith normal form for
-the elementary divisors, its rank for consistency and uniqueness of rational
-systems, and the Smith forms of A and [A | b] for integer solvability.  The
-Newton charpoly on packed powers is pinned to a list-of-lists
-Faddeev-LeVerrier kept here, and the packed powers to dense ones."""
+"""The one reference of each linalg kernel, kept here and nowhere in the
+package:
+
+* the Smith form: reference_smith_normal_form, an elimination that carries
+  both unimodular transforms, for the elementary divisors, the transforms
+  (in test_reps_oracles.py) and, through the Smith forms of A and [A | b],
+  integer solvability;
+* the characteristic polynomial: list_charpoly, Faddeev-LeVerrier on lists
+  of integer rows, for the Newton charpoly on packed powers, for the charpoly
+  of H elements and (in test_cold_routes.py) for the one decompose_matrix
+  takes from power traces;
+* rational solving and rank: sympy;
+* packed powers: dense integer powers."""
 
 import random
 from collections import Counter
@@ -10,16 +18,82 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from sympy import Matrix, Rational, ZZ
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy import Matrix, Rational
 
-from k3census import linalg, reps
+from k3census import e8, linalg
 from k3census.errors import CheckFailure
+from conftest import seeded_elements
 
 
-def sympy_divisors(a):
-    d = sympy_snf(Matrix(a), domain=ZZ)
-    return [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
+def reference_smith_normal_form(a):
+    """(d, u, v) with u*a*v = d, every row and column operation applied to
+    the transforms as it is made."""
+    m = [[int(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in m:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t] != 0:
+                add_row(t, i, -(m[i][t] // m[t][t]))
+                dirty = dirty or m[i][t] != 0
+        for j in range(t + 1, cols):
+            if m[t][j] != 0:
+                add_col(t, j, -(m[t][j] // m[t][t]))
+                dirty = dirty or m[t][j] != 0
+        if dirty:
+            continue
+        bad = next((i for i in range(t + 1, rows)
+                    if any(m[i][j] % m[t][t] for j in range(t + 1, cols))), None)
+        if bad is not None:
+            add_row(bad, t, 1)
+            continue
+        t += 1
+    return m, u, v
+
+
+def reference_elementary_divisors(a):
+    d, _, _ = reference_smith_normal_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+
+
+
 
 
 def seeded_matrix(rng, rows, cols):
@@ -42,7 +116,7 @@ def seeded_matrix(rng, rows, cols):
     return a
 
 
-def test_elementary_divisors_match_sympy_on_every_shape():
+def test_elementary_divisors_match_the_reference_on_every_shape():
     rng = random.Random(1902)
     kinds = {"rank deficient": 0, "zero line": 0}
     for rows in range(1, 10):
@@ -50,7 +124,7 @@ def test_elementary_divisors_match_sympy_on_every_shape():
             for _ in range(4):
                 a = seeded_matrix(rng, rows, cols)
                 got = linalg.elementary_divisors(a)
-                assert got == sympy_divisors(a), a
+                assert got == reference_elementary_divisors(a), a
                 assert all(y % x == 0 for x, y in zip(got, got[1:]))
                 kinds["rank deficient"] += len(got) < min(rows, cols)
                 kinds["zero line"] += any(not any(r) for r in a) or any(not any(c) for c in zip(*a))
@@ -142,7 +216,8 @@ def test_integer_solve_matches_smith_forms_of_a_and_a_b():
                     j, k = rng.randrange(cols), rng.choice((2, 3))
                     for row in a:
                         row[j] *= k
-                want = sympy_divisors(a) == sympy_divisors([row + [bv] for row, bv in zip(a, b)])
+                want = reference_elementary_divisors(a) \
+                    == reference_elementary_divisors([row + [bv] for row, bv in zip(a, b)])
                 got = linalg.integer_solve(a, b)
                 assert (got is not None) == want, (a, b)
                 rational = linalg.solve(a, b) is not None
@@ -175,12 +250,12 @@ def list_charpoly(a):
     return coeffs
 
 
-def lemma45_witnesses():
-    """The integer matrices of the Lemma 4.5 witnesses, the census entries
-    coxeter_witness has a recipe for."""
-    out = [reps.coxeter_witness(p, (dec.r, dec.s, dec.t)) for p in (3, 5, 7)
-           for dec in reps.lemma45_census(p)]
-    return [m for m in out if m is not None]
+def lemma45_witnesses(witness_inputs):
+    """The integer matrices of the 7 Lemma 4.5 witnesses."""
+    out = [m for _, _, m in witness_inputs.witnesses if m is not None]
+    if len(out) != 7:
+        pytest.fail("%d Lemma 4.5 witnesses, not 7" % len(out))
+    return out
 
 
 def dense_powers(a, k):
@@ -192,15 +267,13 @@ def dense_powers(a, k):
     return out
 
 
-def test_packed_powers_match_dense_powers():
+def test_packed_powers_match_dense_powers(witness_inputs):
     """The rows and traces packed_powers yields, unpacked, against dense
     integer powers: on seeded square matrices of every kind and size up to
     10, up to the 9th power, and on the 7 Lemma 4.5 witnesses up to the
     8th."""
     rng = random.Random(2501)
-    cases = [(m, 8) for m in lemma45_witnesses()]
-    if len(cases) != 7:
-        pytest.fail("%d Lemma 4.5 witnesses, not 7" % len(cases))
+    cases = [(m, 8) for m in lemma45_witnesses(witness_inputs)]
     cases += [(seeded_matrix(rng, n, n), rng.randint(1, 9)) for n in range(1, 11)
               for _ in range(8)]
     for a, k in cases:
@@ -214,22 +287,32 @@ def test_packed_powers_match_dense_powers():
             pytest.fail("%r to the %d: packed %r, dense %r" % (a, k, got, want))
 
 
-def test_packed_charpoly_matches_the_list_version():
+def test_packed_charpoly_matches_the_list_version(witness_inputs):
     """On the 7 Lemma 4.5 witnesses, on seeded square matrices of every
-    kind and size up to 12, on matrices with entries up to 10^6, and on the
-    empty matrix."""
+    kind and size up to 12, on matrices with entries up to 10^6, on the
+    empty matrix, and on the f-basis matrices of 200 elements of seed 31415,
+    whose charpoly is also the element's own; every coefficient is an
+    int."""
     rng = random.Random(2301)
-    cases = lemma45_witnesses()
-    if len(cases) != 7:
-        pytest.fail("%d Lemma 4.5 witnesses, not 7" % len(cases))
+    cases = lemma45_witnesses(witness_inputs)
     cases += [seeded_matrix(rng, n, n) for n in range(1, 13) for _ in range(12)]
     cases += [[[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)]
               for n in (1, 2, 5, 8)]
     cases.append([])
-    for a in cases:
+    elements = seeded_elements(200, seed=31415)
+    cases += [e8.matrix_in_f_basis(g.matrix_e()) for g in elements]
+    own = [None] * (len(cases) - len(elements)) + [list(g.charpoly()) for g in elements]
+    for a, charpoly in zip(cases, own):
         got, want = linalg.charpoly(a), list_charpoly(a)
-        if got != want:
-            pytest.fail("%r: packed %r, list version %r" % (a, got, want))
+        if got != want or charpoly not in (None, want):
+            pytest.fail("%r: packed %r, list version %r, element %r" % (a, got, want, charpoly))
+        if any(type(c) is not int for c in got):
+            pytest.fail("%r: packed charpoly %r is not all int" % (a, got))
+
+
+def test_charpoly_rejects_non_integer_matrices():
+    with pytest.raises(ValueError):
+        linalg.charpoly([[Fraction(1, 2)]])
 
 
 def test_charpoly_lane_width_below_the_bound_raises(monkeypatch):

@@ -4,8 +4,7 @@ import pytest
 
 from k3census import e8, reps, sgnperm as sp
 from k3census.reps import RepDecomp, lemma45_census, lift_summand
-from k3census.sgnperm import SignedPerm
-from conftest import signed_identity
+from conftest import rand_element, signed_identity
 
 
 def test_census_lists_match():
@@ -56,12 +55,7 @@ def test_random_h_elements_stay_inside_census():
     hits = 0
     for p in (3, 5, 7):
         for _ in range(10_000):
-            perm = list(range(8))
-            rng.shuffle(perm)
-            eps = [rng.choice((1, -1)) for _ in range(8)]
-            if eps.count(-1) % 2:
-                eps[0] = -eps[0]
-            g = SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+            g = rand_element(rng)
             if g.order() != p:
                 continue
             hits += 1

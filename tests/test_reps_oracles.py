@@ -2,8 +2,10 @@
 character kernels, kept here and nowhere in the package.  Each pins an
 integer kernel (the norm-matrix SNF of decompose_matrix, the per-class
 transport of decompose_element, the packed-lane norm powers, the
-diagonal-only elementary divisors, the byte-lane fixed_roots, the memoized
-isolated-point term of spin_value) to the route it replaces."""
+diagonal-only elementary divisors and the Smith transforms, the byte-lane
+fixed_roots, the memoized isolated-point term of spin_value) to the route
+it replaces.  The Smith form's one reference, reference_smith_normal_form,
+lives in test_linalg_oracles.py."""
 
 import random
 from fractions import Fraction
@@ -12,41 +14,26 @@ from math import lcm
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from k3census import census, e8, gindex as gi, linalg, reps, sgnperm as sp
 from k3census.cyclotomic import CycNum, csc_cot, cyc_make
 from k3census.reps import RepDecomp
 from k3census.sgnperm import SignedPerm
-from conftest import apply_doubled, signed_identity
-from test_sgnperm_oracles import (partitions, reference_all_involutions,
-                                  signed_cycle_type_representatives)
-
-
-def rand_element(rng) -> SignedPerm:
-    perm = list(range(8))
-    rng.shuffle(perm)
-    eps = [rng.choice((1, -1)) for _ in range(8)]
-    if eps.count(-1) % 2:
-        eps[0] = -eps[0]
-    return SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
-
-
-def seeded_elements(n=3000, seed=1729):
-    rng = random.Random(seed)
-    return [rand_element(rng) for _ in range(n)]
+from conftest import (class_representatives, partitions, rand_element, reference_fixed_roots,
+                      seeded_elements, signed_cycle_type_representatives, signed_identity)
+from test_linalg_oracles import reference_elementary_divisors, reference_smith_normal_form
 
 
 # ---------------------------------------------------------------------------
 # reference decomposition: saturated kernel basis, rational solves, invariant
-# factors of the coordinate matrix, all from sympy
+# factors of the coordinate matrix
 
 
 def reference_decompose(m, p):
-    """The kernel-basis route, on sympy rather than linalg: a saturated basis
-    of ker(g - 1) from the last columns of V in sympy's Smith decomposition
-    U (g - 1) V = D, the columns N(e_j) written in that basis by one
-    Matrix.solve, and t read off the invariant factors of the coordinate
+    """The kernel-basis route, apart from linalg: a saturated basis of
+    ker(g - 1) from the last columns of V in the reference Smith form
+    U (g - 1) V = D, the columns N(e_j) written in that basis by one sympy
+    Matrix.solve, and t read off the elementary divisors of the coordinate
     matrix."""
     n = len(m)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -57,13 +44,14 @@ def reference_decompose(m, p):
         power = [[sum(power[i][k] * m[k][j] for k in range(n)) for j in range(n)]
                  for i in range(n)]
     assert power == ident
-    d, _, v = smith_normal_decomp(sympy.Matrix(m) - sympy.eye(n), domain=sympy.ZZ)
-    rk = sum(1 for i in range(n) if d[i, i] != 0)
-    basis = v[:, rk:]
+    d, _, v = reference_smith_normal_form([[x - (i == j) for j, x in enumerate(row)]
+                                           for i, row in enumerate(m)])
+    rk = sum(1 for i in range(n) if d[i][i] != 0)
+    basis = sympy.Matrix(v)[:, rk:]
     fix_rank = basis.cols
     coords = basis.solve(sympy.Matrix(norm)) if fix_rank else sympy.zeros(0, n)
     assert all(c.is_integer for c in coords)
-    divisors = [int(x) for x in invariant_factors(coords, domain=sympy.ZZ) if x != 0]
+    divisors = reference_elementary_divisors(coords.tolist()) if fix_rank else []
     assert len(divisors) == fix_rank and set(divisors) <= {1, p}
     t = divisors.count(p)
     r = fix_rank - t
@@ -105,19 +93,15 @@ def mat_prod(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_decompose_matches_reference_on_witnesses():
-    n = 0
-    for p in (3, 5, 7):
-        for dec in reps.lemma45_census(p):
-            m = reps.coxeter_witness(p, (dec.r, dec.s, dec.t))
-            assert reps.decompose_matrix(m, p) == reference_decompose(m, p) == dec
-            n += 1
-    assert n == 7
+def test_decompose_matches_reference_on_witnesses(witness_inputs):
+    for p, dec, m in witness_inputs.witnesses:
+        assert reps.decompose_matrix(m, p) == reference_decompose(m, p) == dec
+    assert len(witness_inputs.witnesses) == 7
 
 
 def test_decompose_matches_reference_on_seeded_h_elements():
     seen = {3: 0, 5: 0, 7: 0}
-    for g in seeded_elements():
+    for g in seeded_elements(3000, seed=1729):
         p = g.order()
         if p not in seen:
             continue
@@ -217,74 +201,6 @@ def reference_norm_matrix(m, p):
     return norm
 
 
-def reference_smith_normal_form(a):
-    """(d, u, v) with u*a*v = d, every row and column operation applied to
-    the transforms as it is made."""
-    m = [[int(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                add_row(t, i, -(m[i][t] // m[t][t]))
-                dirty = dirty or m[i][t] != 0
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                add_col(t, j, -(m[t][j] // m[t][t]))
-                dirty = dirty or m[t][j] != 0
-        if dirty:
-            continue
-        bad = next((i for i in range(t + 1, rows)
-                    if any(m[i][j] % m[t][t] for j in range(t + 1, cols))), None)
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
-    return m, u, v
-
-
-def reference_elementary_divisors(a):
-    d, _, _ = reference_smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-
-
 def elements_of_every_order(conjugates=2, seed=4242):
     """One element of H per signed cycle type, each with seeded random
     conjugates, so every element order of H occurs."""
@@ -297,30 +213,29 @@ def elements_of_every_order(conjugates=2, seed=4242):
     return out
 
 
-def kernel_inputs():
+@pytest.fixture(scope="module")
+def kernel_inputs(witness_inputs):
     """(label, f-basis matrix, order) for the 14 involution class
     representatives, every Coxeter witness and seeded elements of every
     order in H."""
     out = [("class %r" % (v,), e8.matrix_in_f_basis(v.matrix_e()), 2)
            for v, _ in sp.involution_classes()]
-    for p in (3, 5, 7):
-        for dec in reps.lemma45_census(p):
-            out.append(("witness %r" % (dec,), reps.coxeter_witness(p, (dec.r, dec.s, dec.t)), p))
+    out += [("witness %r" % (dec,), m, p) for p, dec, m in witness_inputs.witnesses]
     out += [(repr(g), e8.matrix_in_f_basis(g.matrix_e()), g.order())
             for g in elements_of_every_order()]
     return out
 
 
-def test_kernel_inputs_cover_every_order_in_h():
-    inputs = kernel_inputs()
+def test_kernel_inputs_cover_every_order_in_h(kernel_inputs):
+    inputs = kernel_inputs
     # lcm of cycle lengths L (sign +1) or 2L (sign -1) over partitions of 8
     assert {n for _, _, n in inputs} == {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 20, 24, 30}
     assert sum(label.startswith("class") for label, _, _ in inputs) == 14
     assert sum(label.startswith("witness") for label, _, _ in inputs) == 7
 
 
-def test_norm_matrix_matches_dense_powers():
-    for label, m, n in kernel_inputs():
+def test_norm_matrix_matches_dense_powers(kernel_inputs):
+    for label, m, n in kernel_inputs:
         assert reps.norm_matrix(m, n) == reference_norm_matrix(m, n), label
         for q in (2, 3, 5, 7):   # g^q = 1 exactly when the order n divides q
             if q % n:
@@ -342,8 +257,8 @@ def test_norm_matrix_matches_dense_powers_on_conjugated_block_sums():
             assert reps.norm_matrix(m, p) == reference_norm_matrix(m, p), (p, rst)
 
 
-def test_divisors_match_transform_carrying_route():
-    for label, m, n in kernel_inputs():
+def test_divisors_match_transform_carrying_route(kernel_inputs):
+    for label, m, n in kernel_inputs:
         g_minus_1 = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
         for a in (g_minus_1, reference_norm_matrix(m, n)):
             assert linalg.elementary_divisors(a) == reference_elementary_divisors(a), label
@@ -360,9 +275,9 @@ def test_smith_transforms_match_reference_on_random_matrices():
         assert linalg.elementary_divisors(a) == reference_elementary_divisors(a), a
 
 
-def test_decompose_matches_reference_on_every_order_p_input():
+def test_decompose_matches_reference_on_every_order_p_input(kernel_inputs):
     seen = set()
-    for label, m, n in kernel_inputs():
+    for label, m, n in kernel_inputs:
         if n in (3, 5, 7):
             assert reps.decompose_matrix(m, n) == reference_decompose(m, n), label
             seen.add(n)
@@ -370,14 +285,8 @@ def test_decompose_matches_reference_on_every_order_p_input():
 
 
 # ---------------------------------------------------------------------------
-# reference fixed roots: the lattice action on every root
-
-
-def reference_fixed_roots(gens):
-    if isinstance(gens, SignedPerm):
-        gens = [gens]
-    return tuple(r for r in e8.enumerate_roots()
-                 if all(apply_doubled(g, r.d) == r.d for g in gens))
+# fixed roots against the lattice action on every root (reference_fixed_roots
+# of conftest.py)
 
 
 def special_elements():
@@ -392,10 +301,17 @@ def reflections_in_h():
     return [sp.reflection_in_h(r) for r in e8.enumerate_roots() if 0 in r.d]
 
 
-def test_fixed_roots_match_reference_on_single_elements():
+def test_fixed_roots_match_reference_on_single_elements(involutions):
+    """On special elements, the reflections in H, 600 elements of seed 77,
+    every 97th involution, the elements of order 3, 5 or 7 among 20000 of
+    seed 1902, and the class representatives."""
+    order_p = [g for g in seeded_elements(20_000, seed=1902) if g.order() in (3, 5, 7)]
+    if {g.order() for g in order_p} != {3, 5, 7}:
+        pytest.fail("the sample misses an order")
     elements = special_elements() + reflections_in_h()
     elements += seeded_elements(600, seed=77)
-    elements += list(reference_all_involutions())[::97]
+    elements += [x.element for x in involutions[::97]]
+    elements += order_p + class_representatives()
     counts = set()
     for g in elements:
         got = sp.fixed_roots(g)
@@ -404,16 +320,20 @@ def test_fixed_roots_match_reference_on_single_elements():
     assert 240 in counts and 0 in counts and len(counts) > 5
 
 
-def test_fixed_roots_match_reference_on_generator_lists():
+def test_fixed_roots_match_reference_on_generator_lists(involutions):
+    """On seeded lists of reflections, involutions and special elements,
+    and on each pair of consecutive class representatives."""
     rng = random.Random(31)
     specials = special_elements()
-    invs = list(reference_all_involutions())
+    invs = [x.element for x in involutions]
+    representatives = class_representatives()
     refl = reflections_in_h()
     lists = [[], [signed_identity()], specials[3:6], [sp.w_f(1), sp.w_f(3)],
              [sp.std_cycle(3), sp.w_f7_prime()], [sp.w_f(i) for i in range(1, 8)]]
     lists += [rng.sample(refl, k) for k in (2, 3, 4, 5) for _ in range(10)]
     lists += [rng.sample(invs, k) for k in (2, 2, 3, 3, 4) for _ in range(20)]
     lists += [rng.sample(specials, 2) for _ in range(30)]
+    lists += [list(pair) for pair in zip(representatives, representatives[1:])]
     for gens in lists:
         assert sp.fixed_roots(gens) == reference_fixed_roots(gens), gens
         assert sp.fixed_roots(tuple(gens)) == reference_fixed_roots(gens)

@@ -7,17 +7,7 @@ import pytest
 from k3census import e8, sgnperm as sp
 from k3census.e8 import LatticeVec
 from k3census.sgnperm import SignedPerm
-from conftest import signed_identity
-from test_sgnperm_oracles import reference_all_involutions
-
-
-def rand_element(rng) -> SignedPerm:
-    perm = list(range(8))
-    rng.shuffle(perm)
-    eps = [rng.choice((1, -1)) for _ in range(8)]
-    if eps.count(-1) % 2:
-        eps[0] = -eps[0]
-    return SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+from conftest import rand_element, signed_identity
 
 
 def rand_vec(rng) -> LatticeVec:
@@ -157,16 +147,14 @@ def test_involution_class_conjugation_invariant():
             assert sp.involution_class(v.conjugated_by(h)).label == want
 
 
-def test_4a_prime_census_exhaustive():
+def test_4a_prime_census_exhaustive(involutions):
     atoms = sp.four_a_prime_elements()
     assert len(atoms) == 910
     diag = [v for v in atoms if v.perm() == tuple(range(8))]
     assert len(diag) == 70  # choose 4 of 8 coordinates to negate
-    n = 0
-    for v in reference_all_involutions():
-        n += 1
-        assert sp.is_4a_prime_shape(v) == (sp.parity_witness(v) is None)
-    assert n == 17038
+    for x in involutions:
+        assert sp.is_4a_prime_shape(x.element) == (sp.parity_witness(x.element) is None)
+    assert len(involutions) == 17038
 
 
 def test_diagonal_4a_prime_condition():

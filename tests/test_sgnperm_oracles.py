@@ -5,160 +5,48 @@ witness stays the same."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
-from math import lcm, prod
+from math import lcm
 
 import pytest
 
-from k3census import e8, sgnperm as sp
+from k3census import sgnperm as sp
 from k3census.errors import CheckFailure
 from k3census.sgnperm import Q8Report, SignedPerm, Z24Report
-from conftest import apply_doubled, signed_identity
+from conftest import (matchings, rand_element, reference_parity_witness, reference_shape,
+                      reference_signed_cycles, reference_trace, seeded_elements,
+                      signed_cycle_type_representatives, signed_identity, tuple_product)
+from test_linalg_oracles import list_charpoly
 
 D0 = SignedPerm.diagonal((-1, -1, -1, -1, 1, 1, 1, 1))
 PPERM = SignedPerm.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
 
 
-def rand_element(rng) -> SignedPerm:
-    perm = list(range(8))
-    rng.shuffle(perm)
-    eps = [rng.choice((1, -1)) for _ in range(8)]
-    if eps.count(-1) % 2:
-        eps[0] = -eps[0]
-    return SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
+@lru_cache(maxsize=None)
+def permutations_by_square():
+    """All 8! permutations of range(8), grouped by their square p(p(i))."""
+    out = {}
+    for perm in permutations(range(8)):
+        out.setdefault(tuple(perm[j] for j in perm), []).append(perm)
+    return out
 
 
 def reference_square_roots(c):
     """Filter all 8! permutations for p(p(i)) = pi_c(i), then try every sign
-    vector of H on each survivor."""
-    target = c.perm()
+    vector of H on each survivor, squaring image tuples."""
     out = []
-    for perm in permutations(range(8)):
-        if any(perm[perm[i]] != target[i] for i in range(8)):
-            continue
+    for perm in permutations_by_square().get(c.perm(), ()):
         for eps in product((1, -1), repeat=8):
             if eps.count(-1) % 2 == 0:
-                v = SignedPerm.from_eps_perm(eps, perm)
-                if v * v == c:
-                    out.append(v)
-    return tuple(sorted(out, key=lambda v: v.image))
-
-
-def reference_parity_witness(v):
-    """First root, in enumerate_roots order, whose pairing with its image is
-    odd, through the lattice action and the exact pairing."""
-    for r in e8.enumerate_roots():
-        if e8.raw_inner(apply_doubled(v, r.d), r.d) % 2:
-            return r
-    return None
-
-
-def cycles(p):
-    """Cycles of a permutation of range(8), each from its least element."""
-    seen = [False] * 8
-    out = []
-    for start in range(8):
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = p[i]
-        if cyc:
-            out.append(tuple(cyc))
-    return out
-
-
-def reference_signed_cycles(v):
-    """Cycles of the underlying permutation, each from its least element,
-    with their sign products."""
-    image = v.image
-    return [(cyc, prod(1 if image[i] > 0 else -1 for i in cyc))
-            for cyc in cycles(v.perm())]
+                image = tuple(eps[j] * (j + 1) for j in perm)
+                if tuple_product(image, image) == c.image:
+                    out.append(image)
+    return tuple(SignedPerm(image) for image in sorted(out))
 
 
 def reference_order(v):
     return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in reference_signed_cycles(v)))
-
-
-def reference_charpoly(v):
-    """Product of x^L - s over the signed cycles, multiplied out densely."""
-    poly = [1]
-    for cyc, sign in reference_signed_cycles(v):
-        factor = [-sign] + [0] * (len(cyc) - 1) + [1]
-        new = [0] * (len(poly) + len(factor) - 1)
-        for i, a in enumerate(poly):
-            for j, b in enumerate(factor):
-                new[i + j] += a * b
-        poly = new
-    return tuple(poly)
-
-
-def reference_trace(v):
-    return sum(1 if t == i + 1 else -1 if t == -(i + 1) else 0
-               for i, t in enumerate(v.image))
-
-
-def reference_is_4a_prime_shape(v):
-    """The shape test stated through the signed cycle decomposition."""
-    if not (v != signed_identity() and v * v == signed_identity()):
-        return False
-    two_cycles = [c for c, _ in reference_signed_cycles(v) if len(c) == 2]
-    eps, p = v.eps(), v.perm()
-    if any(eps[i] != eps[p[i]] for i in range(8)):
-        return False
-    neg = eps.count(-1)
-    if not two_cycles:
-        return neg == 4
-    return len(two_cycles) == 4 and neg % 4 == 0
-
-
-def reference_eps_shape(v):
-    """The shape test through the eps() / perm() accessors."""
-    if not v.is_involution():
-        return False
-    eps = v.eps()
-    p = v.perm()
-    if any(eps[i] != eps[p[i]] for i in range(8)):
-        return False
-    n_minus = eps.count(-1)
-    moved = sum(p[i] != i for i in range(8))
-    if moved == 0:
-        return n_minus == 4
-    return moved == 8 and n_minus % 4 == 0
-
-
-def reference_all_involutions():
-    """Every involution of H but -1, built from a sign vector and a
-    permutation through from_eps_perm."""
-    minus = SignedPerm.minus_one()
-    ident = signed_identity()
-    for n_trans in range(5):
-        for pairs in sp.pairings(tuple(range(8)), n_trans):
-            moved = [i for pr in pairs for i in pr]
-            fixed = [i for i in range(8) if i not in moved]
-            for pair_signs in product((1, -1), repeat=n_trans):
-                for fixed_signs in product((1, -1), repeat=len(fixed)):
-                    if fixed_signs.count(-1) % 2:
-                        continue
-                    eps = [1] * 8
-                    for pr, s in zip(pairs, pair_signs):
-                        eps[pr[0]] = eps[pr[1]] = s
-                    for i, s in zip(fixed, fixed_signs):
-                        eps[i] = s
-                    perm = list(range(8))
-                    for a, b in pairs:
-                        perm[a], perm[b] = b, a
-                    v = SignedPerm.from_eps_perm(tuple(eps), tuple(perm))
-                    if v != minus and v != ident:
-                        yield v
-
-
-def tuple_product(a, b):
-    """Image tuple of a * b, by reading a's signed images off b's entries:
-    the comprehension the package composed image tuples with before every
-    product became one gather of signed tables."""
-    return tuple([a[t - 1] if t > 0 else -a[-t - 1] for t in b])
 
 
 def reference_search_z2_4(budget=20_000_000):
@@ -226,9 +114,10 @@ def reference_search_z2_4(budget=20_000_000):
 def reference_q8_pairs(roots):
     """Index pairs (i, j) with roots[i] * roots[j] again in roots, by one
     tuple product and one lookup per pair."""
-    images = {v.image for v in roots}
-    return {(i, j) for i, a in enumerate(roots) for j, b in enumerate(roots)
-            if tuple_product(a.image, b.image) in images}
+    images = [v.image for v in roots]
+    found = set(images)
+    return {(i, j) for i, a in enumerate(images) for j, b in enumerate(images)
+            if tuple_product(a, b) in found}
 
 
 def reference_search_q8(budget=4_000_000):
@@ -268,13 +157,21 @@ def test_square_roots_match_reference_filter():
     assert len(sp.square_roots(PPERM)) == 48
 
 
-def test_parity_witness_matches_reference_on_every_involution():
-    n = 0
-    for v in reference_all_involutions():
-        n += 1
-        assert v.is_involution(), v
-        assert sp.parity_witness(v) == reference_parity_witness(v), v
-    assert n == 17038
+def test_pairings_match_the_involutive_permutations():
+    """sgnperm.pairings(range(8), k), which census.q8_fixture_solver
+    enumerates with, against the matchings read off itertools.permutations,
+    in order, for k = 0..4."""
+    for k, count in enumerate((1, 28, 210, 420, 105)):
+        got, want = tuple(sp.pairings(range(8), k)), matchings(k)
+        if len(want) != count or got != want:
+            pytest.fail("k = %d: %d pairings, %d matchings" % (k, len(got), len(want)))
+
+
+def test_parity_witness_matches_reference_on_every_involution(involutions):
+    for x in involutions:
+        assert x.element.is_involution(), x
+        assert sp.parity_witness(x.element) == x.witness, x
+    assert len(involutions) == 17038
 
 
 def test_parity_witness_matches_reference_on_random_elements():
@@ -286,27 +183,24 @@ def test_parity_witness_matches_reference_on_random_elements():
         assert sp.parity_witness(v) == reference_parity_witness(v)
 
 
-def test_4a_prime_shape_matches_reference():
-    for v in reference_all_involutions():
-        assert sp.is_4a_prime_shape(v) == reference_is_4a_prime_shape(v), v
+def test_4a_prime_shape_matches_reference(involutions):
+    """is_4a_prime_shape against reference_shape on every involution, on
+    200 elements of seed 1414, and (False, as a bool) on 200 non-involutions
+    of seed 5772 and on +-1."""
+    for x in involutions:
+        assert sp.is_4a_prime_shape(x.element) == x.shape, x
     rng = random.Random(1414)
     for _ in range(200):
         v = rand_element(rng)
-        assert sp.is_4a_prime_shape(v) == reference_is_4a_prime_shape(v), v
-
-
-def test_image_shape_test_matches_eps_reference():
-    for v in reference_all_involutions():
-        assert sp.is_4a_prime_shape(v) == reference_eps_shape(v), v
+        assert sp.is_4a_prime_shape(v) == reference_shape(v.image), v
     others = seeded_non_involutions(5772, 200)
     others += [signed_identity(), SignedPerm.minus_one()]
     for v in others:
-        assert sp.is_4a_prime_shape(v) is reference_eps_shape(v) is False, v
+        assert sp.is_4a_prime_shape(v) is reference_shape(v.image) is False, v
 
 
-def test_four_a_prime_elements_match_shape_filter():
-    want = sorted((v for v in reference_all_involutions() if sp.is_4a_prime_shape(v)),
-                  key=lambda v: v.image)
+def test_four_a_prime_elements_match_shape_filter(involutions):
+    want = sorted((x.element for x in involutions if x.shape), key=lambda v: v.image)
     assert sp.four_a_prime_elements() == tuple(want)
     assert len(want) == 910
 
@@ -355,40 +249,31 @@ def test_z2_4_budget_threshold_is_exact():
         reference_search_z2_4(177935)
 
 
-def reference_involution_type(v):
-    """(k, b, s) through the signed cycle decomposition: k 2-cycles, b fixed
-    coordinates sent to their negatives, s the parity of the 2-cycles with
-    sign -1 when k = 4."""
-    eps = v.eps()
-    two = [c for c, _ in reference_signed_cycles(v) if len(c) == 2]
-    b = sum(1 for c, _ in reference_signed_cycles(v) if len(c) == 1 and eps[c[0]] == -1)
-    s = sum(eps[c[0]] == -1 for c in two) % 2 if len(two) == 4 else 0
-    return len(two), b, s
-
-
-def involutions_by_type():
+def involutions_by_type(involutions):
+    """The Involution records grouped by their (k, b, s) type."""
     groups = {}
-    for v in reference_all_involutions():
-        groups.setdefault(reference_involution_type(v), []).append(v)
+    for x in involutions:
+        groups.setdefault(x.kind, []).append(x)
     return groups
 
 
-def test_involution_classes_match_every_involution_grouped_by_type():
-    """The 14 involution rows against the 17038 involutions grouped by
-    reference_involution_type: equal sizes per group, one class key per
-    group, and distinct keys for distinct groups."""
-    groups = involutions_by_type()
+def test_involution_classes_match_every_involution_grouped_by_type(involutions):
+    """The 14 involution rows against the 17038 involutions grouped by their
+    (k, b, s) type: equal sizes per group, one class key per group, and
+    distinct keys for distinct groups; each row's representative has its
+    group's type."""
+    groups = involutions_by_type(involutions)
+    kind = {x.element: x.kind for x in involutions}
     classes = sp.involution_classes()
     if len(classes) != 14 or len(groups) != 14:
         pytest.fail("%d classes, %d groups" % (len(classes), len(groups)))
-    if {reference_involution_type(v): n for v, n in classes} \
-            != {t: len(vs) for t, vs in groups.items()}:
+    if {kind[v]: n for v, n in classes} != {t: len(xs) for t, xs in groups.items()}:
         pytest.fail("class sizes differ from the group sizes")
     if sum(n for _, n in classes) != 17038 or sp.d8_involution_count() != 17038 + 2:
         pytest.fail("class sizes add up to %d" % sum(n for _, n in classes))
     keys = {}
-    for t, vs in groups.items():
-        group_keys = {v.class_conjugator()[0] for v in vs}
+    for t, xs in groups.items():
+        group_keys = {x.element.class_conjugator()[0] for x in xs}
         if len(group_keys) != 1:
             pytest.fail("type %r meets %d class keys" % (t, len(group_keys)))
         keys[t] = group_keys.pop()
@@ -396,10 +281,12 @@ def test_involution_classes_match_every_involution_grouped_by_type():
         pytest.fail("two types share a class key: %r" % (keys,))
 
 
-def test_shape_and_parity_are_constant_on_each_type():
-    for t, vs in involutions_by_type().items():
-        assert len({sp.is_4a_prime_shape(v) for v in vs}) == 1, t
-        assert len({sp.parity_witness(v) is None for v in vs}) == 1, t
+def test_shape_and_parity_are_constant_on_each_type(involutions):
+    """On the reference values; the kernels equal them on every involution
+    (the shape and parity-witness tests above)."""
+    for t, xs in involutions_by_type(involutions).items():
+        assert len({x.shape for x in xs}) == 1, t
+        assert len({x.witness is None for x in xs}) == 1, t
 
 
 def test_atoms_form_two_h_orbits_with_d0_and_pperm():
@@ -472,45 +359,11 @@ def test_orbit_sizes_of_the_square_roots():
     assert sizes == [[12, 12, 72, 144, 144, 144], [48]]
 
 
-def partitions(n, largest=None):
-    """Partitions of n into non-increasing parts."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in partitions(n - part, part):
-            yield (part,) + rest
-
-
-def signed_cycle_type_representatives():
-    """One element of H for each signed cycle type: the cycles run over
-    consecutive letters, the sign product of a cycle sits on its first
-    letter, and an even number of cycles is negative."""
-    out = {}
-    for parts in partitions(8):
-        for signs in product((1, -1), repeat=len(parts)):
-            if signs.count(-1) % 2:
-                continue
-            cycles, eps, at = [], [1] * 8, 1
-            for length, sign in zip(parts, signs):
-                cycles.append(tuple(range(at, at + length)))
-                eps[at - 1] = sign
-                at += length
-            out.setdefault(tuple(sorted(zip(parts, signs))),
-                           SignedPerm.from_cycles(cycles, eps))
-    return list(out.values())
-
-
 def invariant_inputs():
     """The 14 involution class representatives, one element per signed cycle
     type and seeded random elements."""
     return ([v for v, _ in sp.involution_classes()] + signed_cycle_type_representatives()
             + seeded_elements(2000, seed=1357))
-
-
-def seeded_elements(n, seed):
-    rng = random.Random(seed)
-    return [rand_element(rng) for _ in range(n)]
 
 
 def test_cycle_type_is_the_sorted_reference_type():
@@ -522,12 +375,29 @@ def test_cycle_type_is_the_sorted_reference_type():
         assert g.cycle_type() == tuple(want), g
 
 
+def signed_matrix(g):
+    """The matrix of g on e1..e8, read off the image: column i holds the
+    sign of image[i] in row |image[i]| - 1."""
+    m = [[0] * 8 for _ in range(8)]
+    for i, t in enumerate(g.image):
+        m[abs(t) - 1][i] = 1 if t > 0 else -1
+    return m
+
+
 def test_order_charpoly_trace_match_signed_cycle_reference():
-    orders = set()
+    """Order and trace against the signed cycles and the two scans, the
+    charpoly against list_charpoly of the signed permutation matrix.  The
+    signed cycle type fixes the class in the full signed permutation group,
+    so the charpoly is taken once per reference type, on its first
+    element."""
+    orders, charpolys = set(), {}
     for g in invariant_inputs():
         assert g.order() == reference_order(g), g
-        assert g.charpoly() == reference_charpoly(g), g
-        assert g.trace() == reference_trace(g), g
+        ctype = tuple(sorted((len(c), s) for c, s in reference_signed_cycles(g)))
+        if ctype not in charpolys:
+            charpolys[ctype] = tuple(list_charpoly(signed_matrix(g)))
+        assert g.charpoly() == charpolys[ctype], g
+        assert g.trace() == reference_trace(g.image), g
         orders.add(g.order())
     assert orders == {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 20, 24, 30}
 
@@ -546,38 +416,3 @@ def test_type_invariants_are_cached_per_type():
             pytest.fail("%r: the record disagrees with the type" % (g,))
     if len(records) != len(signed_cycle_type_representatives()):
         pytest.fail("%d records" % len(records))
-
-
-# ---------------------------------------------------------------------------
-# products: the comprehension the package used against the padded-tuple
-# route and the translate of byte tables
-
-
-def tuple_table(a):
-    """The 17-tuple signed table of the image a, the layout the package
-    stored before tables became bytes: index t in -8..8 reads the signed
-    image of t, so entry 0 is 0, entry t is a[t-1] and entry -t (counted
-    from the end) is -a[t-1]."""
-    return (0, *a, *(-t for t in reversed(a)))
-
-
-def byte_table(a):
-    """The signed table of the image a as the package stores it: each entry
-    of tuple_table(a) as the byte t mod 17."""
-    return bytes([t % 17 for t in tuple_table(a)])
-
-
-def ext_route_mul(a, b):
-    """a after b through the 17-entry padding tuple_table(a), indexed by b."""
-    return tuple(map(tuple_table(a).__getitem__, b))
-
-
-def test_img_mul_matches_the_ext_route():
-    imgs = [g.image for g in seeded_elements(200, seed=2468)]
-    imgs += [signed_identity().image, SignedPerm.minus_one().image]
-    for a in imgs:
-        for b in imgs:
-            want = tuple_product(a, b)
-            got = SignedPerm(a) * SignedPerm(b)
-            if ext_route_mul(a, b) != want or got.image != want or got._e != byte_table(want):
-                pytest.fail("%r * %r: %r, the comprehension gives %r" % (a, b, got, want))

@@ -6,7 +6,9 @@
   module shares with another is public;
 * every function the benchmark traces (LAYERS in bench/layers.py, read
   without importing it) exists in the package, so a rename in src/ cannot
-  leave the layer tracer pointing at nothing.
+  leave the layer tracer pointing at nothing;
+* every test file that the CI step under `python -O -m pytest` names
+  exists, so a merged or renamed file cannot silently drop out of it.
 
 They check with pytest.fail, never with the assert statement."""
 
@@ -58,3 +60,19 @@ def test_every_traced_layer_resolves():
                 reduce(getattr, attr.split("."), module)
             except AttributeError:
                 pytest.fail("bench/layers.py traces %s.%s, which k3census lacks" % (mod, attr))
+
+
+def test_every_file_of_the_optimized_ci_step_exists():
+    """The `python -O -m pytest` step of .github/workflows/tests.yml, read
+    as text: pytest would stop on a missing path, but only where CI runs it."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    steps = [line.split("python -O -m pytest", 1)[1].split()
+             for line in workflow.splitlines() if "python -O -m pytest" in line]
+    if len(steps) != 1:
+        pytest.fail("%d python -O -m pytest steps in tests.yml, not 1" % len(steps))
+    files = [arg for arg in steps[0] if arg.endswith(".py")]
+    if len(files) < 10:
+        pytest.fail("the python -O step names only %r" % files)
+    missing = [name for name in files if not (ROOT / name).is_file()]
+    if missing:
+        pytest.fail("the python -O step names missing files %r" % missing)

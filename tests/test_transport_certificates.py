@@ -16,7 +16,7 @@ import pytest
 from k3census import cli, reps, sgnperm as sp
 from k3census.errors import CheckFailure
 from k3census.sgnperm import SignedPerm
-from test_sgnperm_oracles import rand_element
+from conftest import rand_element
 
 FLIP_1_2 = SignedPerm.diagonal((-1, -1, 1, 1, 1, 1, 1, 1))
 SWAP_1_8 = SignedPerm.from_cycles([(1, 8)])
